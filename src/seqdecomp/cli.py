@@ -4,13 +4,15 @@ Operators are given either as a builtin name (``cnot``, ``shor``,
 ``cloner:<n>``, ``ghz:<n>``, ``random:<m>,<n>,<seed>``, ``product``) or as
 the path of an operator JSON file.  Exit codes: 0 on success (operator
 implementable), 1 when the sequentiality criterion rejects the operator,
-2 on usage or format errors.  Standard output carries exactly one JSON
-document per invocation; diagnostics go to the error stream.
+2 on usage, format or resource errors and on any other failure.  Standard
+output carries exactly one JSON document per invocation; diagnostics go to
+the error stream.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -71,6 +73,13 @@ def _load_factors(path: str | None) -> list[np.ndarray]:
     ]
 
 
+_NUMERIC_BUILTINS = {
+    "cloner": (gisin_massar_cloner, 1),
+    "ghz": (ghz_isometry, 1),
+    "random": (random_isometry, 3),
+}
+
+
 def load_operator(token: str, factors_path: str | None = None) -> Isometry:
     """Resolve a builtin operator name or an operator-file path."""
     name, _, arg = token.partition(":")
@@ -80,20 +89,17 @@ def load_operator(token: str, factors_path: str | None = None) -> Isometry:
         return shor_encoder()
     if name == "product" and not arg:
         return product_unitary(_load_factors(factors_path))
-    try:
-        if name == "cloner" and arg:
-            return gisin_massar_cloner(int(arg))
-        if name == "ghz" and arg:
-            return ghz_isometry(int(arg))
-        if name == "random" and arg:
-            m, n, seed = (int(x) for x in arg.split(","))
-            return random_isometry(m, n, seed)
-    except ValueError:
-        raise ContractViolationError(
-            f"malformed builtin arguments in '{token}'"
-        ) from None
-    if name in ("cloner", "ghz", "random"):
-        raise ContractViolationError(f"builtin '{name}' needs arguments, e.g. {name}:3")
+    if name in _NUMERIC_BUILTINS:
+        builder, arity = _NUMERIC_BUILTINS[name]
+        if not arg:
+            raise ContractViolationError(f"builtin '{name}' needs arguments, e.g. {name}:3")
+        try:
+            values = [int(x) for x in arg.split(",")]
+        except ValueError:
+            values = []
+        if len(values) != arity:
+            raise ContractViolationError(f"malformed builtin arguments in '{token}'")
+        return builder(*values)
     doc = formats.parse_document(_read_text(token, "operator file"), token)
     return formats.doc_to_isometry(doc, where=token)
 
@@ -223,6 +229,17 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _tolerance(text: str, *, positive: bool) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: '{text}'") from None
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        bound = "> 0" if positive else ">= 0"
+        raise argparse.ArgumentTypeError(f"must be finite and {bound}, got '{text}'")
+    return value
+
+
 def _add_operator_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("operator", help="builtin name or operator JSON file")
     sub.add_argument(
@@ -232,15 +249,15 @@ def _add_operator_arguments(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--rank-tol",
-        type=float,
+        type=functools.partial(_tolerance, positive=False),
         default=DEFAULT_RANK_TOL,
-        help="relative singular-value cutoff (default %(default)g)",
+        help="relative singular-value cutoff, finite and >= 0 (default %(default)g)",
     )
     sub.add_argument(
         "--crit-tol",
-        type=float,
+        type=functools.partial(_tolerance, positive=True),
         default=DEFAULT_CRITERION_TOL,
-        help="criterion residual tolerance (default %(default)g)",
+        help="criterion residual tolerance, finite and > 0 (default %(default)g)",
     )
 
 
@@ -266,7 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--input-state",
         default=None,
         required=True,
-        help="basis/label string over 01+- or a JSON amplitude list",
+        help=(
+            "basis/label string over 01+- or a JSON amplitude list; write a "
+            "value that starts with '-' as --input-state=-+"
+        ),
     )
     sim.add_argument(
         "--reduce",
@@ -288,11 +308,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ContractViolationError as exc:
+    except (ContractViolationError, NumericFailureError, InternalConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericFailureError, InternalConsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # exit 1 means "rejected", so nothing else may leak out
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import as_matrix, dagger
+from .linalg import as_matrix, isometry_residual
 
 #: Residual above which a matrix no longer counts as an isometry.
 ISOMETRY_TOL = 1e-10
@@ -48,7 +48,7 @@ class Isometry:
                 f"matrix shape {a.shape} does not match {expected} for "
                 f"{self.m_in} -> {self.n_out} qubits"
             )
-        residual = float(np.linalg.norm(dagger(a) @ a - np.eye(a.shape[1]), 2))
+        residual = isometry_residual(a, ISOMETRY_TOL)
         if residual > ISOMETRY_TOL:
             raise ContractViolationError(
                 f"matrix is not an isometry: residual {residual:.3e}"
@@ -168,11 +168,23 @@ def product_unitary(factors: Sequence[np.ndarray]) -> Isometry:
         a = as_matrix(f, f"factor {k}")
         if a.shape != (2, 2):
             raise ContractViolationError(f"factor {k} is not 2x2: shape {a.shape}")
-        if np.linalg.norm(dagger(a) @ a - np.eye(2), 2) > ISOMETRY_TOL:
+        if isometry_residual(a, ISOMETRY_TOL) > ISOMETRY_TOL:
             raise ContractViolationError(f"factor {k} is not unitary")
         total = np.kron(total, a)
     n = len(factors)
     return Isometry(n, n, total)
+
+
+def _haar_columns(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """First ``cols`` columns of a Haar ``dim`` x ``dim`` unitary drawn from
+    ``rng``.  The whole Gaussian matrix is drawn, so the stream does not
+    depend on ``cols``, but only the kept columns are QR-factored; the
+    diagonal of R is made real positive."""
+    re = rng.standard_normal((dim, dim))[:, :cols]
+    im = rng.standard_normal((dim, dim))[:, :cols]
+    q, r = np.linalg.qr((re + 1j * im) / math.sqrt(2.0))
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -181,10 +193,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     QR of a complex Gaussian matrix with the phase gauge fixed by making
     the diagonal of R real positive.
     """
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z / math.sqrt(2.0))
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return _haar_columns(dim, dim, rng)
 
 
 def random_isometry(m: int, n: int, seed: int) -> Isometry:
@@ -192,12 +201,12 @@ def random_isometry(m: int, n: int, seed: int) -> Isometry:
     Haar-random ``2**n`` unitary.
 
     The stream is numpy's PCG64 generator seeded with ``seed``, drawn as a
-    complex standard-normal matrix and orthonormalized by QR with a positive
-    diagonal-of-R gauge, so a fixed seed reproduces the same matrix.
+    complex standard-normal ``2**n`` x ``2**n`` matrix whose first ``2**m``
+    columns are orthonormalized by QR with a positive diagonal-of-R gauge,
+    so a fixed seed reproduces the same matrix.
     """
     if not 1 <= m <= n <= _MAX_QUBITS:
         raise ContractViolationError(
             f"need 1 <= m <= n <= {_MAX_QUBITS}, got m={m}, n={n}"
         )
-    u = haar_unitary(2**n, np.random.default_rng(seed))
-    return Isometry(m, n, u[:, : 2**m])
+    return Isometry(m, n, _haar_columns(2**n, 2**m, np.random.default_rng(seed)))

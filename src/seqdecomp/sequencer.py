@@ -33,7 +33,7 @@ from .errors import (
     InternalConsistencyError,
     NotImplementableError,
 )
-from .linalg import DEFAULT_RANK_TOL, complete_to_unitary, dagger, regroup, svd
+from .linalg import DEFAULT_RANK_TOL, complete_to_unitary, dagger, isometry_residual, regroup, svd
 from .mps import Mps, OperatorMps, STATE_NORM_TOL, operator_to_mps
 from .oplib import Isometry
 
@@ -99,7 +99,7 @@ class SequentialPlan:
                 raise ContractViolationError(
                     f"step {k + 1}: shape {a.shape}, expected {(side, side)}"
                 )
-            residual = float(np.linalg.norm(dagger(a) @ a - np.eye(side), 2))
+            residual = isometry_residual(a, STEP_UNITARY_TOL)
             if residual > STEP_UNITARY_TOL:
                 raise ContractViolationError(
                     f"step {k + 1} is not unitary: residual {residual:.3e}"
@@ -211,9 +211,7 @@ def build_plan(
                 cols.append(col)
                 targets.append(2 * r + j)
         q = np.stack(cols, axis=1)
-        gram_residual = float(
-            np.linalg.norm(dagger(q) @ q - np.eye(q.shape[1]), 2)
-        )
+        gram_residual = isometry_residual(q, tol)
         if gram_residual >= tol:
             raise InternalConsistencyError(
                 f"step {k + 1}: defined columns not orthonormal "

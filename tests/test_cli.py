@@ -6,9 +6,10 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from seqdecomp import build_plan, ghz_state, shor_encoder
-from seqdecomp import formats
+from seqdecomp import cli, formats
 from seqdecomp.cli import main
 
 
@@ -79,6 +80,20 @@ def test_simulate_shor_plus(tmp_path, capsys):
     gp, gm = ghz_state(3, +1), ghz_state(3, -1)
     target = (
         np.kron(np.kron(gp, gp), gp) + np.kron(np.kron(gm, gm), gm)
+    ) / math.sqrt(2.0)
+    assert np.linalg.norm(amps - target) < 1e-10
+
+
+def test_simulate_label_starting_with_minus(tmp_path, capsys):
+    # argparse reads a bare "-" value as an option, so it is attached with "="
+    path = tmp_path / "plan.json"
+    run_cli(["decompose", "shor", "-o", str(path)], capsys)
+    code, out, _ = run_cli(["simulate", str(path), "--input-state=-"], capsys)
+    assert code == 0
+    amps = np.array([complex(re, im) for re, im in json.loads(out)["amplitudes"]])
+    gp, gm = ghz_state(3, +1), ghz_state(3, -1)
+    target = (
+        np.kron(np.kron(gp, gp), gp) - np.kron(np.kron(gm, gm), gm)
     ) / math.sqrt(2.0)
     assert np.linalg.norm(amps - target) < 1e-10
 
@@ -202,6 +217,65 @@ def test_unknown_builtin_exits_2(capsys):
     code, _, err = run_cli(["check", "cloner:x"], capsys)
     assert code == 2
     assert "malformed" in err
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [("cloner:0", "need at least one clone"), ("ghz:0", "need at least one output qubit")],
+)
+def test_builtin_contract_violation_keeps_its_message(token, message, capsys):
+    code, out, err = run_cli(["check", token], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "malformed" not in err
+
+
+@pytest.mark.parametrize("token", ["random:1,2", "random:1,2,3,4", "ghz:2,3", "ghz:"])
+def test_builtin_with_wrong_argument_count_exits_2(token, capsys):
+    code, out, err = run_cli(["check", token], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("flag", ["--rank-tol", "--crit-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-12", "x"])
+def test_bad_tolerance_is_a_usage_error(flag, value, capsys, monkeypatch):
+    def fail(*_):
+        raise AssertionError("the operator must not be loaded")
+
+    monkeypatch.setattr(cli, "load_operator", fail)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "shor", f"{flag}={value}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert flag in err
+
+
+def test_tolerance_bounds(capsys):
+    # "-1" after the flag is read as its value; it used to turn every
+    # verdict into a rejection (exit 1)
+    for value in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "shor", "--crit-tol", value])
+        assert exc.value.code == 2
+    code, out, _ = run_cli(["check", "shor", "--rank-tol", "0"], capsys)
+    assert code == 0
+    assert json.loads(out)["rank_tol"] == 0.0
+
+
+@pytest.mark.parametrize("error", [MemoryError("cannot allocate"), RuntimeError("boom")])
+def test_unexpected_exception_exits_2(error, capsys, monkeypatch):
+    def fail(*_):
+        raise error
+
+    monkeypatch.setattr(cli, "load_operator", fail)
+    code, out, err = run_cli(["check", "ghz:45"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {type(error).__name__}: {error}\n"
 
 
 def test_operator_file_round_trip_is_bitwise():

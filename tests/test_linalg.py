@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqdecomp import (
     ContractViolationError,
@@ -15,6 +17,7 @@ from seqdecomp import (
     regroup,
     svd,
 )
+from seqdecomp.linalg import GRAM_TOL, isometry_residual
 
 from oracles import reduced_rho_loops
 
@@ -97,6 +100,34 @@ def test_complete_to_unitary_determinism_many_dims():
     for d, k, seed in [(3, 1, 0), (5, 3, 1), (16, 7, 2)]:
         u = haar_unitary(d, np.random.default_rng(seed))[:, :k]
         assert np.array_equal(complete_to_unitary(u), complete_to_unitary(u.copy()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    qubits=st.integers(1, 5),
+    input_qubits=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-2.0, 2.0),
+    tol=st.sampled_from([GRAM_TOL, 1e-8]),
+)
+def test_isometry_residual_matches_spectral_verdicts(qubits, input_qubits, seed, log_scale, tol):
+    # an isometry plus a perturbation whose spectral residual is about
+    # tol * 10**log_scale, i.e. anywhere in [tol / 100, 100 * tol]
+    dim = 2**qubits
+    k = 2 ** min(input_qubits, qubits)
+    rng = np.random.default_rng(seed)
+    q = haar_unitary(dim, rng)[:, :k]
+    z = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+    first_order = np.linalg.norm(dagger(q) @ z + dagger(z) @ q, 2)
+    a = q + (tol * 10.0**log_scale / first_order) * z
+    exact = float(np.linalg.norm(dagger(a) @ a - np.eye(k), 2))
+    value = isometry_residual(a, tol)
+    assert (value > tol) == (exact > tol)
+    assert (value >= tol) == (exact >= tol)
+    if value >= tol:
+        assert value == exact
+    else:
+        assert exact <= value
 
 
 def test_regroup_identity_permutation():

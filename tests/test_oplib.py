@@ -7,6 +7,7 @@ import pytest
 
 from seqdecomp import (
     ContractViolationError,
+    Isometry,
     cnot,
     dagger,
     dicke_state,
@@ -21,6 +22,7 @@ from seqdecomp import (
     shor_encoder,
     state_to_mps,
 )
+from seqdecomp.oplib import ISOMETRY_TOL
 
 from oracles import reduced_rho_loops, schmidt_cut_ranks
 
@@ -129,6 +131,28 @@ def test_random_isometry_is_reproducible_and_entangling():
     assert not sequentiality_test(u).implementable
     # while any 1 -> n isometry is always sequentially implementable
     assert sequentiality_test(random_isometry(1, 3, seed=42)).implementable
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (2, 5), (3, 3), (5, 8), (6, 7), (6, 9), (7, 8)])
+def test_random_isometry_is_the_column_prefix_of_a_haar_unitary(m, n):
+    u = random_isometry(m, n, seed=17 + n)
+    full = haar_unitary(2**n, np.random.default_rng(17 + n))
+    assert u.matrix.shape == (2**n, 2**m)
+    assert np.max(np.abs(u.matrix - full[:, : 2**m])) < 1e-14
+    assert np.array_equal(u.matrix, random_isometry(m, n, seed=17 + n).matrix)
+
+
+def test_isometry_accepts_spectral_residual_below_frobenius_bound():
+    # every column stretched by the same tiny amount: the Gram residual is
+    # eps * I, whose Frobenius norm 2 * eps is above the tolerance while the
+    # spectral norm eps is not, so the check must fall back to the 2-norm
+    eps = 0.8 * ISOMETRY_TOL
+    a = math.sqrt(1.0 + eps) * haar_unitary(4, np.random.default_rng(5))
+    gram = dagger(a) @ a - np.eye(4)
+    assert np.linalg.norm(gram) > ISOMETRY_TOL >= np.linalg.norm(gram, 2)
+    assert np.array_equal(Isometry(2, 2, a).matrix, a)
+    with pytest.raises(ContractViolationError, match="not an isometry"):
+        Isometry(2, 2, math.sqrt(1.0 + 2.0 * ISOMETRY_TOL) * a)
 
 
 def test_random_isometry_bounds():
