@@ -27,7 +27,6 @@ from .mps import (
     CanonicalWeights,
     GaugeVerdict,
     Mps,
-    OperatorMps,
     canonicalize,
     check_canonical,
     contract_operator,
@@ -75,7 +74,6 @@ __all__ = [
     "Mps",
     "NotImplementableError",
     "NumericFailureError",
-    "OperatorMps",
     "PlanVerification",
     "SequentialPlan",
     "SequentialityReport",

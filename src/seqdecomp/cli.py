@@ -40,7 +40,6 @@ from .oplib import (
 from .sequencer import (
     DEFAULT_CRITERION_TOL,
     build_plan,
-    operator_schmidt_ranks,
     sequentiality_test,
     simulate,
     verify_plan,
@@ -160,9 +159,8 @@ def _cmd_decompose(args) -> int:
         _print_doc(doc)
         return 1
     verification = verify_plan(plan, u)
-    report = sequentiality_test(u, tol=args.crit_tol, rank_tol=args.rank_tol)
     if args.output:
-        text = formats.dumps(formats.plan_to_doc(plan, report, verification))
+        text = formats.dumps(formats.plan_to_doc(plan, plan.report, verification))
         Path(args.output).write_text(text + "\n", encoding="utf-8")
     _print_doc(
         {
@@ -213,10 +211,9 @@ def _cmd_info(args) -> int:
         "n_qubits": u.n_out,
         "bond_dims": [int(d) for d in op_mps.bond_dims],
         "max_bond_dim": op_mps.max_bond_dim,
+        # for a square operator the fused cuts are the operator cuts
         "schmidt_ranks": (
-            [int(r) for r in operator_schmidt_ranks(u, rank_tol=args.rank_tol)]
-            if u.is_unitary and u.n_out > 1
-            else None
+            [int(d) for d in op_mps.bond_dims[1:-1]] if u.is_unitary and u.n_out > 1 else None
         ),
         "canonical_residuals": {
             "left_normalization": float(canonical.left_normalization),

@@ -78,68 +78,36 @@ def _validate_chain(tensors) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class Mps:
-    """Matrix-product state; see the module docstring for the layout."""
+    """Matrix-product state or operator; see the module docstring for the layout.
 
-    tensors: tuple[np.ndarray, ...]
-    norm: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "tensors", _validate_chain(self.tensors))
-        if not (np.isfinite(self.norm) and self.norm > 0):
-            raise ContractViolationError(f"norm must be finite positive, got {self.norm}")
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.tensors)
-
-    @property
-    def physical_dims(self) -> tuple[int, ...]:
-        return tuple(t.shape[0] for t in self.tensors)
-
-    @property
-    def bond_dims(self) -> tuple[int, ...]:
-        """The N+1 bond dimensions, boundaries included."""
-        return tuple(t.shape[2] for t in self.tensors) + (self.tensors[-1].shape[1],)
-
-    @property
-    def max_bond_dim(self) -> int:
-        return max(self.bond_dims)
-
-
-@dataclass(frozen=True)
-class OperatorMps:
-    """Matrix-product form of an ``m_in -> n_sites`` qubit operator.
-
-    The first ``m_in`` sites carry fused physical legs of dimension 4
-    (fused index = 2 * output + input); the remaining sites carry output
-    legs of dimension 2.
+    A state chain has ``m_in == 0`` and any physical dimensions.  An
+    ``m_in -> n_sites`` qubit operator has ``m_in >= 1``: its first ``m_in``
+    sites carry fused physical legs of dimension 4 (fused index =
+    2 * output + input) and the remaining sites output legs of dimension 2.
     """
 
     tensors: tuple[np.ndarray, ...]
-    m_in: int
     norm: float = 1.0
+    m_in: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "tensors", _validate_chain(self.tensors))
-        if not 1 <= self.m_in <= len(self.tensors):
+        if not (np.isfinite(self.norm) and self.norm > 0):
+            raise ContractViolationError(f"norm must be finite positive, got {self.norm}")
+        if not 0 <= self.m_in <= len(self.tensors):
             raise ContractViolationError(
                 f"m_in={self.m_in} out of range for {len(self.tensors)} sites"
             )
-        for m, t in enumerate(self.tensors):
-            want = 4 if m < self.m_in else 2
-            if t.shape[0] != want:
-                raise ContractViolationError(
-                    f"site {m + 1}: physical dimension {t.shape[0]}, expected {want}"
-                )
-        if not (np.isfinite(self.norm) and self.norm > 0):
-            raise ContractViolationError(f"norm must be finite positive, got {self.norm}")
+        if self.m_in:
+            for m, t in enumerate(self.tensors):
+                want = 4 if m < self.m_in else 2
+                if t.shape[0] != want:
+                    raise ContractViolationError(
+                        f"site {m + 1}: physical dimension {t.shape[0]}, expected {want}"
+                    )
 
     @property
     def n_sites(self) -> int:
-        return len(self.tensors)
-
-    @property
-    def n_out(self) -> int:
         return len(self.tensors)
 
     @property
@@ -211,7 +179,7 @@ class GaugeVerdict:
 # contraction
 
 
-def contract_state(mps: Mps | OperatorMps) -> np.ndarray:
+def contract_state(mps: Mps) -> np.ndarray:
     """Dense vector represented by the chain (fused legs stay fused)."""
     g = mps.tensors[0][:, :, 0]  # (d_1, D_2)
     for t in mps.tensors[1:]:
@@ -220,9 +188,9 @@ def contract_state(mps: Mps | OperatorMps) -> np.ndarray:
     return mps.norm * g[:, 0]
 
 
-def contract_operator(op: OperatorMps) -> np.ndarray:
-    """Dense ``(2**n_out, 2**m_in)`` matrix represented by the chain."""
-    n, m = op.n_out, op.m_in
+def contract_operator(op: Mps) -> np.ndarray:
+    """Dense ``(2**n_sites, 2**m_in)`` matrix represented by an operator chain."""
+    n, m = op.n_sites, op.m_in
     vec = contract_state(op)
     # fused legs (i_1 j_1 .. i_m j_m i_{m+1} .. i_n) -> (i_1 .. i_n), (j_1 .. j_m)
     perm = [2 * k for k in range(m)] + list(range(2 * m, n + m))
@@ -344,7 +312,7 @@ def state_to_mps(
 
 def operator_to_mps(
     u: Isometry, rank_tol: float = DEFAULT_RANK_TOL
-) -> tuple[OperatorMps, CanonicalWeights]:
+) -> tuple[Mps, CanonicalWeights]:
     """Canonical matrix-product form of an isometry.
 
     The input leg of site ``k <= m_in`` is fused with its output leg
@@ -361,12 +329,12 @@ def operator_to_mps(
     vec = regroup(u.matrix, [2] * (n + m), [2 ** (n + m)], perm)
     factors, scale = _left_sweep_dense(vec, [4] * m + [2] * (n - m), rank_tol)
     tensors, lambdas = _right_sweep(factors, rank_tol)
-    return OperatorMps(tensors, m_in=m, norm=scale), CanonicalWeights(lambdas)
+    return Mps(tensors, norm=scale, m_in=m), CanonicalWeights(lambdas)
 
 
 def canonicalize(
-    mps: Mps | OperatorMps, rank_tol: float = DEFAULT_RANK_TOL
-) -> tuple[Mps | OperatorMps, CanonicalWeights]:
+    mps: Mps, rank_tol: float = DEFAULT_RANK_TOL
+) -> tuple[Mps, CanonicalWeights]:
     """Bring an arbitrary shape-consistent chain into canonical form.
 
     The contraction is preserved (up to the stated rank tolerance); the
@@ -376,10 +344,7 @@ def canonicalize(
     """
     factors, scale = _left_sweep_tensors(mps.tensors, rank_tol)
     tensors, lambdas = _right_sweep(factors, rank_tol)
-    weights = CanonicalWeights(lambdas)
-    if isinstance(mps, OperatorMps):
-        return OperatorMps(tensors, m_in=mps.m_in, norm=mps.norm * scale), weights
-    return Mps(tensors, norm=mps.norm * scale), weights
+    return Mps(tensors, norm=mps.norm * scale, m_in=mps.m_in), CanonicalWeights(lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +352,7 @@ def canonicalize(
 
 
 def check_canonical(
-    mps: Mps | OperatorMps,
+    mps: Mps,
     weights: CanonicalWeights,
     tol: float = 1e-10,
 ) -> CanonicalReport:
@@ -429,9 +394,9 @@ def check_canonical(
 
 
 def gauge_check(
-    a: Mps | OperatorMps,
+    a: Mps,
     weights_a: CanonicalWeights,
-    b: Mps | OperatorMps,
+    b: Mps,
     weights_b: CanonicalWeights,
     tol: float = 1e-8,
 ) -> GaugeVerdict:
@@ -446,9 +411,7 @@ def gauge_check(
     """
     if a.physical_dims != b.physical_dims:
         return GaugeVerdict(False, "physical dimensions differ", float("inf"))
-    if isinstance(a, OperatorMps) != isinstance(b, OperatorMps):
-        return GaugeVerdict(False, "state chain compared with operator chain", float("inf"))
-    if isinstance(a, OperatorMps) and a.m_in != b.m_in:
+    if a.m_in != b.m_in:
         return GaugeVerdict(False, "input site counts differ", float("inf"))
     if a.bond_dims != b.bond_dims:
         return GaugeVerdict(

@@ -10,10 +10,12 @@ tensors are isometric separately for each input value:
     sum_i  A[k][2*i + j]†  A[k][2*i + j']  =  delta_{j j'} * identity / 2
 
 for every input site ``k`` (the factor 1/2 reflects the unit-norm gauge of
-the stored tensors).  When the criterion holds, the defined columns of each
-step unitary are read directly off the site tensors, the remaining columns
-are filled by deterministic unitary completion, and the ancilla dimension
-equals the maximal canonical bond dimension, which is optimal.
+the stored tensors).  Equivalently, the defined columns ``Q`` of step ``k``,
+read directly off the site tensor, are orthonormal; the residual reported
+for input site ``k`` is ``||Q† Q - I||_2``.  When the criterion holds, the
+remaining columns of each step are filled by deterministic unitary
+completion, and the ancilla dimension equals the maximal canonical bond
+dimension, which is optimal.
 
 For square (``M = N``) operators the criterion holds only for tensor
 products of single-qubit unitaries, equivalently for operators whose
@@ -28,13 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    InternalConsistencyError,
-    NotImplementableError,
-)
+from .errors import ContractViolationError, NotImplementableError
 from .linalg import DEFAULT_RANK_TOL, complete_to_unitary, dagger, isometry_residual, regroup, svd
-from .mps import Mps, OperatorMps, STATE_NORM_TOL, operator_to_mps
+from .mps import Mps, STATE_NORM_TOL, operator_to_mps
 from .oplib import Isometry
 
 #: Residual above which the sequentiality criterion counts as violated.
@@ -49,9 +47,10 @@ STEP_UNITARY_TOL = 1e-10
 class SequentialityReport:
     """Outcome of the sequential-implementability test.
 
-    ``per_site_residuals`` holds, for each input site, the worst deviation
-    of the criterion stated in the module docstring; the verdict is positive
-    exactly when all of them stay below ``criterion_tol``.
+    ``per_site_residuals`` holds, for each input site, ``||Q† Q - I||_2`` of
+    the defined columns ``Q`` of that site's step unitary (see the module
+    docstring); the verdict is positive exactly when all of them stay below
+    ``criterion_tol``.
     ``ancilla_dim_if_yes`` is the ancilla dimension a synthesized plan would
     use, namely the maximal canonical bond dimension.
     """
@@ -70,15 +69,15 @@ class SequentialPlan:
     ``steps[k]`` acts on ancilla (x) site ``k + 1``; the composite index is
     ``ancilla_index * 2 + site_index``.  The ancilla starts and ends in
     basis state 0.  The first ``m_in`` steps consume one input qubit each;
-    later steps expect their chain qubit in state |0>.
+    later steps expect their chain qubit in state |0>.  ``report`` is the
+    criterion report a plan was built from; a plan read from a file has none.
     """
 
     ancilla_dim: int
     m_in: int
     steps: tuple[np.ndarray, ...]
     bond_dims: tuple[int, ...]
-    initial_ancilla: int = 0
-    final_ancilla: int = 0
+    report: SequentialityReport | None = None
 
     def __post_init__(self):
         if self.ancilla_dim < 1:
@@ -89,8 +88,6 @@ class SequentialPlan:
             )
         if len(self.bond_dims) != len(self.steps) + 1:
             raise ContractViolationError("bond_dims must have one entry per cut")
-        if self.initial_ancilla != 0 or self.final_ancilla != 0:
-            raise ContractViolationError("ancilla boundary states are fixed to 0")
         side = 2 * self.ancilla_dim
         arrays = []
         for k, step in enumerate(self.steps):
@@ -130,24 +127,37 @@ class PlanVerification:
     operator_norm_bound: float
 
 
-def _criterion_residuals(op: OperatorMps) -> tuple[float, ...]:
-    residuals = []
-    for k in range(op.m_in):
-        t = op.tensors[k]  # (4, right, left)
-        eye = np.eye(t.shape[2])
-        worst = 0.0
-        for j in range(2):
-            for jp in range(2):
-                acc = sum(dagger(t[2 * i + j]) @ t[2 * i + jp] for i in range(2))
-                target = eye if j == jp else np.zeros_like(eye)
-                worst = max(worst, float(np.linalg.norm(2.0 * acc - target, 2)))
-        residuals.append(worst)
-    return tuple(residuals)
+def _defined_columns(t: np.ndarray, fused: bool) -> np.ndarray:
+    """The columns of a step unitary fixed by one canonical site tensor.
+
+    Row ``2 * a + i`` pairs right bond index ``a`` with output ``i``.  On an
+    input site, column ``2 * r + j`` pairs left bond index ``r`` with input
+    ``j`` and the tensor is rescaled by sqrt(2) to undo the unit-norm gauge;
+    on the other sites, column ``r`` takes the chain qubit in state |0>.
+    """
+    _, rgt, lft = t.shape
+    if fused:
+        q = (math.sqrt(2.0) * t).reshape(2, 2, rgt, lft).transpose(2, 0, 3, 1)
+        return q.reshape(2 * rgt, 2 * lft)
+    return t.transpose(1, 0, 2).reshape(2 * rgt, lft)
 
 
-def _analyze(u: Isometry, tol: float, rank_tol: float):
-    op, weights = operator_to_mps(u, rank_tol)
-    residuals = _criterion_residuals(op)
+def _isometry_defect(q: np.ndarray) -> float:
+    """``||q† q - I||_2``, exactly, from the spectrum of the smaller Gram matrix.
+
+    ``q† q`` and ``q q†`` share their nonzero eigenvalues; a wide ``q`` adds
+    zero eigenvalues to ``q† q``, each a defect of exactly 1.
+    """
+    rows, cols = q.shape
+    g = dagger(q) @ q if rows >= cols else q @ dagger(q)
+    defect = float(np.max(np.abs(np.linalg.eigvalsh(g - np.eye(g.shape[0])))))
+    return defect if rows >= cols else max(defect, 1.0)
+
+
+def _criterion(op: Mps, tol: float) -> tuple[tuple[np.ndarray, ...], SequentialityReport]:
+    """Defined columns of every step of a canonical chain, and the verdict on them."""
+    blocks = tuple(_defined_columns(t, k < op.m_in) for k, t in enumerate(op.tensors))
+    residuals = tuple(_isometry_defect(q) for q in blocks[: op.m_in])
     report = SequentialityReport(
         implementable=max(residuals) < tol,
         per_site_residuals=residuals,
@@ -155,7 +165,7 @@ def _analyze(u: Isometry, tol: float, rank_tol: float):
         ancilla_dim_if_yes=op.max_bond_dim,
         criterion_tol=tol,
     )
-    return op, weights, report
+    return blocks, report
 
 
 def sequentiality_test(
@@ -169,7 +179,7 @@ def sequentiality_test(
     canonicalization decides it.  For ``m_in == 1`` the criterion holds
     automatically and the verdict is always positive.
     """
-    return _analyze(u, tol, rank_tol)[2]
+    return _criterion(operator_to_mps(u, rank_tol)[0], tol)[1]
 
 
 def build_plan(
@@ -184,67 +194,48 @@ def build_plan(
     (input sites are rescaled by sqrt(2) per site to undo the unit-norm
     gauge); bond spaces smaller than the ancilla are embedded by zero
     padding, and the undefined columns are filled by deterministic unitary
-    completion.
+    completion.  The returned plan carries the report the verdict was read
+    from.
 
     Raises :class:`NotImplementableError` (carrying the report) when the
     criterion fails at ``tol``.
     """
-    op, _, report = _analyze(u, tol, rank_tol)
+    op, _ = operator_to_mps(u, rank_tol)
+    blocks, report = _criterion(op, tol)
     if not report.implementable:
         raise NotImplementableError(report)
-    d_anc = report.ancilla_dim_if_yes
-    side = 2 * d_anc
+    side = 2 * report.ancilla_dim_if_yes
     steps = []
-    for k, t in enumerate(op.tensors):
-        fused = k < op.m_in
-        block = math.sqrt(2.0) * t if fused else t
-        d, rgt, lft = t.shape
-        site_inputs = (0, 1) if fused else (0,)
-        cols = []
-        targets = []
-        for r in range(lft):
-            for j in site_inputs:
-                col = np.zeros(side, dtype=np.complex128)
-                for i in range(2):
-                    phys = 2 * i + j if fused else i
-                    col[2 * np.arange(rgt) + i] = block[phys][:, r]
-                cols.append(col)
-                targets.append(2 * r + j)
-        q = np.stack(cols, axis=1)
-        gram_residual = isometry_residual(q, tol)
-        if gram_residual >= tol:
-            raise InternalConsistencyError(
-                f"step {k + 1}: defined columns not orthonormal "
-                f"(residual {gram_residual:.3e}) although the criterion passed"
-            )
-        completed = complete_to_unitary(q)
-        v = np.zeros((side, side), dtype=np.complex128)
-        v[:, targets] = q
-        spare = [c for c in range(side) if c not in set(targets)]
-        v[:, spare] = completed[:, q.shape[1] :]
+    for k, q in enumerate(blocks):
+        cols = np.zeros((side, q.shape[1]), dtype=np.complex128)
+        cols[: q.shape[0]] = q
+        completed = complete_to_unitary(cols)
+        targets = np.arange(q.shape[1]) * (1 if k < op.m_in else 2)
+        spare = np.setdiff1d(np.arange(side), targets)
+        v = np.empty_like(completed)
+        v[:, np.concatenate([targets, spare])] = completed
         steps.append(v)
-    return SequentialPlan(d_anc, u.m_in, tuple(steps), op.bond_dims)
+    return SequentialPlan(report.ancilla_dim_if_yes, u.m_in, tuple(steps), op.bond_dims, report)
 
 
-def _run_chain(plan: SequentialPlan, joint: np.ndarray) -> np.ndarray:
-    """Apply the steps in order to a joint (ancilla, chain) state."""
-    d_anc = plan.ancilla_dim
-    n = plan.n_out
-    state = joint.reshape(d_anc, 2**n)
+def _run_chain(plan: SequentialPlan, inputs: np.ndarray) -> np.ndarray:
+    """Run the chain on a ``(2**m_in, batch)`` block of input amplitudes.
+
+    Each column starts as (input) x |0...0> with the ancilla in basis state
+    0; the result holds the final joint states as ``(ancilla, chain, batch)``.
+    """
+    d_anc, n, m = plan.ancilla_dim, plan.n_out, plan.m_in
+    batch = inputs.shape[1]
+    state = np.zeros((d_anc, 2**m, 2 ** (n - m), batch), dtype=np.complex128)
+    state[0, :, 0, :] = inputs
     for k, step in enumerate(plan.steps):
-        t = state.reshape(d_anc, 2**k, 2, 2 ** (n - k - 1))
-        t = np.moveaxis(t, 2, 1)  # bring site k next to the ancilla
-        shape = t.shape
-        t = (step @ t.reshape(2 * d_anc, -1)).reshape(shape)
-        state = np.moveaxis(t, 1, 2).reshape(d_anc, 2**n)
-    return state
-
-
-def _initial_joint(plan: SequentialPlan, amplitudes: np.ndarray) -> np.ndarray:
-    n, m = plan.n_out, plan.m_in
-    joint = np.zeros((plan.ancilla_dim, 2**n), dtype=np.complex128)
-    joint[0, np.arange(2**m) * 2 ** (n - m)] = amplitudes
-    return joint
+        if k:
+            # step k-1 left (ancilla, site k-1, sites < k-1, site k, rest);
+            # one copy brings site k next to the ancilla and site k-1 home
+            state = state.reshape(d_anc, 2, 2 ** (k - 1), 2, -1).transpose(0, 3, 2, 1, 4)
+        state = step @ state.reshape(2 * d_anc, -1)
+    state = state.reshape(d_anc, 2, 2 ** (n - 1), batch).transpose(0, 2, 1, 3)
+    return state.reshape(d_anc, 2**n, batch)
 
 
 def simulate(
@@ -266,7 +257,7 @@ def simulate(
         raise ContractViolationError("input contains non-finite amplitudes")
     if abs(np.linalg.norm(amps) - 1.0) > STATE_NORM_TOL:
         raise ContractViolationError("input state is not normalized")
-    final = _run_chain(plan, _initial_joint(plan, amps))
+    final = _run_chain(plan, amps[:, None])[..., 0]
     residual = float(np.linalg.norm(final[1:, :]))
     block = final[0, :]
     block_norm = float(np.linalg.norm(block))
@@ -278,25 +269,23 @@ def simulate(
 def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
     """Compare a plan against its target on every computational basis input.
 
-    Linearity makes basis coverage sufficient: the reported
-    ``operator_norm_bound`` scales the worst basis error by
-    ``sqrt(2**m_in)`` to bound the error over all inputs.
+    All basis inputs run through the chain as one batch.  Linearity makes
+    basis coverage sufficient: the reported ``operator_norm_bound`` scales
+    the worst basis error by ``sqrt(2**m_in)`` to bound the error over all
+    inputs.
     """
     if plan.n_out != u.n_out or plan.m_in != u.m_in:
         raise ContractViolationError(
             f"plan is {plan.m_in}->{plan.n_out} but operator is "
             f"{u.m_in}->{u.n_out}"
         )
+    final = _run_chain(plan, np.eye(2**u.m_in, dtype=np.complex128))
     max_error = 0.0
     max_state = 0.0
     max_decouple = 0.0
     for j in range(2**u.m_in):
-        amps = np.zeros(2**u.m_in, dtype=np.complex128)
-        amps[j] = 1.0
-        final = _run_chain(plan, _initial_joint(plan, amps))
-        target = u.matrix[:, j]
-        decouple = float(np.linalg.norm(final[1:, :]))
-        state_err = float(np.linalg.norm(final[0, :] - target))
+        decouple = float(np.linalg.norm(final[1:, :, j]))
+        state_err = float(np.linalg.norm(final[0, :, j] - u.matrix[:, j]))
         max_decouple = max(max_decouple, decouple)
         max_state = max(max_state, state_err)
         max_error = max(max_error, math.hypot(state_err, decouple))
@@ -308,7 +297,7 @@ def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
     )
 
 
-def direct_sum_operator_mps(u0_mps: Mps, u1_mps: Mps) -> OperatorMps:
+def direct_sum_operator_mps(u0_mps: Mps, u1_mps: Mps) -> Mps:
     """Stack matrix-product forms of the two basis images of a 1 -> N map.
 
     Given chains for the images of |0> and |1>, builds the block chain whose
@@ -351,7 +340,7 @@ def direct_sum_operator_mps(u0_mps: Mps, u1_mps: Mps) -> OperatorMps:
     last[:, :, :l0] = a0[-1]
     last[:, :, l0:] = a1[-1]
     tensors.append(last)
-    return OperatorMps(tuple(tensors), m_in=1, norm=1.0)
+    return Mps(tuple(tensors), m_in=1)
 
 
 def operator_schmidt_ranks(

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from seqdecomp import Isometry, OperatorMps, Mps
+from seqdecomp import Isometry, Mps
 
 
 def schmidt_cut_ranks(psi, dims, tol=1e-10) -> tuple[int, ...]:
@@ -81,7 +81,27 @@ def reduced_rho_loops(psi, n, site) -> np.ndarray:
     return rho
 
 
-def swap_network_operator_mps(u: Isometry) -> OperatorMps:
+def step_columns_loops(t, fused: bool) -> np.ndarray:
+    """Defined step-unitary columns of a canonical site tensor, entry by entry.
+
+    Row 2*a + i holds right bond a and output i; on an input site column
+    2*r + j holds left bond r and input j, scaled by sqrt(2); elsewhere
+    column r holds left bond r with the chain qubit in |0>.
+    """
+    _, rgt, lft = t.shape
+    inputs = 2 if fused else 1
+    scale = math.sqrt(2.0) if fused else 1.0
+    q = np.zeros((2 * rgt, inputs * lft), dtype=complex)
+    for a in range(rgt):
+        for i in range(2):
+            for r in range(lft):
+                for j in range(inputs):
+                    phys = 2 * i + j if fused else i
+                    q[2 * a + i, inputs * r + j] = scale * t[phys, a, r]
+    return q
+
+
+def swap_network_operator_mps(u: Isometry) -> Mps:
     """Redundant matrix-product form of a 1 -> N isometry, worst-case style.
 
     Mirrors the naive protocol that prepares the whole image in an
@@ -109,7 +129,7 @@ def swap_network_operator_mps(u: Isometry) -> OperatorMps:
     for i in range(2):
         last[i, 0, i * half] = 1.0
     tensors.append(last)
-    return OperatorMps(tuple(tensors), m_in=1, norm=1.0)
+    return Mps(tuple(tensors), m_in=1)
 
 
 def gauge_inflate(mps, pad_to=None, seed=None):
@@ -141,6 +161,4 @@ def gauge_inflate(mps, pad_to=None, seed=None):
         padded[:, :rgt, :lft] = t
         inv_left = np.linalg.inv(gauges[m])
         tensors.append(np.einsum("ab,ibc,cd->iad", gauges[m + 1], padded, inv_left))
-    if isinstance(mps, OperatorMps):
-        return OperatorMps(tuple(tensors), m_in=mps.m_in, norm=mps.norm)
-    return Mps(tuple(tensors), norm=mps.norm)
+    return Mps(tuple(tensors), norm=mps.norm, m_in=mps.m_in)

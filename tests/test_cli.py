@@ -8,8 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from seqdecomp import build_plan, ghz_state, shor_encoder
-from seqdecomp import cli, formats
+from seqdecomp import (
+    build_plan,
+    ghz_state,
+    haar_unitary,
+    operator_schmidt_ranks,
+    operator_to_mps,
+    shor_encoder,
+)
+from seqdecomp import cli, formats, sequencer
 from seqdecomp.cli import main
 
 
@@ -178,6 +185,33 @@ def test_info_product_with_factor_file(tmp_path, capsys):
     code, out, _ = run_cli(["info", "product", "--factors", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["schmidt_ranks"] == [1, 1]
+
+
+@pytest.mark.parametrize("operator", ["cnot", "product", "random:3,3,7"])
+def test_info_schmidt_ranks_match_the_operator_witness(operator, tmp_path, capsys):
+    # info reads the ranks off the canonical bonds; the witness cuts the
+    # dense operator directly
+    rng = np.random.default_rng(4)
+    path = tmp_path / "factors.json"
+    path.write_text(formats.dumps([formats.encode_matrix(haar_unitary(2, rng)) for _ in range(4)]))
+    code, out, _ = run_cli(["info", operator, "--factors", str(path)], capsys)
+    assert code == 0
+    u = cli.load_operator(operator, str(path))
+    assert json.loads(out)["schmidt_ranks"] == list(operator_schmidt_ranks(u))
+
+
+def test_decompose_canonicalizes_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return operator_to_mps(*args, **kwargs)
+
+    monkeypatch.setattr(sequencer, "operator_to_mps", counted)
+    monkeypatch.setattr(cli, "operator_to_mps", counted)
+    code, _, _ = run_cli(["decompose", "shor"], capsys)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -29,13 +29,15 @@ from seqdecomp import (
     state_to_mps,
     verify_plan,
 )
-from seqdecomp.sequencer import _criterion_residuals
+from seqdecomp import sequencer
+from seqdecomp.sequencer import _criterion
 
 from oracles import (
     gauge_inflate,
     operator_cut_ranks,
     reduced_rho_loops,
     reshuffle_loops,
+    step_columns_loops,
     swap_network_operator_mps,
 )
 
@@ -78,9 +80,22 @@ def test_verdict_is_gauge_independent():
         direct, _ = operator_to_mps(u)
         hidden = gauge_inflate(direct, pad_to=direct.max_bond_dim + 2, seed=8)
         recovered, _ = canonicalize(hidden)
-        a = max(_criterion_residuals(direct)) < 1e-8
-        b = max(_criterion_residuals(recovered)) < 1e-8
+        a = _criterion(direct, 1e-8)[1].implementable
+        b = _criterion(recovered, 1e-8)[1].implementable
         assert a == b == sequentiality_test(u).implementable
+
+
+def test_defined_columns_and_residuals_match_the_raw_definitions():
+    # random 2 -> 2 has a wide block at its second site
+    cases = (shor_encoder(), cnot(), random_isometry(2, 4, seed=5), random_isometry(2, 2, seed=6))
+    for u in cases:
+        op, _ = operator_to_mps(u)
+        blocks, report = _criterion(op, 1e-8)
+        for k, (t, q) in enumerate(zip(op.tensors, blocks)):
+            assert np.array_equal(q, step_columns_loops(t, k < op.m_in))
+        for q, residual in zip(blocks, report.per_site_residuals):
+            exact = np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]), 2)
+            assert abs(residual - exact) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +205,22 @@ def test_verify_detects_corrupted_step():
 def test_verify_identity_plan_is_exact():
     u = identity_isometry()
     assert verify_plan(build_plan(u), u).max_error == 0.0
+
+
+def test_verify_runs_all_basis_inputs_as_one_batch(monkeypatch):
+    rng = np.random.default_rng(18)
+    u = product_unitary([haar_unitary(2, rng) for _ in range(3)])
+    plan = build_plan(u)
+    run_chain = sequencer._run_chain
+    calls = []
+
+    def counted(plan, inputs):
+        calls.append(inputs.shape)
+        return run_chain(plan, inputs)
+
+    monkeypatch.setattr(sequencer, "_run_chain", counted)
+    assert verify_plan(plan, u).max_error < 1e-12
+    assert calls == [(8, 8)]
 
 
 def test_verify_rejects_mismatched_operator():
