@@ -9,7 +9,6 @@ the synthesis by exact state-vector simulation.
 
 from .errors import (
     ContractViolationError,
-    InternalConsistencyError,
     NotImplementableError,
     NumericFailureError,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "DEFAULT_CRITERION_TOL",
     "DEFAULT_RANK_TOL",
     "GaugeVerdict",
-    "InternalConsistencyError",
     "Isometry",
     "Mps",
     "NotImplementableError",

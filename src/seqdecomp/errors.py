@@ -9,10 +9,6 @@ class NumericFailureError(RuntimeError):
     """An underlying numerical routine failed to converge or lost precision."""
 
 
-class InternalConsistencyError(RuntimeError):
-    """A derived quantity violated a property the construction guarantees."""
-
-
 class NotImplementableError(RuntimeError):
     """Requested step synthesis for an operator that admits none.
 

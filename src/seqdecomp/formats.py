@@ -4,7 +4,7 @@ Complex entries are written as ``[re, im]`` pairs, matrices row-major with
 rows indexed by the output basis state (big-endian, site 1 most
 significant).  Serialization is deterministic: keys appear sorted and every
 float is printed with 17 significant digits, which round-trips a double
-exactly.
+exactly, except that -0.0 is written as ``-0`` and reads back as 0.
 """
 
 from __future__ import annotations
@@ -20,82 +20,62 @@ from .oplib import Isometry
 from .sequencer import PlanVerification, SequentialityReport, SequentialPlan
 
 
+#: What ``json.dumps`` applies to a string, without its per-call set-up.
+_quote = json.encoder.encode_basestring_ascii
+
+
 def dumps(obj: Any) -> str:
     """Deterministic JSON text for a document of dicts, lists and scalars."""
-    pieces: list[str] = []
-    _emit(obj, pieces)
-    return "".join(pieces)
+    return _emit(obj)
 
 
-def _emit(obj: Any, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
+def _emit(obj: Any) -> str:
+    # Recurse here, not through ``dumps``: wrapping the public name must see
+    # one call per document.
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
             raise ContractViolationError("refusing to serialize a non-finite number")
-        out.append(format(x, ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    else:
-        raise ContractViolationError(f"cannot serialize {type(obj).__name__}")
+        return format(obj, ".17g")
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_emit, obj)) + "]"
+    if isinstance(obj, dict):
+        items = [_quote(str(key)) + ":" + _emit(obj[key]) for key in sorted(obj)]
+        return "{" + ",".join(items) + "}"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, np.floating):
+        return _emit(float(obj))
+    raise ContractViolationError(f"cannot serialize {type(obj).__name__}")
 
 
-def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
-    """Nested row-major [re, im] encoding of a complex matrix."""
-    a = np.asarray(m, dtype=np.complex128)
-    return [
-        [[float(x.real), float(x.imag)] for x in row]
-        for row in a
-    ]
+def encode_matrix(m: np.ndarray) -> list:
+    """Nested row-major [re, im] encoding of a complex vector or matrix."""
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
 def decode_matrix(data: Any, rows: int, cols: int, where: str) -> np.ndarray:
-    """Parse a nested [re, im] matrix, reporting the offending field on error."""
-    if not isinstance(data, list) or len(data) != rows:
-        raise ContractViolationError(
-            f"{where}: expected {rows} rows, got "
-            f"{len(data) if isinstance(data, list) else type(data).__name__}"
-        )
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    for r, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ContractViolationError(f"{where}[{r}]: expected {cols} entries")
-        for c, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
-            ):
-                raise ContractViolationError(
-                    f"{where}[{r}][{c}]: expected an [re, im] pair"
-                )
-            if not all(math.isfinite(float(x)) for x in entry):
-                raise ContractViolationError(f"{where}[{r}][{c}]: non-finite entry")
-            out[r, c] = complex(float(entry[0]), float(entry[1]))
-    return out
+    """Parse a nested [re, im] matrix, reporting the offending field on error.
+
+    Every entry must be a pair of JSON numbers (booleans count as 0 and 1).
+    """
+    expected = f"{where}: expected {rows}x{cols} [re, im] pairs"
+    try:
+        a = np.array(data)
+    except ValueError:  # ragged nesting
+        raise ContractViolationError(expected) from None
+    if a.shape != (rows, cols, 2) or a.dtype.kind not in "biuf":
+        raise ContractViolationError(expected)
+    a = a.astype(np.float64, copy=False)
+    if not np.isfinite(a).all():
+        raise ContractViolationError(f"{where}: non-finite entry")
+    return a.view(np.complex128).reshape(rows, cols)
 
 
 def _require(doc: dict, key: str, kind, where: str):

@@ -122,7 +122,6 @@ class PlanVerification:
     """
 
     max_error: float
-    max_state_error: float
     max_decoupling_residual: float
     operator_norm_bound: float
 
@@ -281,17 +280,14 @@ def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
         )
     final = _run_chain(plan, np.eye(2**u.m_in, dtype=np.complex128))
     max_error = 0.0
-    max_state = 0.0
     max_decouple = 0.0
     for j in range(2**u.m_in):
         decouple = float(np.linalg.norm(final[1:, :, j]))
         state_err = float(np.linalg.norm(final[0, :, j] - u.matrix[:, j]))
         max_decouple = max(max_decouple, decouple)
-        max_state = max(max_state, state_err)
         max_error = max(max_error, math.hypot(state_err, decouple))
     return PlanVerification(
         max_error=max_error,
-        max_state_error=max_state,
         max_decoupling_residual=max_decouple,
         operator_norm_bound=max_error * math.sqrt(2.0**u.m_in),
     )

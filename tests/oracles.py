@@ -8,11 +8,12 @@ meaningful.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
-from seqdecomp import Isometry, Mps
+from seqdecomp import ContractViolationError, Isometry, Mps
 
 
 def schmidt_cut_ranks(psi, dims, tol=1e-10) -> tuple[int, ...]:
@@ -162,3 +163,94 @@ def gauge_inflate(mps, pad_to=None, seed=None):
         inv_left = np.linalg.inv(gauges[m])
         tensors.append(np.einsum("ab,ibc,cd->iad", gauges[m + 1], padded, inv_left))
     return Mps(tuple(tensors), norm=mps.norm, m_in=mps.m_in)
+
+
+def dumps_tokens(obj) -> str:
+    """Deterministic JSON text built as one token list, one branch per type.
+
+    Keys sorted, floats with 17 significant digits, non-finite numbers and
+    unknown types refused; the reference for ``formats.dumps``.
+    """
+    pieces: list[str] = []
+    _emit_tokens(obj, pieces)
+    return "".join(pieces)
+
+
+def _emit_tokens(obj, out: list[str]) -> None:
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise ContractViolationError("refusing to serialize a non-finite number")
+        out.append(format(x, ".17g"))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if i:
+                out.append(",")
+            out.append(json.dumps(str(key)))
+            out.append(":")
+            _emit_tokens(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _emit_tokens(item, out)
+        out.append("]")
+    else:
+        raise ContractViolationError(f"cannot serialize {type(obj).__name__}")
+
+
+def decode_matrix_loops(data, rows, cols) -> np.ndarray:
+    """Nested [re, im] matrix checked and converted entry by entry."""
+    if not isinstance(data, list) or len(data) != rows:
+        raise ContractViolationError(f"expected {rows} rows")
+    out = np.zeros((rows, cols), dtype=np.complex128)
+    for r, row in enumerate(data):
+        if not isinstance(row, list) or len(row) != cols:
+            raise ContractViolationError(f"[{r}]: expected {cols} entries")
+        for c, entry in enumerate(row):
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 2
+                or not all(isinstance(x, (int, float)) for x in entry)
+            ):
+                raise ContractViolationError(f"[{r}][{c}]: expected an [re, im] pair")
+            if not all(math.isfinite(float(x)) for x in entry):
+                raise ContractViolationError(f"[{r}][{c}]: non-finite entry")
+            out[r, c] = complex(float(entry[0]), float(entry[1]))
+    return out
+
+
+def amplitudes_loops(doc, m_in) -> np.ndarray:
+    """A JSON amplitude list, each entry a non-bool number or an [re, im] pair.
+
+    Entry by entry and without a finiteness check: a non-finite amplitude
+    only surfaces when the simulated state is serialized.
+    """
+    if not isinstance(doc, list) or len(doc) != 2**m_in:
+        raise ContractViolationError(f"expected {2**m_in} amplitudes")
+    amps = np.zeros(2**m_in, dtype=np.complex128)
+    for k, entry in enumerate(doc):
+        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+            amps[k] = float(entry)
+        elif (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and all(isinstance(x, (int, float)) for x in entry)
+        ):
+            amps[k] = complex(float(entry[0]), float(entry[1]))
+        else:
+            raise ContractViolationError(f"[{k}]: expected a number or an [re, im] pair")
+    return amps
