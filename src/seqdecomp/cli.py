@@ -164,7 +164,9 @@ def _cmd_decompose(args) -> int:
 def _cmd_simulate(args) -> int:
     doc = formats.parse_document(_read_text(args.plan, "plan file"), args.plan)
     plan = formats.doc_to_plan(doc, where=args.plan)
-    amps = _parse_input_state(args.input_state, plan.m_in)
+    # argparse (3.11 among others) drops the value of --input-state=--, leaving []
+    text = "--" if args.input_state == [] else args.input_state
+    amps = _parse_input_state(text, plan.m_in)
     nrm = float(np.linalg.norm(amps))
     if nrm == 0.0:
         raise ContractViolationError("--input-state: state has zero norm")
@@ -177,9 +179,9 @@ def _cmd_simulate(args) -> int:
             )
         rho = reduced_density_matrix(state, [2] * plan.n_out, args.reduce - 1)
         out["site"] = args.reduce
-        out["reduced_density_matrix"] = formats.encode_matrix(rho)
+        out["reduced_density_matrix"] = rho
     else:
-        out["amplitudes"] = formats.encode_matrix(state)
+        out["amplitudes"] = state
     _print_doc(out)
     return 0
 
@@ -283,8 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ContractViolationError, NumericFailureError) as exc:

@@ -2,7 +2,9 @@
 
 Complex entries are written as ``[re, im]`` pairs, matrices row-major with
 rows indexed by the output basis state (big-endian, site 1 most
-significant).  Serialization is deterministic: keys appear sorted and every
+significant).  Documents may carry ``complex128`` vectors and matrices
+themselves; ``dumps`` writes them as those ``[re, im]`` pairs, one row per
+``%`` format.  Serialization is deterministic: keys appear sorted and every
 float is printed with 17 significant digits, which round-trips a double
 exactly, except that -0.0 is written as ``-0`` and reads back as 0.
 """
@@ -38,6 +40,8 @@ def _emit(obj: Any) -> str:
         return format(obj, ".17g")
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(map(_emit, obj)) + "]"
+    if isinstance(obj, np.ndarray):
+        return _emit_array(obj)
     if isinstance(obj, dict):
         items = [_quote(str(key)) + ":" + _emit(obj[key]) for key in sorted(obj)]
         return "{" + ",".join(items) + "}"
@@ -54,10 +58,17 @@ def _emit(obj: Any) -> str:
     raise ContractViolationError(f"cannot serialize {type(obj).__name__}")
 
 
-def encode_matrix(m: np.ndarray) -> list:
-    """Nested row-major [re, im] encoding of a complex vector or matrix."""
-    a = np.ascontiguousarray(m, dtype=np.complex128)
-    return a.view(np.float64).reshape(*a.shape, 2).tolist()
+def _emit_array(a: np.ndarray) -> str:
+    # '%.17g' % x and format(x, '.17g') print a double the same way
+    if a.dtype != np.complex128 or a.ndim not in (1, 2):
+        raise ContractViolationError(f"cannot serialize a {a.ndim}-D {a.dtype} array")
+    pairs = np.ascontiguousarray(a).view(np.float64)
+    if not np.isfinite(pairs).all():
+        raise ContractViolationError("refusing to serialize a non-finite number")
+    row = "[" + ",".join(["[%.17g,%.17g]"] * a.shape[-1]) + "]"
+    if a.ndim == 1:
+        return row % tuple(pairs.tolist())
+    return "[" + ",".join([row % tuple(r) for r in pairs.tolist()]) + "]"
 
 
 def decode_matrix(data: Any, rows: int, cols: int, where: str) -> np.ndarray:
@@ -94,7 +105,7 @@ def isometry_to_doc(u: Isometry) -> dict:
     return {
         "m_qubits": u.m_in,
         "n_qubits": u.n_out,
-        "matrix": encode_matrix(u.matrix),
+        "matrix": u.matrix,
     }
 
 
@@ -128,7 +139,7 @@ def plan_to_doc(
     return {
         "ancilla_dim": plan.ancilla_dim,
         "m_in": plan.m_in,
-        "steps": [encode_matrix(step) for step in plan.steps],
+        "steps": list(plan.steps),
         "bond_dims": [int(d) for d in plan.bond_dims],
         "report": {
             "implementable": report.implementable,

@@ -175,13 +175,29 @@ def product_unitary(factors: Sequence[np.ndarray]) -> Isometry:
     return Isometry(n, n, total)
 
 
+#: Gaussian draws per block in :func:`_gaussian_columns`.
+_DRAW_BLOCK = 2**16
+
+
+def _gaussian_columns(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """The first ``cols`` columns of ``rng.standard_normal((dim, dim))``,
+    drawn in row blocks of about :data:`_DRAW_BLOCK` values, so that the
+    stream is the same but only one block of dropped columns is held."""
+    out = np.empty((dim, cols))
+    rows = max(1, _DRAW_BLOCK // dim)
+    for start in range(0, dim, rows):
+        stop = min(start + rows, dim)
+        out[start:stop] = rng.standard_normal((stop - start, dim))[:, :cols]
+    return out
+
+
 def _haar_columns(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """First ``cols`` columns of a Haar ``dim`` x ``dim`` unitary drawn from
     ``rng``.  The whole Gaussian matrix is drawn, so the stream does not
-    depend on ``cols``, but only the kept columns are QR-factored; the
-    diagonal of R is made real positive."""
-    re = rng.standard_normal((dim, dim))[:, :cols]
-    im = rng.standard_normal((dim, dim))[:, :cols]
+    depend on ``cols``, but only the kept columns are stored and QR-factored;
+    the diagonal of R is made real positive."""
+    re = _gaussian_columns(dim, cols, rng)
+    im = _gaussian_columns(dim, cols, rng)
     q, r = np.linalg.qr((re + 1j * im) / math.sqrt(2.0))
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))

@@ -168,7 +168,8 @@ def gauge_inflate(mps, pad_to=None, seed=None):
 def dumps_tokens(obj) -> str:
     """Deterministic JSON text built as one token list, one branch per type.
 
-    Keys sorted, floats with 17 significant digits, non-finite numbers and
+    Keys sorted, floats with 17 significant digits, complex128 vectors and
+    matrices through their nested [re, im] lists, non-finite numbers and
     unknown types refused; the reference for ``formats.dumps``.
     """
     pieces: list[str] = []
@@ -208,8 +209,18 @@ def _emit_tokens(obj, out: list[str]) -> None:
                 out.append(",")
             _emit_tokens(item, out)
         out.append("]")
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype != np.complex128 or obj.ndim not in (1, 2):
+            raise ContractViolationError(f"cannot serialize a {obj.ndim}-D {obj.dtype} array")
+        _emit_tokens(encode_matrix(obj), out)
     else:
         raise ContractViolationError(f"cannot serialize {type(obj).__name__}")
+
+
+def encode_matrix(m) -> list:
+    """Nested row-major [re, im] lists of a complex vector or matrix."""
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
 def decode_matrix_loops(data, rows, cols) -> np.ndarray:
@@ -254,3 +265,16 @@ def amplitudes_loops(doc, m_in) -> np.ndarray:
         else:
             raise ContractViolationError(f"[{k}]: expected a number or an [re, im] pair")
     return amps
+
+
+def haar_columns_full(dim, cols, rng) -> np.ndarray:
+    """First ``cols`` columns of a Haar unitary from the whole Gaussian matrix.
+
+    Draws both ``dim`` x ``dim`` real Gaussians at once, slices the kept
+    columns, QR-factors them and makes the diagonal of R real positive.
+    """
+    re = rng.standard_normal((dim, dim))[:, :cols]
+    im = rng.standard_normal((dim, dim))[:, :cols]
+    q, r = np.linalg.qr((re + 1j * im) / math.sqrt(2.0))
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))

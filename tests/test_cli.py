@@ -105,6 +105,22 @@ def test_simulate_label_starting_with_minus(tmp_path, capsys):
     assert np.linalg.norm(amps - target) < 1e-10
 
 
+def test_simulate_all_minus_label_of_two_qubits(tmp_path, capsys):
+    # argparse (3.11 among others) drops the value of --input-state=--
+    factors = tmp_path / "factors.json"
+    rng = np.random.default_rng(8)
+    factors.write_text(formats.dumps([haar_unitary(2, rng) for _ in range(2)]))
+    path = tmp_path / "plan.json"
+    code, _, _ = run_cli(["decompose", "product", "--factors", str(factors), "-o", str(path)], capsys)
+    assert code == 0
+    code, out, err = run_cli(["simulate", str(path), "--input-state=--"], capsys)
+    assert code == 0, err
+    amps = np.array([complex(re, im) for re, im in json.loads(out)["amplitudes"]])
+    minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    u = cli.load_operator("product", str(factors))
+    assert np.linalg.norm(amps - u.matrix @ np.kron(minus, minus)) < 1e-10
+
+
 def test_simulate_identity_plan(tmp_path, capsys):
     # 1 -> 1 identity loaded from an operator file
     op_path = tmp_path / "identity.json"
@@ -193,7 +209,7 @@ def test_info_schmidt_ranks_match_the_operator_witness(operator, tmp_path, capsy
     # dense operator directly
     rng = np.random.default_rng(4)
     path = tmp_path / "factors.json"
-    path.write_text(formats.dumps([formats.encode_matrix(haar_unitary(2, rng)) for _ in range(4)]))
+    path.write_text(formats.dumps([haar_unitary(2, rng) for _ in range(4)]))
     code, out, _ = run_cli(["info", operator, "--factors", str(path)], capsys)
     assert code == 0
     u = cli.load_operator(operator, str(path))
@@ -331,6 +347,23 @@ def test_plan_file_round_trip_is_bitwise(tmp_path):
     assert back.bond_dims == plan.bond_dims
     for a, b in zip(back.steps, plan.steps):
         assert np.array_equal(a, b)
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        first = run_cli(["check", "ghz:3"], capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "ghz:3", "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(["check", "cnot"], capsys)[0] == 1
+        assert run_cli(["check", "ghz:3"], capsys) == first
+        assert first[0] == 0 and len(built) == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_output_is_deterministic(capsys):

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from seqdecomp import ContractViolationError, build_plan, shor_encoder, verify_plan
 from seqdecomp import formats, sequencer
 from seqdecomp.cli import main
 
-from oracles import amplitudes_loops, decode_matrix_loops, dumps_tokens
+from oracles import amplitudes_loops, decode_matrix_loops, dumps_tokens, encode_matrix
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 2.0**53, 1e16]
 
@@ -51,9 +52,49 @@ def test_dumps_matches_reference(doc):
     json.loads(text)
 
 
+_complex_arrays = hnp.arrays(
+    np.complex128,
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=9),
+    elements=st.builds(complex, _floats, _floats),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_arrays)
+def test_dumps_writes_arrays_like_the_reference(a):
+    assert formats.dumps(a) == dumps_tokens(a)
+    # strided views and arrays inside documents take the same path
+    doc = {"a": [a, a.T], "b": a[::-1]}
+    assert formats.dumps(doc) == dumps_tokens(doc)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (1,), (7,)])
+def test_dumps_writes_special_floats_in_every_position(shape):
+    pairs = [complex(x, y) for x in SPECIAL_FLOATS for y in SPECIAL_FLOATS]
+    pairs += [-z for z in pairs]  # signed zeros and negative subnormals
+    size = math.prod(shape)
+    for start in range(0, len(pairs), size):
+        a = np.resize(np.array(pairs[start : start + size]), shape)
+        assert formats.dumps(a) == dumps_tokens(encode_matrix(a))
+
+
 @pytest.mark.parametrize(
     "obj",
-    [math.nan, -math.inf, [1.0, math.inf], {"a": np.float64("nan")}, np.bool_(True), 1j, {1, 2}],
+    [
+        math.nan,
+        -math.inf,
+        [1.0, math.inf],
+        {"a": np.float64("nan")},
+        np.bool_(True),
+        1j,
+        {1, 2},
+        np.array([1.0, complex(math.nan, 0.0)]),
+        [np.array([[0.0, complex(0.0, -math.inf)]])],
+        np.eye(2),
+        np.eye(2, dtype=np.complex64),
+        np.zeros((2, 2, 2), dtype=np.complex128),
+        np.array(1j),
+    ],
 )
 def test_dumps_refuses_what_the_reference_refuses(obj):
     with pytest.raises(ContractViolationError) as new:
@@ -170,10 +211,9 @@ def test_matrix_round_trip_is_bitwise(shape):
     flat[::3] = complex(-0.0, 0.0)
     flat[1::5] = complex(0.0, -0.0)
     flat[2::7] = complex(5e-324, -1.7976931348623157e308)
-    encoded = formats.encode_matrix(m)
-    assert encoded == _pairs_loops(m)
-    text = formats.dumps(encoded)
-    assert text == dumps_tokens(encoded)
+    assert encode_matrix(m) == _pairs_loops(m)
+    text = formats.dumps(m)
+    assert text == dumps_tokens(_pairs_loops(m))
     doc = json.loads(text)
     rows, cols = (1, shape[0]) if len(shape) == 1 else shape
     back = formats.decode_matrix([doc] if len(shape) == 1 else doc, rows, cols, "m")

@@ -1,6 +1,7 @@
 """Tests for the operator library constructors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from seqdecomp import (
 )
 from seqdecomp.oplib import ISOMETRY_TOL
 
-from oracles import reduced_rho_loops, schmidt_cut_ranks
+from oracles import haar_columns_full, reduced_rho_loops, schmidt_cut_ranks
 
 
 def isometry_residual(u):
@@ -140,6 +141,27 @@ def test_random_isometry_is_the_column_prefix_of_a_haar_unitary(m, n):
     assert u.matrix.shape == (2**n, 2**m)
     assert np.max(np.abs(u.matrix - full[:, : 2**m])) < 1e-14
     assert np.array_equal(u.matrix, random_isometry(m, n, seed=17 + n).matrix)
+
+
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for n in range(1, 9) for m in range(1, n + 1)] + [(1, 10)]
+)
+def test_random_isometry_equals_the_full_gaussian_draw_bitwise(m, n):
+    # the draw runs in row blocks but must keep the stream and every bit
+    expected = haar_columns_full(2**n, 2**m, np.random.default_rng(7))
+    assert random_isometry(m, n, seed=7).matrix.tobytes() == expected.tobytes()
+
+
+def test_random_isometry_holds_one_draw_block_at_a_time():
+    # the full 1024 x 1024 real Gaussian alone would take 8 MiB
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        random_isometry(1, 10, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_isometry_accepts_spectral_residual_below_frobenius_bound():
