@@ -165,8 +165,6 @@ def doc_to_plan(doc: Any, where: str = "plan") -> SequentialPlan:
         decode_matrix(step, side, side, f"{where}.steps[{k}]")
         for k, step in enumerate(steps_doc)
     ]
-    if not all(isinstance(d, int) and d >= 1 for d in bond_dims):
-        raise ContractViolationError(f"{where}.bond_dims: expected positive integers")
     return SequentialPlan(ancilla_dim, m_in, tuple(steps), tuple(bond_dims))
 
 

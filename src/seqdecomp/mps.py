@@ -15,7 +15,8 @@ Composite indices are big-endian: site 1 is the most significant.
 
 Canonical form
 --------------
-:func:`canonicalize` produces the gauge in which, at every site,
+:func:`state_to_mps`, :func:`operator_to_mps` and :func:`canonicalize`
+produce the gauge in which, at every site,
 
 * left-normalization: ``sum_i tensor[i]† tensor[i]`` is the identity on the
   left bond, and
@@ -27,10 +28,17 @@ with every interior weight vector strictly positive and summing to one.
 Bond dimensions in this gauge equal the Schmidt ranks across the
 corresponding cuts and are therefore minimal.
 
+A dense vector reaches this gauge by one right-to-left SVD peel: across
+each cut, the SVD of the dense remainder gives the Schmidt coefficients
+and, as its right singular vectors, the canonical tensor of the site just
+peeled.  Site 1 is the normalized rest; its norm becomes ``norm``.  A chain
+is left-orthonormalized first and then peeled the same way.  Singular
+values below ``rank_tol`` times the largest are dropped, once per cut.
+
 Operators are handled by fusing the input leg with the output leg at each
 of the first ``m_in`` sites (fused index = 2 * output + input) and
-canonicalizing the unit-normalized vectorization; ``norm`` restores the
-operator scale, which is ``sqrt(2 ** m_in)`` for an isometry.
+canonicalizing the vectorization; ``norm`` carries the operator scale,
+which is ``sqrt(2 ** m_in)`` for an isometry.
 """
 
 from __future__ import annotations
@@ -202,77 +210,57 @@ def contract_operator(op: Mps) -> np.ndarray:
 # canonicalization sweeps
 
 
-def _left_sweep_dense(psi: np.ndarray, dims: Sequence[int], rank_tol: float):
-    """Peel a dense vector into left-orthonormal factors, returning the
-    factors in (left, phys, right) layout plus the extracted norm scale."""
-    t = psi.reshape(1, -1)
-    factors = []
-    left = 1
-    for d in dims[:-1]:
-        u, s, vd = svd(t.reshape(left * d, -1), rank_tol).truncated()
-        if s.size == 0:
-            raise ContractViolationError("state is numerically zero")
-        factors.append(u.reshape(left, d, u.shape[1]))
-        t = s[:, None] * vd
-        left = u.shape[1]
-    t = t.reshape(left, dims[-1])
-    scale = float(np.linalg.norm(t))
-    if scale == 0.0:
-        raise ContractViolationError("state is numerically zero")
-    factors.append((t / scale).reshape(left, dims[-1], 1))
-    return factors, scale
-
-
-def _left_sweep_tensors(tensors: Sequence[np.ndarray], rank_tol: float):
-    """Same as :func:`_left_sweep_dense` but starting from an arbitrary chain
-    (tensors in the package's (phys, right, left) layout)."""
+def _left_sweep_tensors(tensors: Sequence[np.ndarray], rank_tol: float) -> list[np.ndarray]:
+    """Left-orthonormal factors of a chain in (left, phys, right) layout;
+    the last one keeps the chain's scale."""
+    *head, last = tensors
     factors = []
     carry = np.eye(1, dtype=np.complex128)
-    for m, t in enumerate(tensors):
-        std = np.transpose(t, (2, 0, 1))  # (left, phys, right)
-        block = np.tensordot(carry, std, axes=([1], [0]))  # (left', phys, right)
+    for t in head:
+        block = np.tensordot(carry, t, axes=([1], [2]))  # (left, phys, right)
         lft, d, rgt = block.shape
-        if m < len(tensors) - 1:
-            u, s, vd = svd(block.reshape(lft * d, rgt), rank_tol).truncated()
-            if s.size == 0:
-                raise ContractViolationError("chain contracts to the zero vector")
-            factors.append(u.reshape(lft, d, u.shape[1]))
-            carry = s[:, None] * vd
-        else:
-            flat = block.reshape(lft * d)
-            scale = float(np.linalg.norm(flat))
-            if scale == 0.0:
-                raise ContractViolationError("chain contracts to the zero vector")
-            factors.append((block / scale).reshape(lft, d, 1))
-            return factors, scale
-    raise AssertionError("unreachable")
-
-
-def _right_sweep(factors, rank_tol: float):
-    """Right-to-left sweep over left-orthonormal factors.
-
-    Returns the site tensors of the canonical gauge in the package layout,
-    together with the squared Schmidt coefficients of every interior cut.
-    """
-    n = len(factors)
-    out = [None] * n
-    lambdas = [None] * (n - 1)
-    carry = np.eye(1, dtype=np.complex128)
-    for m in reversed(range(n)):
-        lft, d, rgt = factors[m].shape
-        block = np.tensordot(factors[m], carry, axes=([2], [0]))
-        u, s, vd = svd(block.reshape(lft, -1), rank_tol).truncated()
+        u, s, vd = svd(block.reshape(lft * d, rgt), rank_tol).truncated()
         if s.size == 0:
             raise ContractViolationError("chain contracts to the zero vector")
-        out[m] = vd.reshape(s.size, d, block.shape[2])
+        factors.append(u.reshape(lft, d, s.size))
+        carry = s[:, None] * vd
+    return factors + [np.tensordot(carry, last, axes=([1], [2]))]
+
+
+def _right_sweep(n: int, block, carry: np.ndarray, rank_tol: float):
+    """The right-to-left peel of the module docstring over ``n`` sites.
+
+    ``block(m, carry)`` forms the (left, phys, right) block of site ``m``
+    (0-based) from the carry of site ``m + 1``, the first from ``carry``.
+    Returns the site tensors, the canonical weights and the norm scale.
+    """
+    out = [None] * n
+    schmidt = [None] * (n - 1)
+    for m in reversed(range(1, n)):
+        b = block(m, carry)
+        lft, d, rgt = b.shape
+        u, s, vd = svd(b.reshape(lft, d * rgt), rank_tol).truncated()
+        if s.size == 0:
+            raise ContractViolationError("chain contracts to the zero vector")
+        out[m] = vd.reshape(s.size, d, rgt)
+        schmidt[m - 1] = s
         carry = u * s
-        if m > 0:
-            lambdas[m - 1] = (s**2).astype(np.float64)
-    # carry is now 1x1 with unit modulus; fold the leftover phase back in so
-    # the contraction is preserved exactly.
-    out[0] = carry[0, 0] * out[0]
+    row = block(0, carry)
+    scale = float(np.linalg.norm(row))
+    if scale == 0.0:
+        raise ContractViolationError("chain contracts to the zero vector")
+    out[0] = row / scale
     tensors = tuple(np.transpose(r, (1, 2, 0)) for r in out)
-    return tensors, tuple(lambdas)
+    return tensors, CanonicalWeights(tuple((s / scale) ** 2 for s in schmidt)), scale
+
+
+def _dense_sweep(v: np.ndarray, dims: Sequence[int], rank_tol: float):
+    """:func:`_right_sweep` of a dense vector; the carry is the remainder."""
+
+    def peel(m, rest):
+        return rest.reshape(-1, dims[m], rest.shape[1])
+
+    return _right_sweep(len(dims), peel, v.reshape(-1, 1), rank_tol)
 
 
 def state_to_mps(
@@ -284,6 +272,7 @@ def state_to_mps(
 
     ``dims`` lists the per-site physical dimensions and defaults to qubits.
     The returned bond dimensions are the Schmidt ranks across every cut.
+    One SVD per interior cut computes them, in one right-to-left peel.
     """
     v = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if not np.isfinite(v).all():
@@ -305,9 +294,8 @@ def state_to_mps(
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > STATE_NORM_TOL:
         raise ContractViolationError(f"state is not normalized: |psi| = {nrm!r}")
-    factors, scale = _left_sweep_dense(v, dims, rank_tol)
-    tensors, lambdas = _right_sweep(factors, rank_tol)
-    return Mps(tensors, norm=scale), CanonicalWeights(lambdas)
+    tensors, weights, scale = _dense_sweep(v, dims, rank_tol)
+    return Mps(tensors, norm=scale), weights
 
 
 def operator_to_mps(
@@ -318,7 +306,7 @@ def operator_to_mps(
     The input leg of site ``k <= m_in`` is fused with its output leg
     (fused index = 2 * output + input); the remaining sites carry output
     legs only.  The contraction of the result reproduces the operator
-    entrywise.
+    entrywise.  Like :func:`state_to_mps`, it makes one SVD per interior cut.
     """
     n, m = u.n_out, u.m_in
     # matrix legs (i_1 .. i_n, j_1 .. j_m) -> (i_1 j_1, .., i_m j_m, i_{m+1} ..)
@@ -327,9 +315,8 @@ def operator_to_mps(
         perm += [k, n + k]
     perm += list(range(m, n))
     vec = regroup(u.matrix, [2] * (n + m), [2 ** (n + m)], perm)
-    factors, scale = _left_sweep_dense(vec, [4] * m + [2] * (n - m), rank_tol)
-    tensors, lambdas = _right_sweep(factors, rank_tol)
-    return Mps(tensors, norm=scale, m_in=m), CanonicalWeights(lambdas)
+    tensors, weights, scale = _dense_sweep(vec, [4] * m + [2] * (n - m), rank_tol)
+    return Mps(tensors, norm=scale, m_in=m), weights
 
 
 def canonicalize(
@@ -340,11 +327,17 @@ def canonicalize(
     The contraction is preserved (up to the stated rank tolerance); the
     output bond dimensions are the Schmidt ranks after discarding singular
     values below ``rank_tol`` relative to the largest at each cut.  A chain
-    that contracts to the zero vector is rejected.
+    that contracts to the zero vector is rejected.  A chain takes two
+    sweeps, ``2 * (N - 1)`` SVDs: left-orthonormalization, then the peel.
     """
-    factors, scale = _left_sweep_tensors(mps.tensors, rank_tol)
-    tensors, lambdas = _right_sweep(factors, rank_tol)
-    return Mps(tensors, norm=mps.norm * scale, m_in=mps.m_in), CanonicalWeights(lambdas)
+    factors = _left_sweep_tensors(mps.tensors, rank_tol)
+    tensors, weights, scale = _right_sweep(
+        len(factors),
+        lambda m, carry: np.tensordot(factors[m], carry, axes=([2], [0])),
+        np.eye(1, dtype=np.complex128),
+        rank_tol,
+    )
+    return Mps(tensors, norm=mps.norm * scale, m_in=mps.m_in), weights
 
 
 # ---------------------------------------------------------------------------

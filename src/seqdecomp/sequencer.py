@@ -69,8 +69,10 @@ class SequentialPlan:
     ``steps[k]`` acts on ancilla (x) site ``k + 1``; the composite index is
     ``ancilla_index * 2 + site_index``.  The ancilla starts and ends in
     basis state 0.  The first ``m_in`` steps consume one input qubit each;
-    later steps expect their chain qubit in state |0>.  ``report`` is the
-    criterion report a plan was built from; a plan read from a file has none.
+    later steps expect their chain qubit in state |0>.  ``bond_dims`` lists
+    the ``N + 1`` canonical bond dimensions: integers from 1 to
+    ``ancilla_dim``, with both boundaries 1.  ``report`` is the criterion
+    report a plan was built from; a plan read from a file has none.
     """
 
     ancilla_dim: int
@@ -80,14 +82,19 @@ class SequentialPlan:
     report: SequentialityReport | None = None
 
     def __post_init__(self):
-        if self.ancilla_dim < 1:
-            raise ContractViolationError("ancilla dimension must be positive")
         if not 1 <= self.m_in <= len(self.steps):
             raise ContractViolationError(
                 f"m_in={self.m_in} out of range for {len(self.steps)} steps"
             )
-        if len(self.bond_dims) != len(self.steps) + 1:
-            raise ContractViolationError("bond_dims must have one entry per cut")
+        bonds = self.bond_dims
+        if len(bonds) != len(self.steps) + 1 or bonds[0] != 1 or bonds[-1] != 1 or not all(
+            isinstance(d, (int, np.integer)) and not isinstance(d, bool) and 1 <= d <= self.ancilla_dim
+            for d in bonds
+        ):
+            raise ContractViolationError(
+                f"bond_dims must be {len(self.steps) + 1} integers from 1 to the ancilla "
+                f"dimension {self.ancilla_dim}, with both boundaries 1; got {list(bonds)}"
+            )
         side = 2 * self.ancilla_dim
         arrays = []
         for k, step in enumerate(self.steps):

@@ -27,6 +27,18 @@ def schmidt_cut_ranks(psi, dims, tol=1e-10) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+def schmidt_cut_weights(psi, dims, tol=1e-10) -> tuple[np.ndarray, ...]:
+    """Normalized squared singular values above ``tol`` (relative) at every
+    contiguous cut, by direct SVD."""
+    psi = np.asarray(psi, dtype=complex)
+    weights = []
+    for c in range(1, len(dims)):
+        s = np.linalg.svd(psi.reshape(math.prod(dims[:c]), -1), compute_uv=False)
+        s = s[s > tol * s[0]]
+        weights.append(s**2 / np.sum(s**2))
+    return tuple(weights)
+
+
 def fused_vector_loops(matrix, m, n) -> np.ndarray:
     """Vectorize an operator with input legs fused onto the first m sites.
 

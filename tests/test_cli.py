@@ -349,6 +349,23 @@ def test_plan_file_round_trip_is_bitwise(tmp_path):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "bond_dims",
+    [[True, True, True, True], [2, 2, 2, 1], [1, 2, 2, 2], [1, 3, 2, 1]],
+    ids=["booleans", "left-boundary-2", "right-boundary-2", "above-ancilla"],
+)
+def test_simulate_rejects_invalid_plan_bond_dims(bond_dims, tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    assert run_cli(["decompose", "ghz:3", "-o", str(path)], capsys)[0] == 0
+    doc = json.loads(path.read_text())
+    assert (doc["ancilla_dim"], doc["bond_dims"]) == (2, [1, 2, 2, 1])
+    doc["bond_dims"] = bond_dims
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["simulate", str(path), "--input-state", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert "bond_dims" in err
+
+
 def test_main_builds_the_parser_once(monkeypatch, capsys):
     build, built = cli.build_parser, []
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())

@@ -16,9 +16,11 @@ from seqdecomp import (
     ghz_isometry,
     ghz_state,
     operator_to_mps,
+    random_isometry,
     shor_encoder,
     state_to_mps,
 )
+from seqdecomp import mps as mps_module
 
 from oracles import (
     fused_vector_loops,
@@ -111,6 +113,28 @@ def test_operator_fusing_matches_loop_oracle():
     op, _ = operator_to_mps(u)
     vec = contract_state(op)
     assert np.allclose(vec, fused_vector_loops(u.matrix, 1, 3), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build, svd_calls",
+    [(lambda: random_isometry(3, 7, 1), 6), (shor_encoder, 8)],
+    ids=["random:3,7,1", "shor"],
+)
+def test_dense_canonicalization_is_one_sweep(build, svd_calls, monkeypatch):
+    # one SVD per interior cut for a dense operator; a chain needs two sweeps
+    calls = []
+    svd = mps_module.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(mps_module, "svd", counted)
+    op, _ = operator_to_mps(build())
+    assert len(calls) == op.n_sites - 1 == svd_calls
+    calls.clear()
+    canonicalize(op)
+    assert len(calls) == 2 * op.n_sites - 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Property tests of the invariants promised for every input operator."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqdecomp import (
     build_plan,
+    canonicalize,
+    check_canonical,
+    contract_state,
+    gauge_check,
     gisin_massar_cloner,
     haar_unitary,
     product_unitary,
@@ -13,10 +19,11 @@ from seqdecomp import (
     sequentiality_test,
     shor_encoder,
     simulate,
+    state_to_mps,
     verify_plan,
 )
 
-from oracles import operator_cut_ranks
+from oracles import gauge_inflate, operator_cut_ranks, schmidt_cut_ranks, schmidt_cut_weights
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -64,3 +71,44 @@ def test_simulation_matches_the_operator_within_the_verified_bound(kind, size, s
     state, _ = simulate(plan, psi)
     bound = verify_plan(plan, u).operator_norm_bound
     assert np.linalg.norm(state - u.matrix @ psi) <= bound + 1e-12
+
+
+def _state_on_sites(dims, max_bond, rng):
+    """A normalized state on sites of the given dimensions: generic when
+    ``max_bond`` is None, else the contraction of a random chain with
+    interior bonds of at most ``max_bond``."""
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if max_bond is None:
+        psi = gaussian(math.prod(dims))
+    else:
+        bonds = [1] + [int(rng.integers(1, max_bond + 1)) for _ in dims[1:]] + [1]
+        psi = np.ones((1, 1), dtype=complex)
+        for k, d in enumerate(dims):
+            psi = np.einsum("pa,aib->pib", psi, gaussian(bonds[k], d, bonds[k + 1]))
+            psi = psi.reshape(-1, bonds[k + 1])
+        psi = psi[:, 0]
+    return psi / np.linalg.norm(psi)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    max_bond=st.one_of(st.none(), st.integers(1, 3)),
+    seed=SEEDS,
+)
+def test_state_to_mps_on_mixed_site_dimensions(dims, max_bond, seed):
+    rng = np.random.default_rng(seed)
+    psi = _state_on_sites(dims, max_bond, rng)
+    direct, weights = state_to_mps(psi, dims)
+    assert direct.physical_dims == tuple(dims)
+    assert direct.bond_dims[1:-1] == schmidt_cut_ranks(psi, dims)
+    for lam, oracle in zip(weights.lambdas, schmidt_cut_weights(psi, dims), strict=True):
+        assert np.max(np.abs(lam - oracle)) <= 1e-12
+    assert np.linalg.norm(contract_state(direct) - psi) <= 1e-12
+    assert check_canonical(direct, weights).passed
+    hidden = gauge_inflate(direct, pad_to=direct.max_bond_dim + 1, seed=seed)
+    recovered, recovered_weights = canonicalize(hidden)
+    assert bool(gauge_check(direct, weights, recovered, recovered_weights))
