@@ -18,12 +18,9 @@ from .errors import ContractViolationError, NumericFailureError
 #: Relative threshold below which singular values count as numerically zero.
 DEFAULT_RANK_TOL = 1e-10
 
-#: Gram residual above which a column set no longer counts as orthonormal.
-GRAM_TOL = 1e-10
-
-# Candidate basis vectors whose projection onto the orthogonal complement
-# is shorter than this are skipped during unitary completion.
-_COMPLETION_DROP_TOL = 1e-8
+#: Gram residual ``||q† q - I||`` above which columns no longer count as
+#: orthonormal: operator matrices, loaded step unitaries, completion inputs.
+ISOMETRY_TOL = 1e-10
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -109,38 +106,22 @@ def complete_to_unitary(cols) -> np.ndarray:
     """Extend orthonormal columns to a full unitary matrix, deterministically.
 
     The first ``k`` columns of the result are the input columns exactly as
-    given.  The remaining ones are obtained by projecting the standard basis
-    vectors, in index order, onto the orthogonal complement of everything
-    accepted so far; candidates whose projection falls below 1e-8 in norm
-    are skipped.
+    given.  The remaining ``d - k`` are the trailing columns of the complete
+    Householder QR factor of the input, which span its orthogonal
+    complement.  Columns whose Gram residual exceeds :data:`ISOMETRY_TOL`
+    are refused.
     """
     q = as_matrix(cols, "cols")
     d, k = q.shape
     if k > d:
         raise ContractViolationError(f"more columns ({k}) than rows ({d})")
-    gram_residual = isometry_residual(q, GRAM_TOL)
-    if gram_residual >= GRAM_TOL:
+    gram_residual = isometry_residual(q, ISOMETRY_TOL)
+    if gram_residual > ISOMETRY_TOL:
         raise ContractViolationError(
             f"columns are not orthonormal: Gram residual {gram_residual:.3e}"
         )
-    w = np.zeros((d, d), dtype=np.complex128)
-    w[:, :k] = q
-    have = k
-    for e in range(d):
-        if have == d:
-            break
-        v = np.zeros(d, dtype=np.complex128)
-        v[e] = 1.0
-        for _ in range(2):  # second projection pass mops up rounding residue
-            v -= w[:, :have] @ (dagger(w[:, :have]) @ v)
-        nv = float(np.linalg.norm(v))
-        if nv < _COMPLETION_DROP_TOL:
-            continue
-        w[:, have] = v / nv
-        have += 1
-    if have != d:
-        raise NumericFailureError("unitary completion exhausted the standard basis")
-    return w
+    full, _ = np.linalg.qr(q, mode="complete")
+    return np.concatenate([q, full[:, k:]], axis=1)
 
 
 def regroup(

@@ -15,10 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import as_matrix, isometry_residual
-
-#: Residual above which a matrix no longer counts as an isometry.
-ISOMETRY_TOL = 1e-10
+from .linalg import ISOMETRY_TOL, as_matrix, isometry_residual
 
 _MAX_QUBITS = 10
 

@@ -13,8 +13,9 @@ for every input site ``k`` (the factor 1/2 reflects the unit-norm gauge of
 the stored tensors).  Equivalently, the defined columns ``Q`` of step ``k``,
 read directly off the site tensor, are orthonormal; the residual reported
 for input site ``k`` is ``||Q† Q - I||_2``.  When the criterion holds, the
-remaining columns of each step are filled by deterministic unitary
-completion, and the ancilla dimension equals the maximal canonical bond
+remaining columns of each step are the orthogonal complement of ``Q`` from
+one complete QR (:func:`~seqdecomp.linalg.complete_to_unitary`); the chain
+never reaches them.  The ancilla dimension equals the maximal canonical bond
 dimension, which is optimal.
 
 For square (``M = N``) operators the criterion holds only for tensor
@@ -31,16 +32,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, NotImplementableError
-from .linalg import DEFAULT_RANK_TOL, complete_to_unitary, dagger, isometry_residual, regroup, svd
+from .linalg import (
+    DEFAULT_RANK_TOL,
+    ISOMETRY_TOL,
+    complete_to_unitary,
+    dagger,
+    isometry_residual,
+    regroup,
+    svd,
+)
 from .mps import Mps, STATE_NORM_TOL, operator_to_mps
 from .oplib import Isometry
 
 #: Residual above which the sequentiality criterion counts as violated.
 #: Genuine failures (entangling square unitaries) sit at order 1.
 DEFAULT_CRITERION_TOL = 1e-8
-
-#: Unitarity slack allowed on synthesized or loaded step matrices.
-STEP_UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -103,8 +109,8 @@ class SequentialPlan:
                 raise ContractViolationError(
                     f"step {k + 1}: shape {a.shape}, expected {(side, side)}"
                 )
-            residual = isometry_residual(a, STEP_UNITARY_TOL)
-            if residual > STEP_UNITARY_TOL:
+            residual = isometry_residual(a, ISOMETRY_TOL)
+            if residual > ISOMETRY_TOL:
                 raise ContractViolationError(
                     f"step {k + 1} is not unitary: residual {residual:.3e}"
                 )
@@ -199,9 +205,10 @@ def build_plan(
     step's defined columns come straight from the canonical site tensors
     (input sites are rescaled by sqrt(2) per site to undo the unit-norm
     gauge); bond spaces smaller than the ancilla are embedded by zero
-    padding, and the undefined columns are filled by deterministic unitary
-    completion.  The returned plan carries the report the verdict was read
-    from.
+    padding, and one :func:`~seqdecomp.linalg.complete_to_unitary` call per
+    step fills the other columns with the orthogonal complement.  Only the
+    defined columns are ever reached by the chain.  The returned plan
+    carries the report the verdict was read from.
 
     Raises :class:`NotImplementableError` (carrying the report) when the
     criterion fails at ``tol``.

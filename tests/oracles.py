@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from seqdecomp import ContractViolationError, Isometry, Mps
+from seqdecomp import ContractViolationError, Isometry, Mps, NumericFailureError
+from seqdecomp.linalg import ISOMETRY_TOL, as_matrix, dagger, isometry_residual
 
 
 def schmidt_cut_ranks(psi, dims, tol=1e-10) -> tuple[int, ...]:
@@ -290,3 +291,40 @@ def haar_columns_full(dim, cols, rng) -> np.ndarray:
     q, r = np.linalg.qr((re + 1j * im) / math.sqrt(2.0))
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
+
+
+def complete_to_unitary_loops(cols) -> np.ndarray:
+    """Unitary completion by Gram–Schmidt over the standard basis.
+
+    The first ``k`` columns are the input; the rest are the standard basis
+    vectors, in index order, projected twice onto the orthogonal complement
+    of everything accepted so far, skipping candidates whose projection is
+    shorter than 1e-8.
+    """
+    q = as_matrix(cols, "cols")
+    d, k = q.shape
+    if k > d:
+        raise ContractViolationError(f"more columns ({k}) than rows ({d})")
+    gram_residual = isometry_residual(q, ISOMETRY_TOL)
+    if gram_residual >= ISOMETRY_TOL:
+        raise ContractViolationError(
+            f"columns are not orthonormal: Gram residual {gram_residual:.3e}"
+        )
+    w = np.zeros((d, d), dtype=np.complex128)
+    w[:, :k] = q
+    have = k
+    for e in range(d):
+        if have == d:
+            break
+        v = np.zeros(d, dtype=np.complex128)
+        v[e] = 1.0
+        for _ in range(2):  # second projection pass mops up rounding residue
+            v -= w[:, :have] @ (dagger(w[:, :have]) @ v)
+        nv = float(np.linalg.norm(v))
+        if nv < 1e-8:
+            continue
+        w[:, have] = v / nv
+        have += 1
+    if have != d:
+        raise NumericFailureError("unitary completion exhausted the standard basis")
+    return w

@@ -19,6 +19,8 @@ from seqdecomp import (
 from seqdecomp import cli, formats, sequencer
 from seqdecomp.cli import main
 
+from oracles import complete_to_unitary_loops
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -397,3 +399,42 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["implementable"] is False
+
+
+COMPLETION_OPERATORS = ["shor", "ghz:6", "cloner:3", "cloner:4", "product"] + [
+    f"random:1,{n},{30 + n}" for n in range(2, 9)
+]
+
+
+@pytest.mark.parametrize("operator", COMPLETION_OPERATORS)
+def test_chain_never_reaches_the_completed_columns(operator, tmp_path, capsys, monkeypatch):
+    # plans completed by Gram–Schmidt over the standard basis differ only in
+    # columns outside the defined targets, and no output can tell them apart
+    factors = tmp_path / "factors.json"
+    rng = np.random.default_rng(44)
+    factors.write_text(formats.dumps([haar_unitary(2, rng) for _ in range(4)]))
+    decompose = ["decompose", operator, "--factors", str(factors), "-o", "plan.json"]
+    reference, library = tmp_path / "reference", tmp_path / "library"
+    outputs = {}
+    for where in (reference, library):
+        where.mkdir()
+        monkeypatch.chdir(where)
+        with monkeypatch.context() as patched:
+            if where == reference:
+                patched.setattr(sequencer, "complete_to_unitary", complete_to_unitary_loops)
+            outputs[where] = [run_cli(decompose, capsys)]
+        summary = json.loads(outputs[where][0][1])
+        m, n = summary["m_in"], summary["n_out"]
+        for t, label in enumerate(["0" * m, "+" * m, ("-1" * m)[:m]]):
+            for extra in ([], ["--reduce", str(1 + t % n)]):
+                args = ["simulate", "plan.json", f"--input-state={label}"] + extra
+                outputs[where].append(run_cli(args, capsys))
+    assert all(code == 0 for code, _, _ in outputs[library])
+    assert outputs[reference] == outputs[library]
+    docs = [json.loads((p / "plan.json").read_text()) for p in (reference, library)]
+    assert docs[0]["report"] == docs[1]["report"]
+    plans = [formats.doc_to_plan(doc) for doc in docs]
+    for k, (a, b) in enumerate(zip(plans[0].steps, plans[1].steps, strict=True)):
+        left = plans[1].bond_dims[k]
+        targets = np.arange(2 * left) if k < plans[1].m_in else 2 * np.arange(left)
+        assert a[:, targets].tobytes() == b[:, targets].tobytes()

@@ -17,7 +17,7 @@ from seqdecomp import (
     regroup,
     svd,
 )
-from seqdecomp.linalg import GRAM_TOL, isometry_residual
+from seqdecomp.linalg import ISOMETRY_TOL, isometry_residual
 
 from oracles import reduced_rho_loops
 
@@ -102,13 +102,39 @@ def test_complete_to_unitary_determinism_many_dims():
         assert np.array_equal(complete_to_unitary(u), complete_to_unitary(u.copy()))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 128),
+    data=st.data(),
+    kind=st.sampled_from(["haar", "basis", "padded"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_complete_to_unitary_keeps_the_prefix_and_is_unitary(d, data, kind, seed):
+    k = data.draw(st.integers(1, d))
+    rng = np.random.default_rng(seed)
+    if kind == "haar":
+        cols = haar_unitary(d, rng)[:, :k]
+    elif kind == "basis":  # phased, permuted standard-basis columns
+        cols = np.zeros((d, k), dtype=complex)
+        cols[rng.permutation(d)[:k], np.arange(k)] = np.exp(2j * np.pi * rng.random(k))
+    else:  # a Haar block zero-padded below, as build_plan embeds small bonds
+        rows = int(rng.integers(k, d + 1))
+        cols = np.zeros((d, k), dtype=complex)
+        cols[:rows] = haar_unitary(rows, rng)[:, :k]
+    w = complete_to_unitary(cols)
+    assert w.shape == (d, d)
+    assert w[:, :k].tobytes() == cols.tobytes()
+    assert np.linalg.norm(dagger(w) @ w - np.eye(d), 2) <= 1e-13
+    assert complete_to_unitary(np.asfortranarray(cols)).tobytes() == w.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     qubits=st.integers(1, 5),
     input_qubits=st.integers(0, 5),
     seed=st.integers(0, 2**32 - 1),
     log_scale=st.floats(-2.0, 2.0),
-    tol=st.sampled_from([GRAM_TOL, 1e-8]),
+    tol=st.sampled_from([ISOMETRY_TOL, 1e-8]),
 )
 def test_isometry_residual_matches_spectral_verdicts(qubits, input_qubits, seed, log_scale, tol):
     # an isometry plus a perturbation whose spectral residual is about

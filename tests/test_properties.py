@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqdecomp import (
+    Isometry,
     build_plan,
     canonicalize,
     check_canonical,
+    cnot,
     contract_state,
     gauge_check,
     gisin_massar_cloner,
     haar_unitary,
+    operator_schmidt_ranks,
     product_unitary,
     random_isometry,
     sequentiality_test,
@@ -45,6 +48,25 @@ def test_haar_random_square_unitaries_are_rejected(n, seed):
     report = sequentiality_test(random_isometry(n, n, seed))
     assert not report.implementable
     assert max(report.per_site_residuals) > 0.1
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 5), data=st.data(), seed=SEEDS)
+def test_a_cnot_between_local_layers_is_rejected(n, data, seed):
+    # the paper's paradigm: one CNOT on sites (p, p + 1), dressed on both
+    # sides by Haar single-qubit unitaries, entangles across cut p only
+    p = data.draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(seed)
+
+    def layer():
+        return product_unitary([haar_unitary(2, rng) for _ in range(n)]).matrix
+
+    gate = np.kron(np.kron(np.eye(2 ** (p - 1)), cnot().matrix), np.eye(2 ** (n - p - 1)))
+    u = Isometry(n, n, layer() @ gate @ layer())
+    report = sequentiality_test(u)
+    assert not report.implementable
+    assert max(report.per_site_residuals) > 0.5
+    assert operator_schmidt_ranks(u) == tuple(2 if c == p else 1 for c in range(1, n))
 
 
 @settings(max_examples=25, deadline=None)
