@@ -164,7 +164,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_simulate(args) -> int:
     doc = formats.parse_document(_read_text(args.plan, "plan file"), args.plan)
     plan = formats.doc_to_plan(doc, where=args.plan)
-    # argparse (3.11 among others) drops the value of --input-state=--, leaving []
+    # argparse (3.10 and 3.11 among others) drops the value of --input-state=--, leaving []
     text = "--" if args.input_state == [] else args.input_state
     amps = _parse_input_state(text, plan.m_in)
     nrm = float(np.linalg.norm(amps))

@@ -116,8 +116,12 @@ def doc_to_isometry(doc: Any, where: str = "operator") -> Isometry:
     n = _require(doc, "n_qubits", int, where)
     if not 1 <= m <= n:
         raise ContractViolationError(f"{where}: need 1 <= m_qubits <= n_qubits")
-    _require(doc, "matrix", list, where)
-    matrix = decode_matrix(doc["matrix"], 2**n, 2**m, f"{where}.matrix")
+    rows = _require(doc, "matrix", list, where)
+    if n >= len(rows).bit_length():  # fewer than 2**n rows; checked without forming 2**n
+        raise ContractViolationError(
+            f"{where}.n_qubits: the matrix needs 2**n_qubits rows, it has {len(rows)}"
+        )
+    matrix = decode_matrix(rows, 2**n, 2**m, f"{where}.matrix")
     return Isometry(m, n, matrix)
 
 
@@ -175,3 +179,5 @@ def parse_document(text: str, where: str) -> Any:
         raise ContractViolationError(
             f"{where}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # e.g. an integer over the int-to-string digit limit
+        raise ContractViolationError(f"{where}: invalid JSON: {exc}") from None

@@ -76,13 +76,15 @@ def svd(m, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
         u, s, vd = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"SVD failed to converge for shape {a.shape}") from exc
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        lead = col[int(np.argmax(np.abs(col)))]
-        if abs(lead) > 0.0:
-            phase = lead / abs(lead)
-            u[:, k] = col / phase
-            vd[k, :] *= phase
+    lead = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
+    # hypot, as the scalar abs() computes it; np.abs may differ in the last bit
+    modulus = np.hypot(lead.real, lead.imag)
+    if np.count_nonzero(modulus) == modulus.size:
+        phase = lead / modulus
+    else:  # a zero column keeps phase 1
+        phase = np.divide(lead, modulus, out=np.ones_like(lead), where=modulus > 0.0)
+    u /= phase
+    vd *= phase[:, None]
     rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
     return SvdResult(u, s, vd, rank)
 

@@ -32,8 +32,9 @@ A dense vector reaches this gauge by one right-to-left SVD peel: across
 each cut, the SVD of the dense remainder gives the Schmidt coefficients
 and, as its right singular vectors, the canonical tensor of the site just
 peeled.  Site 1 is the normalized rest; its norm becomes ``norm``.  A chain
-is left-orthonormalized first and then peeled the same way.  Singular
-values below ``rank_tol`` times the largest are dropped, once per cut.
+is peeled once from its other end and then peeled the same way.  Singular
+values below ``rank_tol`` times the largest are dropped at each cut of each
+peel; the peel is the only place where a bond is truncated.
 
 Operators are handled by fusing the input leg with the output leg at each
 of the first ``m_in`` sites (fused index = 2 * output + input) and
@@ -210,23 +211,6 @@ def contract_operator(op: Mps) -> np.ndarray:
 # canonicalization sweeps
 
 
-def _left_sweep_tensors(tensors: Sequence[np.ndarray], rank_tol: float) -> list[np.ndarray]:
-    """Left-orthonormal factors of a chain in (left, phys, right) layout;
-    the last one keeps the chain's scale."""
-    *head, last = tensors
-    factors = []
-    carry = np.eye(1, dtype=np.complex128)
-    for t in head:
-        block = np.tensordot(carry, t, axes=([1], [2]))  # (left, phys, right)
-        lft, d, rgt = block.shape
-        u, s, vd = svd(block.reshape(lft * d, rgt), rank_tol).truncated()
-        if s.size == 0:
-            raise ContractViolationError("chain contracts to the zero vector")
-        factors.append(u.reshape(lft, d, s.size))
-        carry = s[:, None] * vd
-    return factors + [np.tensordot(carry, last, axes=([1], [2]))]
-
-
 def _right_sweep(n: int, block, carry: np.ndarray, rank_tol: float):
     """The right-to-left peel of the module docstring over ``n`` sites.
 
@@ -261,6 +245,17 @@ def _dense_sweep(v: np.ndarray, dims: Sequence[int], rank_tol: float):
         return rest.reshape(-1, dims[m], rest.shape[1])
 
     return _right_sweep(len(dims), peel, v.reshape(-1, 1), rank_tol)
+
+
+def _mirrored_sweep(tensors: Sequence[np.ndarray], rank_tol: float):
+    """:func:`_right_sweep` of a chain read from its other end: sites
+    reversed, each tensor's bond axes swapped.  The carry is a bond matrix."""
+    mirror = [t.transpose(0, 2, 1) for t in reversed(tensors)]
+
+    def peel(m, carry):
+        return np.tensordot(mirror[m], carry, axes=([1], [0])).transpose(1, 0, 2)
+
+    return _right_sweep(len(mirror), peel, np.eye(1, dtype=np.complex128), rank_tol)
 
 
 def state_to_mps(
@@ -328,16 +323,13 @@ def canonicalize(
     output bond dimensions are the Schmidt ranks after discarding singular
     values below ``rank_tol`` relative to the largest at each cut.  A chain
     that contracts to the zero vector is rejected.  A chain takes two
-    sweeps, ``2 * (N - 1)`` SVDs: left-orthonormalization, then the peel.
+    peels, ``2 * (N - 1)`` SVDs: the first, of the chain read from its
+    other end, leaves sites 1..N-1 left-orthonormal; the second, of that
+    result read back, is the canonical one.
     """
-    factors = _left_sweep_tensors(mps.tensors, rank_tol)
-    tensors, weights, scale = _right_sweep(
-        len(factors),
-        lambda m, carry: np.tensordot(factors[m], carry, axes=([2], [0])),
-        np.eye(1, dtype=np.complex128),
-        rank_tol,
-    )
-    return Mps(tensors, norm=mps.norm * scale, m_in=mps.m_in), weights
+    once, _, first_scale = _mirrored_sweep(mps.tensors, rank_tol)
+    tensors, weights, scale = _mirrored_sweep(once, rank_tol)
+    return Mps(tensors, norm=mps.norm * first_scale * scale, m_in=mps.m_in), weights
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,6 @@ from .linalg import (
     complete_to_unitary,
     dagger,
     isometry_residual,
-    regroup,
-    svd,
 )
 from .mps import Mps, STATE_NORM_TOL, operator_to_mps
 from .oplib import Isometry
@@ -358,24 +356,17 @@ def operator_schmidt_ranks(
 ) -> tuple[int, ...]:
     """Operator Schmidt ranks of a square unitary across contiguous cuts.
 
-    For each cut c the operator is regrouped so that rows collect the output
-    and input legs of sites <= c and columns collect the rest; the entry for
-    cut c is the numerical rank of that matrix.  All ranks equal 1 exactly
-    when the unitary is a tensor product of single-qubit unitaries, i.e.
-    when it is non-entangling.
+    The entry for cut c is the rank of the operator with the output and
+    input legs of sites <= c on one side and the rest on the other.  On a
+    square operator these cuts are those of the fused chain, so the ranks
+    are the interior canonical bond dimensions of :func:`operator_to_mps`,
+    the numbers ``info`` prints; under a truncating ``rank_tol`` they are
+    those of the truncated form.  All ranks equal 1 exactly when the
+    unitary is a tensor product of single-qubit unitaries, i.e. when it is
+    non-entangling.
     """
     if not u.is_unitary:
         raise ContractViolationError(
             f"operator is {u.m_in}->{u.n_out}; Schmidt ranks need a square unitary"
         )
-    n = u.n_out
-    ranks = []
-    for c in range(1, n):
-        shuffled = regroup(
-            u.matrix,
-            [2**c, 2 ** (n - c), 2**c, 2 ** (n - c)],
-            [4**c, 4 ** (n - c)],
-            (0, 2, 1, 3),
-        )
-        ranks.append(svd(shuffled, rank_tol).numerical_rank)
-    return tuple(ranks)
+    return operator_to_mps(u, rank_tol)[0].bond_dims[1:-1]

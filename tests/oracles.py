@@ -328,3 +328,23 @@ def complete_to_unitary_loops(cols) -> np.ndarray:
     if have != d:
         raise NumericFailureError("unitary completion exhausted the standard basis")
     return w
+
+
+def svd_loops(m, rank_tol=1e-10):
+    """Thin SVD rephased column by column, as ``(u, s, vd, numerical_rank)``.
+
+    Each left singular vector is divided by the phase of its first entry of
+    largest modulus, and the matching row of ``vd`` multiplied by it; a zero
+    column keeps its phase.  The reference for ``linalg.svd``.
+    """
+    a = as_matrix(m)
+    u, s, vd = np.linalg.svd(a, full_matrices=False)
+    for k in range(u.shape[1]):
+        col = u[:, k]
+        lead = col[int(np.argmax(np.abs(col)))]
+        if abs(lead) > 0.0:
+            phase = lead / abs(lead)
+            u[:, k] = col / phase
+            vd[k, :] *= phase
+    rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
+    return u, s, vd, rank

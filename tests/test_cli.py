@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from seqdecomp import (
 from seqdecomp import cli, formats, sequencer
 from seqdecomp.cli import main
 
-from oracles import complete_to_unitary_loops
+from oracles import complete_to_unitary_loops, operator_cut_ranks
 
 
 def run_cli(args, capsys):
@@ -215,7 +216,16 @@ def test_info_schmidt_ranks_match_the_operator_witness(operator, tmp_path, capsy
     code, out, _ = run_cli(["info", operator, "--factors", str(path)], capsys)
     assert code == 0
     u = cli.load_operator(operator, str(path))
-    assert json.loads(out)["schmidt_ranks"] == list(operator_schmidt_ranks(u))
+    assert json.loads(out)["schmidt_ranks"] == list(operator_cut_ranks(u))
+
+
+def test_info_and_operator_schmidt_ranks_agree_under_truncation(capsys):
+    # on this draw a separate SVD of each whole cut keeps one more value at
+    # cut 2 than the peel, which truncates cut 3 before it reaches cut 2
+    code, out, _ = run_cli(["info", "random:5,5,0", "--rank-tol", "0.5"], capsys)
+    assert code == 0
+    ranks = operator_schmidt_ranks(cli.load_operator("random:5,5,0"), 0.5)
+    assert json.loads(out)["schmidt_ranks"] == list(ranks) == [4, 12, 13, 4]
 
 
 def test_decompose_canonicalizes_once(monkeypatch, capsys):
@@ -239,6 +249,25 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "line" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"m_qubits":1,"n_qubits":1000000000,"matrix":[]}', "n_qubits"),
+        ('{"m_qubits":1,"n_qubits":1' + "0" * 5000 + ',"matrix":[]}', "invalid JSON"),
+    ],
+    ids=["qubit count", "integer digits"],
+)
+def test_oversized_operator_counts_exit_2_at_once(text, message, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run_cli(["check", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}") and message in err
 
 
 def test_wrong_field_exits_2_with_diagnostic(tmp_path, capsys):

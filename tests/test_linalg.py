@@ -19,7 +19,7 @@ from seqdecomp import (
 )
 from seqdecomp.linalg import ISOMETRY_TOL, isometry_residual
 
-from oracles import reduced_rho_loops
+from oracles import reduced_rho_loops, svd_loops
 
 
 def test_svd_identity():
@@ -62,6 +62,64 @@ def test_svd_phases_are_deterministic():
     for k in range(6):
         lead = a.u[int(np.argmax(np.abs(a.u[:, k]))), k]
         assert lead.real > 0 and abs(lead.imag) < 1e-14
+
+
+def _sylvester_hadamard(n):
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def _phase_rule_inputs():
+    rng = np.random.default_rng(11)
+
+    def gaussian(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    shapes = [(1, 1), (1, 5), (5, 1), (2, 2), (4, 2), (2, 8), (8, 4), (32, 16), (17, 33)]
+    shapes += [(64, 64), (128, 7)]
+    for rows, cols in shapes:
+        yield f"random {rows}x{cols}", gaussian(rows, cols)
+        yield f"real {rows}x{cols}", rng.standard_normal((rows, cols))
+        yield f"zero {rows}x{cols}", np.zeros((rows, cols))
+        yield f"rank-1 {rows}x{cols}", np.outer(gaussian(rows, 1), gaussian(1, cols))
+        zeroed = gaussian(rows, cols)
+        zeroed[:, ::2] = 0.0
+        yield f"zeroed columns {rows}x{cols}", zeroed
+    for n in (1, 2, 4, 8, 64):
+        h = _sylvester_hadamard(n)
+        yield f"hadamard {n}", h
+        yield f"phased hadamard {n}", np.exp(1j * rng.uniform(0, 2 * np.pi, n)) * h
+        yield f"hadamard columns {n}", h[:, : max(1, n // 2)] * 1j
+        yield f"hadamard (x) identity {n}", np.kron(_sylvester_hadamard(2), np.eye(n))
+    yield "random 512x512", gaussian(512, 512)
+    yield "hadamard 512", _sylvester_hadamard(512)
+
+
+def test_svd_phase_rule_matches_the_column_loop_bit_for_bit():
+    for name, m in _phase_rule_inputs():
+        res = svd(m)
+        u, s, vd, rank = svd_loops(m)
+        assert res.u.tobytes() == u.tobytes(), name
+        assert res.v_dagger.tobytes() == vd.tobytes(), name
+        assert res.s.tobytes() == s.tobytes(), name
+        assert res.numerical_rank == rank, name
+
+
+def test_svd_keeps_the_phase_of_a_zero_left_vector(monkeypatch):
+    # LAPACK returns orthonormal columns, so this only reaches the guard
+    # through a stand-in factorization
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    u, s, vd = np.linalg.svd(m, full_matrices=False)
+    u[:, 1] = 0.0
+    monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices: (u.copy(), s, vd.copy()))
+    res = svd(m)
+    want_u, _, want_vd, _ = svd_loops(m)
+    assert res.u.tobytes() == want_u.tobytes()
+    assert res.v_dagger.tobytes() == want_vd.tobytes()
+    assert np.array_equal(res.v_dagger[1], vd[1])
 
 
 def test_svd_rejects_nonfinite():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from seqdecomp import (
     Isometry,
+    Mps,
     build_plan,
     canonicalize,
     check_canonical,
@@ -16,7 +17,6 @@ from seqdecomp import (
     gauge_check,
     gisin_massar_cloner,
     haar_unitary,
-    operator_schmidt_ranks,
     product_unitary,
     random_isometry,
     sequentiality_test,
@@ -66,7 +66,7 @@ def test_a_cnot_between_local_layers_is_rejected(n, data, seed):
     report = sequentiality_test(u)
     assert not report.implementable
     assert max(report.per_site_residuals) > 0.5
-    assert operator_schmidt_ranks(u) == tuple(2 if c == p else 1 for c in range(1, n))
+    assert operator_cut_ranks(u) == tuple(2 if c == p else 1 for c in range(1, n))
 
 
 @settings(max_examples=25, deadline=None)
@@ -134,3 +134,48 @@ def test_state_to_mps_on_mixed_site_dimensions(dims, max_bond, seed):
     hidden = gauge_inflate(direct, pad_to=direct.max_bond_dim + 1, seed=seed)
     recovered, recovered_weights = canonicalize(hidden)
     assert bool(gauge_check(direct, weights, recovered, recovered_weights))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    data=st.data(),
+    m_in=st.integers(0, 2),
+    max_bond=st.integers(1, 3),
+    truncate=st.booleans(),
+    seed=SEEDS,
+)
+def test_canonicalize_recovers_the_schmidt_spectra_of_a_hidden_chain(
+    data, m_in, max_bond, truncate, seed
+):
+    # an operator chain fuses input and output legs on its first m_in sites.
+    # A truncating rank_tol drops a generic tail 1e-9 below the chain: each
+    # cut changes the weights of the cuts peeled before it to second order
+    # in the dropped norm, so only a small tail keeps them within 1e-12
+    if m_in:
+        n = data.draw(st.integers(m_in, 4))
+        dims = [4] * m_in + [2] * (n - m_in)
+    else:
+        dims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    rng = np.random.default_rng(seed)
+    psi = _state_on_sites(dims, max_bond, rng)
+    rank_tol = 1e-10
+    if truncate:
+        psi = psi + 1e-9 * _state_on_sites(dims, None, rng)
+        psi /= np.linalg.norm(psi)
+        rank_tol = 1e-5
+    direct, weights = state_to_mps(psi, dims)
+    chain = Mps(direct.tensors, norm=direct.norm, m_in=m_in)
+    hidden = gauge_inflate(chain, pad_to=chain.max_bond_dim + 1, seed=seed)
+    recovered, recovered_weights = canonicalize(hidden, rank_tol)
+    assert recovered.m_in == m_in
+    assert recovered.physical_dims == tuple(dims)
+    contraction = contract_state(recovered)
+    assert np.linalg.norm(contraction - psi) <= (1e-8 if truncate else 1e-12)
+    assert recovered.bond_dims[1:-1] == schmidt_cut_ranks(contraction, dims)
+    assert recovered.bond_dims[1:-1] == schmidt_cut_ranks(psi, dims, rank_tol)
+    oracle = schmidt_cut_weights(contraction, dims)
+    for lam, want in zip(recovered_weights.lambdas, oracle, strict=True):
+        assert np.max(np.abs(lam - want)) <= 1e-12
+    assert check_canonical(recovered, recovered_weights).passed
+    if not truncate:
+        assert bool(gauge_check(chain, weights, recovered, recovered_weights))

@@ -298,6 +298,14 @@ def test_schmidt_ranks_match_brute_force_reshuffle():
         assert operator_schmidt_ranks(u)[cut - 1] == rank
 
 
+def test_schmidt_ranks_match_the_independent_cut_oracle():
+    rng = np.random.default_rng(18)
+    cases = [cnot(), SWAP] + [random_isometry(n, n, seed=n) for n in range(2, 6)]
+    cases += [product_unitary([haar_unitary(2, rng) for _ in range(k)]) for k in (2, 4, 6)]
+    for u in cases:
+        assert operator_schmidt_ranks(u) == operator_cut_ranks(u)
+
+
 def test_schmidt_ranks_reject_non_square():
     with pytest.raises(ContractViolationError):
         operator_schmidt_ranks(ghz_isometry(3))
