@@ -89,6 +89,33 @@ def svd(m, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
     return SvdResult(u, s, vd, rank)
 
 
+#: Rows per block in the first QR pass of :func:`r_factor`.
+_QR_ROWS = 2**10
+
+#: Fewest rows for which :func:`r_factor` factors a block; below it the QR
+#: costs more than it saves (``timeit``: 128x2 +12 us, 256x4 even, 256x16
+#: 1.8x faster than the SVD of the block itself).
+_QR_GATE = 2**8
+
+
+def r_factor(a: np.ndarray) -> np.ndarray:
+    """A matrix with the singular values and right singular vectors of ``a``.
+
+    A block with at least :data:`_QR_GATE` rows and at least twice as many
+    rows as columns is reduced to its square Householder R factor: one
+    stacked QR over its row blocks of :data:`_QR_ROWS` rows, then one more
+    over their R's and the leftover rows, so that the block is read once
+    (tall-skinny QR).  Any other block is returned unchanged.
+    """
+    rows, cols = a.shape
+    # a QR pays off only on a tall block: 1024x512 gains, 1024x1024 loses
+    if rows < max(_QR_GATE, 2 * cols):
+        return a
+    full = rows - rows % _QR_ROWS
+    blocks = np.linalg.qr(a[:full].reshape(-1, _QR_ROWS, cols), mode="r")
+    return np.linalg.qr(np.concatenate([blocks.reshape(-1, cols), a[full:]]), mode="r")
+
+
 def isometry_residual(q: np.ndarray, tol: float) -> float:
     """Gram residual ``||q† q - I||`` for a pass/fail check at ``tol``.
 

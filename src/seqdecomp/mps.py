@@ -31,10 +31,15 @@ corresponding cuts and are therefore minimal.
 A dense vector reaches this gauge by one right-to-left SVD peel: across
 each cut, the SVD of the dense remainder gives the Schmidt coefficients
 and, as its right singular vectors, the canonical tensor of the site just
-peeled.  Site 1 is the normalized rest; its norm becomes ``norm``.  A chain
-is peeled once from its other end and then peeled the same way.  Singular
-values below ``rank_tol`` times the largest are dropped at each cut of each
-peel; the peel is the only place where a bond is truncated.
+peeled.  Each cut is factored through its R factor
+(:func:`~seqdecomp.linalg.r_factor`), which has the singular values and
+right singular vectors of the block; the carry to the next cut is the
+block times the kept right vectors, so the left singular vectors of a tall
+block are never formed.  Site 1 is the normalized rest; its norm becomes
+``norm``.  A chain is peeled once from its other end and then peeled the
+same way.  Singular values below ``rank_tol`` times the largest are dropped
+at each cut of each peel; the peel is the only place where a bond is
+truncated.
 
 Operators are handled by fusing the input leg with the output leg at each
 of the first ``m_in`` sites (fused index = 2 * output + input) and
@@ -50,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import DEFAULT_RANK_TOL, dagger, regroup, svd
+from .linalg import DEFAULT_RANK_TOL, dagger, r_factor, regroup, svd
 from .oplib import Isometry
 
 #: 2-norm slack allowed on states that are required to be normalized.
@@ -223,12 +228,13 @@ def _right_sweep(n: int, block, carry: np.ndarray, rank_tol: float):
     for m in reversed(range(1, n)):
         b = block(m, carry)
         lft, d, rgt = b.shape
-        u, s, vd = svd(b.reshape(lft, d * rgt), rank_tol).truncated()
+        a = b.reshape(lft, d * rgt)
+        _, s, vd = svd(r_factor(a), rank_tol).truncated()
         if s.size == 0:
             raise ContractViolationError("chain contracts to the zero vector")
         out[m] = vd.reshape(s.size, d, rgt)
         schmidt[m - 1] = s
-        carry = u * s
+        carry = a @ dagger(vd)
     row = block(0, carry)
     scale = float(np.linalg.norm(row))
     if scale == 0.0:

@@ -8,6 +8,7 @@ both big-endian (site 1 is the most significant qubit).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -59,6 +60,18 @@ class Isometry:
         return self.m_in == self.n_out
 
 
+def _require_dense_fits(name: str, m_in: int, n_out: int) -> None:
+    """Refuse an operator whose dense matrix, ``16 * 2**(n_out + m_in)``
+    bytes, exceeds the machine's physical memory, before allocating it."""
+    need = 16 * 2 ** (n_out + m_in)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ContractViolationError(
+            f"{name}: the dense {m_in} -> {n_out} matrix needs {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
+
+
 def cnot() -> Isometry:
     """Controlled-NOT on two qubits; site 1 controls, site 2 is the target."""
     m = np.zeros((4, 4), dtype=np.complex128)
@@ -82,6 +95,7 @@ def ghz_isometry(n: int) -> Isometry:
     """1 -> n map sending |0>, |1> to the +/- n-qubit GHZ states."""
     if n < 1:
         raise ContractViolationError("need at least one output qubit")
+    _require_dense_fits(f"ghz:{n}", 1, n)
     m = np.stack([ghz_state(n, +1), ghz_state(n, -1)], axis=1)
     return Isometry(1, n, m)
 
@@ -134,6 +148,7 @@ def gisin_massar_cloner(n_clones: int) -> Isometry:
     if n < 1:
         raise ContractViolationError("need at least one clone")
     n_out = 2 * n - 1
+    _require_dense_fits(f"cloner:{n}", 1, n_out)
     alphas = [math.sqrt(2.0 * (n - j) / (n * (n + 1))) for j in range(n)]
 
     def image(flip: bool) -> np.ndarray:

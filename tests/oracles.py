@@ -348,3 +348,21 @@ def svd_loops(m, rank_tol=1e-10):
             vd[k, :] *= phase
     rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
     return u, s, vd, rank
+
+
+def verify_plan_loops(plan, u: Isometry) -> tuple[float, float]:
+    """``(max_error, max_decoupling_residual)`` of a plan, one basis column at
+    a time: per column, the norm of the ancilla components that failed to
+    decouple, and its hypotenuse with the error of the chain state.  The
+    reference for ``sequencer.verify_plan``."""
+    from seqdecomp.sequencer import _run_chain
+
+    final = _run_chain(plan, np.eye(2**u.m_in, dtype=complex))
+    max_error = 0.0
+    max_decouple = 0.0
+    for j in range(2**u.m_in):
+        decouple = float(np.linalg.norm(final[1:, :, j]))
+        state_err = float(np.linalg.norm(final[0, :, j] - u.matrix[:, j]))
+        max_decouple = max(max_decouple, decouple)
+        max_error = max(max_error, math.hypot(state_err, decouple))
+    return max_error, max_decouple

@@ -270,6 +270,21 @@ def test_oversized_operator_counts_exit_2_at_once(text, message, tmp_path, capsy
     assert err.startswith(f"error: {path}") and message in err
 
 
+@pytest.mark.parametrize(
+    "token, n_out", [("ghz:45", 45), ("cloner:40", 79)], ids=["ghz", "cloner"]
+)
+def test_oversized_builtin_exits_2_before_allocating(token, n_out, capsys):
+    # only sizes the guard refuses: one that passed it would be allocated
+    start = time.perf_counter()
+    code, out, err = run_cli(["check", token], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {token}: ")
+    assert f"needs {16 * 2 ** (n_out + 1)} bytes" in err
+    assert "MemoryError" not in err
+
+
 def test_wrong_field_exits_2_with_diagnostic(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"m_qubits": 1, "n_qubits": 1, "matrix": [[1, 2]]}))

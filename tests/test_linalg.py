@@ -17,7 +17,7 @@ from seqdecomp import (
     regroup,
     svd,
 )
-from seqdecomp.linalg import ISOMETRY_TOL, isometry_residual
+from seqdecomp.linalg import _QR_GATE, _QR_ROWS, ISOMETRY_TOL, isometry_residual, r_factor
 
 from oracles import reduced_rho_loops, svd_loops
 
@@ -126,6 +126,42 @@ def test_svd_rejects_nonfinite():
     bad = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ContractViolationError):
         svd(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # short blocks, and blocks of several row blocks with a leftover
+    rows=st.one_of(st.integers(1, _QR_GATE + 8), st.integers(_QR_GATE, 3 * _QR_ROWS + 300)),
+    cols=st.integers(1, 64),
+    rank=st.integers(0, 64),
+    real=st.booleans(),
+    zero_rows=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_r_factor_keeps_the_singular_values_and_right_vectors(
+    rows, cols, rank, real, zero_rows, seed
+):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    x = rng.standard_normal((rows, rank))
+    y = rng.standard_normal((rank, cols))
+    if not real:
+        x = x + 1j * rng.standard_normal((rows, rank))
+        y = y + 1j * rng.standard_normal((rank, cols))
+    a = x @ y
+    a[rng.random(rows) < zero_rows] = 0.0
+    r = r_factor(a)
+    if rows < max(_QR_GATE, 2 * cols):
+        assert r is a
+    else:
+        assert r.shape == (cols, cols)
+    want = np.linalg.svd(a, compute_uv=False)
+    s_max = want[0] if want.size else 0.0
+    res = svd(r, rank_tol=0.0)
+    assert np.max(np.abs(res.s - want), initial=0.0) <= 1e-13 * s_max
+    _, _, vd = res.truncated()
+    norm = np.linalg.norm(a)
+    assert np.linalg.norm(a @ dagger(vd) @ vd - a) <= 1e-13 * norm
 
 
 def test_complete_to_unitary_e0():

@@ -1,5 +1,8 @@
 """Tests for matrix-product forms, canonicalization, and gauge checks."""
 
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,9 @@ from seqdecomp import (
     gauge_check,
     ghz_isometry,
     ghz_state,
+    haar_unitary,
     operator_to_mps,
+    product_unitary,
     random_isometry,
     shor_encoder,
     state_to_mps,
@@ -27,6 +32,7 @@ from oracles import (
     gauge_inflate,
     operator_cut_ranks,
     schmidt_cut_ranks,
+    schmidt_cut_weights,
     swap_network_operator_mps,
 )
 
@@ -135,6 +141,55 @@ def test_dense_canonicalization_is_one_sweep(build, svd_calls, monkeypatch):
     calls.clear()
     canonicalize(op)
     assert len(calls) == 2 * op.n_sites - 2
+
+
+def haar_product(n, seed):
+    rng = np.random.default_rng(seed)
+    factors = [haar_unitary(2, rng) for _ in range(n)]
+    # fused index 2 * output + input is the row-major flattening of a factor
+    fused = reduce(np.kron, [f.reshape(4) for f in factors])
+    return product_unitary(factors), fused / np.linalg.norm(fused)
+
+
+def assert_cuts_match_the_oracle(result, psi, dims):
+    mps, weights = result
+    assert mps.bond_dims[1:-1] == schmidt_cut_ranks(psi, dims)
+    for got, want in zip(weights.lambdas, schmidt_cut_weights(psi, dims)):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_tall_cuts_of_a_product_match_the_cut_oracle(n):
+    u, fused = haar_product(n, seed=n)
+    assert_cuts_match_the_oracle(operator_to_mps(u), fused, [4] * n)
+
+
+@pytest.mark.parametrize("entangled", [True, False], ids=["generic", "split at cut 4"])
+def test_tall_cuts_of_a_mixed_dimension_state_match_the_cut_oracle(entangled):
+    dims = (3, 5, 7, 4, 4, 4, 4, 4)
+    rng = np.random.default_rng(35)
+    if entangled:
+        psi = rng.standard_normal(math.prod(dims)) + 1j * rng.standard_normal(math.prod(dims))
+    else:
+        psi = np.kron(
+            rng.standard_normal(math.prod(dims[:4])), rng.standard_normal(math.prod(dims[4:]))
+        )
+    psi /= np.linalg.norm(psi)
+    assert_cuts_match_the_oracle(state_to_mps(psi, dims), psi, dims)
+
+
+def test_the_first_cut_of_a_product_is_factored_through_its_r(monkeypatch):
+    # the 262144 x 4 first block reaches the SVD as its 4 x 4 R factor
+    shapes = []
+    svd = mps_module.svd
+
+    def recorded(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(mps_module, "svd", recorded)
+    operator_to_mps(haar_product(10, seed=1)[0])
+    assert shapes[0] == (4, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from oracles import (
     reshuffle_loops,
     step_columns_loops,
     swap_network_operator_mps,
+    verify_plan_loops,
 )
 
 SWAP = Isometry(2, 2, np.eye(4)[:, [0, 2, 1, 3]].astype(complex))
@@ -46,6 +47,11 @@ SWAP = Isometry(2, 2, np.eye(4)[:, [0, 2, 1, 3]].astype(complex))
 
 def identity_isometry():
     return Isometry(1, 1, np.eye(2, dtype=complex))
+
+
+def haar_product(n, seed):
+    rng = np.random.default_rng(seed)
+    return product_unitary([haar_unitary(2, rng) for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +227,36 @@ def test_verify_runs_all_basis_inputs_as_one_batch(monkeypatch):
     monkeypatch.setattr(sequencer, "_run_chain", counted)
     assert verify_plan(plan, u).max_error < 1e-12
     assert calls == [(8, 8)]
+
+
+def planned(u):
+    return build_plan(u), u
+
+
+def corrupted_shor_plan():
+    # a last step that neither decouples the ancilla nor reproduces the state
+    plan, u = planned(shor_encoder())
+    steps = plan.steps[:-1] + (haar_unitary(8, np.random.default_rng(8)),)
+    return SequentialPlan(plan.ancilla_dim, plan.m_in, steps, plan.bond_dims), u
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: planned(shor_encoder()),
+        lambda: planned(gisin_massar_cloner(4)),
+        lambda: planned(random_isometry(1, 8, 0)),
+        lambda: planned(haar_product(8, seed=8)),
+        corrupted_shor_plan,
+    ],
+    ids=["shor", "cloner:4", "random:1,8", "product:8", "shor, corrupted"],
+)
+def test_verify_agrees_with_the_column_loop(make):
+    plan, u = make()
+    verification = verify_plan(plan, u)
+    max_error, max_decouple = verify_plan_loops(plan, u)
+    assert abs(verification.max_error - max_error) <= 1e-15
+    assert abs(verification.max_decoupling_residual - max_decouple) <= 1e-15
 
 
 def test_verify_rejects_mismatched_operator():
