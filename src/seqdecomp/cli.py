@@ -143,7 +143,12 @@ def _cmd_decompose(args) -> int:
     verification = verify_plan(plan, u)
     if args.output:
         text = formats.dumps(formats.plan_to_doc(plan, plan.report, verification))
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(args.output).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise ContractViolationError(
+                f"cannot write plan file '{args.output}': {exc}"
+            ) from None
     _print_doc(
         {
             "output": args.output,

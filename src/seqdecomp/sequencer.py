@@ -22,6 +22,15 @@ For square (``M = N``) operators the criterion holds only for tensor
 products of single-qubit unitaries, equivalently for operators whose
 operator Schmidt rank is 1 across every contiguous cut; see
 :func:`operator_schmidt_ranks`.
+
+A plan is checked by running its chain, which amounts to contracting a
+matrix-product chain site by site (Schön, Solano, Verstraete, Cirac, Wolf,
+PRL 95, 110503 (2005)).  :func:`verify_plan` contracts the steps once with
+the input legs left open, into the plan's operator from the input qubits
+to the chain and the ancilla, and compares it with the target;
+:func:`simulate` runs one amplitude vector through the same contraction.
+The state grows by one emitted site per step, and a step after the inputs
+uses only the columns of its unitary that take the chain qubit in |0>.
 """
 
 from __future__ import annotations
@@ -229,24 +238,53 @@ def build_plan(
     return SequentialPlan(report.ancilla_dim_if_yes, u.m_in, tuple(steps), op.bond_dims, report)
 
 
-def _run_chain(plan: SequentialPlan, inputs: np.ndarray) -> np.ndarray:
-    """Run the chain on a ``(2**m_in, batch)`` block of input amplitudes.
+def _run_chain(plan: SequentialPlan, amps: np.ndarray | None = None) -> np.ndarray:
+    """Contract the chain, growing the state by one emitted site per step.
 
-    Each column starts as (input) x |0...0> with the ancilla in basis state
-    0; the result holds the final joint states as ``(ancilla, chain, batch)``.
+    The state is indexed ``(sites emitted, rest, ancilla)`` and starts with
+    nothing emitted and the ancilla in basis state 0.  Without ``amps`` the
+    rest holds the open input legs: input step k appends leg k as the last
+    bit of the rest, and the result is the plan's operator, indexed
+    ``(2**n_out, 2**m_in, ancilla)``.  With ``amps`` the rest starts as
+    those input amplitudes and input step k consumes its leading bit; the
+    result is the final joint state, indexed ``(2**n_out, 1, ancilla)``.
+
+    Each step is one ``np.matmul`` with its unitary reordered to put the
+    new site ahead of the new ancilla index, so the ancilla stays last.
+    Steps after the inputs use only the columns that take the chain qubit in
+    |0> and batch over the rest through a transposed view: one product per
+    value of the rest, however many sites have been emitted.  No step
+    copies the state.
     """
-    d_anc, n, m = plan.ancilla_dim, plan.n_out, plan.m_in
-    batch = inputs.shape[1]
-    state = np.zeros((d_anc, 2**m, 2 ** (n - m), batch), dtype=np.complex128)
-    state[0, :, 0, :] = inputs
+    d = plan.ancilla_dim
+    if amps is None:
+        state = np.zeros((1, 1, d), dtype=np.complex128)
+        state[0, 0, 0] = 1.0
+    else:
+        state = np.zeros((amps.size, 1, d), dtype=np.complex128).transpose(1, 0, 2)
+        state[0, :, 0] = amps
     for k, step in enumerate(plan.steps):
-        if k:
-            # step k-1 left (ancilla, site k-1, sites < k-1, site k, rest);
-            # one copy brings site k next to the ancilla and site k-1 home
-            state = state.reshape(d_anc, 2, 2 ** (k - 1), 2, -1).transpose(0, 3, 2, 1, 4)
-        state = step @ state.reshape(2 * d_anc, -1)
-    state = state.reshape(d_anc, 2, 2 ** (n - 1), batch).transpose(0, 2, 1, 3)
-    return state.reshape(d_anc, 2**n, batch)
+        v = step.reshape(d, 2, d, 2)  # (ancilla', site', ancilla, input)
+        emitted, rest = state.shape[:2]
+        if k >= plan.m_in:  # chain qubit in |0>: batch over the rest
+            w = v[..., 0].transpose(2, 1, 0).reshape(d, 2 * d)
+            state = np.matmul(state.transpose(1, 0, 2), w)
+            state = state.reshape(rest, 2 * emitted, d).transpose(1, 0, 2)
+        elif amps is None:  # leave input leg k open, batch over the emitted sites
+            w = v.transpose(1, 2, 3, 0).reshape(2, d, 2 * d)
+            state = np.matmul(state[:, None], w).reshape(2 * emitted, 2 * rest, d)
+        else:  # consume input leg k, the leading bit of the rest
+            w = v.transpose(3, 2, 1, 0).reshape(2, d, 2 * d)
+            state = np.matmul(state.transpose(1, 0, 2).reshape(2, -1, d), w).sum(axis=0)
+            state = state.reshape(rest // 2, 2 * emitted, d).transpose(1, 0, 2)
+    return state
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Squared 2-norm of each ``x[:, r, :]`` of an ``(emitted, rest, ancilla)`` array."""
+    if not x.size:  # einsum would still walk the empty slices one by one
+        return np.zeros(x.shape[1])
+    return np.einsum("era,era->r", x.real, x.real) + np.einsum("era,era->r", x.imag, x.imag)
 
 
 def simulate(
@@ -254,10 +292,11 @@ def simulate(
 ) -> tuple[np.ndarray, float]:
     """Run the sequential factory on an input state of the first m_in qubits.
 
-    The chain starts as (input) x |0...0>, the ancilla in basis state 0.
-    Returns the normalized chain state conditioned on the ancilla having
-    returned to 0, together with the norm of the ancilla components that
-    failed to decouple (below 1e-10 for any plan built here).
+    The chain starts as (input) x |0...0>, the ancilla in basis state 0; the
+    amplitude vector runs through the chain, which grows by one site per
+    step.  Returns the normalized chain state conditioned on the ancilla
+    having returned to 0, together with the norm of the ancilla components
+    that failed to decouple (below 1e-10 for any plan built here).
     """
     amps = np.asarray(input_state, dtype=np.complex128).reshape(-1)
     if amps.size != 2**plan.m_in:
@@ -268,9 +307,9 @@ def simulate(
         raise ContractViolationError("input contains non-finite amplitudes")
     if abs(np.linalg.norm(amps) - 1.0) > STATE_NORM_TOL:
         raise ContractViolationError("input state is not normalized")
-    final = _run_chain(plan, amps[:, None])[..., 0]
-    residual = float(np.linalg.norm(final[1:, :]))
-    block = final[0, :]
+    final = _run_chain(plan, amps)[:, 0, :]
+    residual = float(np.linalg.norm(final[:, 1:]))
+    block = final[:, 0]
     block_norm = float(np.linalg.norm(block))
     if block_norm > 0.0:
         block = block / block_norm
@@ -280,25 +319,29 @@ def simulate(
 def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
     """Compare a plan against its target on every computational basis input.
 
-    All basis inputs run through the chain as one batch.  Linearity makes
-    basis coverage sufficient: the reported ``operator_norm_bound`` scales
-    the worst basis error by ``sqrt(2**m_in)`` to bound the error over all
-    inputs.
+    The chain is contracted once with its input legs left open, into the
+    plan's operator from ``m_in`` input qubits to the chain and the
+    ancilla; its ancilla-0 block is compared with ``u.matrix`` column by
+    column.  Linearity makes basis coverage sufficient: the reported
+    ``operator_norm_bound`` scales the worst basis error by
+    ``sqrt(2**m_in)`` to bound the error over all inputs.
     """
     if plan.n_out != u.n_out or plan.m_in != u.m_in:
         raise ContractViolationError(
             f"plan is {plan.m_in}->{plan.n_out} but operator is "
             f"{u.m_in}->{u.n_out}"
         )
-    batch = 2**u.m_in
-    final = _run_chain(plan, np.eye(batch, dtype=np.complex128))
-    decouple = np.linalg.norm(final[1:].reshape(-1, batch), axis=0)
-    state_err = np.linalg.norm(final[0] - u.matrix, axis=0)
-    max_error = float(np.hypot(state_err, decouple).max())
+    final = _run_chain(plan)
+    np.subtract(final[:, :, 0], u.matrix, out=final[:, :, 0])
+    # per basis input, the squared error of the chain state and the squared
+    # norm of the ancilla components that failed to decouple
+    state_sq = _squared_norms(final[:, :, :1])
+    decouple_sq = _squared_norms(final[:, :, 1:])
+    max_error = math.sqrt(float((state_sq + decouple_sq).max()))
     return PlanVerification(
         max_error=max_error,
-        max_decoupling_residual=float(decouple.max()),
-        operator_norm_bound=max_error * math.sqrt(batch),
+        max_decoupling_residual=math.sqrt(float(decouple_sq.max())),
+        operator_norm_bound=max_error * math.sqrt(2**u.m_in),
     )
 
 

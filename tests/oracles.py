@@ -350,14 +350,42 @@ def svd_loops(m, rank_tol=1e-10):
     return u, s, vd, rank
 
 
+def run_chain_full_state(plan, inputs: np.ndarray) -> np.ndarray:
+    """Run the chain on a ``(2**m_in, batch)`` block of input amplitudes.
+
+    Each column starts as (input) x |0...0> with the ancilla in basis state
+    0; the result holds the final joint states as ``(ancilla, chain, batch)``.
+    Every step acts on the full-size state, with the qubits not yet reached
+    carried as |0>; the reference runner for ``sequencer._run_chain``.
+    """
+    d_anc, n, m = plan.ancilla_dim, plan.n_out, plan.m_in
+    batch = inputs.shape[1]
+    state = np.zeros((d_anc, 2**m, 2 ** (n - m), batch), dtype=np.complex128)
+    state[0, :, 0, :] = inputs
+    for k, step in enumerate(plan.steps):
+        if k:
+            # step k-1 left (ancilla, site k-1, sites < k-1, site k, rest);
+            # one copy brings site k next to the ancilla and site k-1 home
+            state = state.reshape(d_anc, 2, 2 ** (k - 1), 2, -1).transpose(0, 3, 2, 1, 4)
+        state = step @ state.reshape(2 * d_anc, -1)
+    state = state.reshape(d_anc, 2, 2 ** (n - 1), batch).transpose(0, 2, 1, 3)
+    return state.reshape(d_anc, 2**n, batch)
+
+
+def simulate_full_state(plan, amps) -> tuple[np.ndarray, float]:
+    """``sequencer.simulate`` through the reference runner, without its input checks."""
+    final = run_chain_full_state(plan, np.asarray(amps, dtype=complex)[:, None])[..., 0]
+    block = final[0]
+    block_norm = float(np.linalg.norm(block))
+    return (block / block_norm if block_norm > 0.0 else block), float(np.linalg.norm(final[1:]))
+
+
 def verify_plan_loops(plan, u: Isometry) -> tuple[float, float]:
     """``(max_error, max_decoupling_residual)`` of a plan, one basis column at
-    a time: per column, the norm of the ancilla components that failed to
-    decouple, and its hypotenuse with the error of the chain state.  The
-    reference for ``sequencer.verify_plan``."""
-    from seqdecomp.sequencer import _run_chain
-
-    final = _run_chain(plan, np.eye(2**u.m_in, dtype=complex))
+    a time through the reference runner: per column, the norm of the ancilla
+    components that failed to decouple, and its hypotenuse with the error of
+    the chain state.  The reference for ``sequencer.verify_plan``."""
+    final = run_chain_full_state(plan, np.eye(2**u.m_in, dtype=complex))
     max_error = 0.0
     max_decouple = 0.0
     for j in range(2**u.m_in):

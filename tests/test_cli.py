@@ -79,6 +79,15 @@ def test_decompose_cnot_fails_without_file(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_decompose_to_an_unwritable_path_is_a_clear_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "plan.json"
+    code, out, err = run_cli(["decompose", "shor", "-o", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write plan file '{path}': ")
+    assert "FileNotFoundError" not in err
+
+
 def test_simulate_shor_plus(tmp_path, capsys):
     path = tmp_path / "plan.json"
     run_cli(["decompose", "shor", "-o", str(path)], capsys)

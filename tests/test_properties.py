@@ -15,6 +15,7 @@ from seqdecomp import (
     cnot,
     contract_state,
     gauge_check,
+    ghz_isometry,
     gisin_massar_cloner,
     haar_unitary,
     product_unitary,
@@ -26,7 +27,14 @@ from seqdecomp import (
     verify_plan,
 )
 
-from oracles import gauge_inflate, operator_cut_ranks, schmidt_cut_ranks, schmidt_cut_weights
+from oracles import (
+    gauge_inflate,
+    operator_cut_ranks,
+    schmidt_cut_ranks,
+    schmidt_cut_weights,
+    simulate_full_state,
+    verify_plan_loops,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -76,8 +84,9 @@ def test_a_cnot_between_local_layers_is_rejected(n, data, seed):
     seed=SEEDS,
 )
 def test_simulation_matches_the_operator_within_the_verified_bound(kind, size, seed):
-    # simulate runs one column through the chain, verify_plan all basis
-    # columns as one batch; the batch's bound must cover the single column
+    # simulate runs one column through the chain, verify_plan contracts it
+    # with open input legs; the bound over all basis inputs must cover the
+    # single column
     rng = np.random.default_rng(seed)
     if kind == "random":
         u = random_isometry(1, size + 1, seed)
@@ -93,6 +102,41 @@ def test_simulation_matches_the_operator_within_the_verified_bound(kind, size, s
     state, _ = simulate(plan, psi)
     bound = verify_plan(plan, u).operator_norm_bound
     assert np.linalg.norm(state - u.matrix @ psi) <= bound + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["isometry", "product", "shor", "ghz", "cloner"]),
+    data=st.data(),
+    seed=SEEDS,
+)
+def test_the_growing_chain_agrees_with_the_full_state_reference(kind, data, seed):
+    # verify_plan contracts the chain with open input legs and simulate pushes
+    # one amplitude vector through it; the reference runs every step on the
+    # full-size state, one identity column per basis input
+    rng = np.random.default_rng(seed)
+    if kind == "isometry":
+        u = random_isometry(1, data.draw(st.integers(1, 8), label="n"), seed)
+    elif kind == "product":
+        n = data.draw(st.integers(1, 6), label="factors")
+        u = product_unitary([haar_unitary(2, rng) for _ in range(n)])
+    elif kind == "shor":
+        u = shor_encoder()
+    elif kind == "ghz":
+        u = ghz_isometry(data.draw(st.integers(2, 8), label="n"))
+    else:
+        u = gisin_massar_cloner(data.draw(st.integers(2, 4), label="n"))
+    plan = build_plan(u)
+    verification = verify_plan(plan, u)
+    max_error, max_decouple = verify_plan_loops(plan, u)
+    assert abs(verification.max_error - max_error) <= 1e-14
+    assert abs(verification.max_decoupling_residual - max_decouple) <= 1e-14
+    z = rng.standard_normal(2**u.m_in) + 1j * rng.standard_normal(2**u.m_in)
+    psi = z / np.linalg.norm(z)
+    state, residual = simulate(plan, psi)
+    want_state, want_residual = simulate_full_state(plan, psi)
+    assert np.max(np.abs(state - want_state)) <= 1e-14
+    assert abs(residual - want_residual) <= 1e-14
 
 
 def _state_on_sites(dims, max_bond, rng):

@@ -213,20 +213,50 @@ def test_verify_identity_plan_is_exact():
     assert verify_plan(build_plan(u), u).max_error == 0.0
 
 
-def test_verify_runs_all_basis_inputs_as_one_batch(monkeypatch):
+def test_verify_contracts_the_chain_once_with_open_input_legs(monkeypatch):
     rng = np.random.default_rng(18)
     u = product_unitary([haar_unitary(2, rng) for _ in range(3)])
     plan = build_plan(u)
     run_chain = sequencer._run_chain
     calls = []
 
-    def counted(plan, inputs):
-        calls.append(inputs.shape)
-        return run_chain(plan, inputs)
+    def counted(plan, amps=None):
+        final = run_chain(plan, amps)
+        calls.append((amps, final.shape))
+        return final
 
     monkeypatch.setattr(sequencer, "_run_chain", counted)
     assert verify_plan(plan, u).max_error < 1e-12
-    assert calls == [(8, 8)]
+    # one call, no input block: the operator (chain, input legs, ancilla)
+    assert calls == [(None, (8, 8, 1))]
+
+
+def test_verify_keeps_the_open_input_legs_in_order():
+    # distinct Haar factors on sites 1 and 3: the plan passes, and exchanging
+    # its first and last steps, which exchanges those factors, must fail
+    rng = np.random.default_rng(33)
+    u = product_unitary([haar_unitary(2, rng) for _ in range(3)])
+    plan = build_plan(u)
+    assert verify_plan(plan, u).max_error <= 1e-14
+    steps = (plan.steps[2], plan.steps[1], plan.steps[0])
+    swapped = SequentialPlan(plan.ancilla_dim, plan.m_in, steps, plan.bond_dims)
+    max_error = verify_plan(swapped, u).max_error
+    assert max_error >= 0.5
+    assert max_error == pytest.approx(verify_plan_loops(swapped, u)[0], abs=1e-14)
+
+
+def test_verify_detects_a_corrupted_middle_step_of_a_one_to_n_plan():
+    u = random_isometry(1, 6, seed=12)
+    plan = build_plan(u)
+    assert verify_plan(plan, u).max_error <= 1e-14
+    steps = list(plan.steps)
+    steps[3] = haar_unitary(len(steps[3]), np.random.default_rng(12))
+    corrupted = SequentialPlan(plan.ancilla_dim, plan.m_in, tuple(steps), plan.bond_dims)
+    verification = verify_plan(corrupted, u)
+    assert verification.max_error >= 0.5
+    max_error, max_decouple = verify_plan_loops(corrupted, u)
+    assert verification.max_error == pytest.approx(max_error, abs=1e-14)
+    assert verification.max_decoupling_residual == pytest.approx(max_decouple, abs=1e-14)
 
 
 def planned(u):
