@@ -14,7 +14,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
-    SvdResult,
     complete_to_unitary,
     dagger,
     reduced_density_matrix,
@@ -75,7 +74,6 @@ __all__ = [
     "PlanVerification",
     "SequentialPlan",
     "SequentialityReport",
-    "SvdResult",
     "build_plan",
     "canonicalize",
     "check_canonical",

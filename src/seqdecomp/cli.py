@@ -132,6 +132,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if args.output and not Path(args.output).parent.is_dir():
+        raise ContractViolationError(f"cannot write plan file '{args.output}': no such directory")
     u = load_operator(args.operator, args.factors)
     try:
         plan = build_plan(u, tol=args.crit_tol, rank_tol=args.rank_tol)
@@ -142,7 +144,7 @@ def _cmd_decompose(args) -> int:
         return 1
     verification = verify_plan(plan, u)
     if args.output:
-        text = formats.dumps(formats.plan_to_doc(plan, plan.report, verification))
+        text = formats.dumps(formats.plan_to_doc(plan, verification))
         try:
             Path(args.output).write_text(text + "\n", encoding="utf-8")
         except OSError as exc:

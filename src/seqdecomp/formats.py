@@ -135,11 +135,10 @@ def report_to_doc(report: SequentialityReport) -> dict:
     }
 
 
-def plan_to_doc(
-    plan: SequentialPlan,
-    report: SequentialityReport,
-    verification: PlanVerification,
-) -> dict:
+def plan_to_doc(plan: SequentialPlan, verification: PlanVerification) -> dict:
+    report = plan.report
+    if report is None:
+        raise ContractViolationError("plan carries no criterion report to write")
     return {
         "ancilla_dim": plan.ancilla_dim,
         "m_in": plan.m_in,

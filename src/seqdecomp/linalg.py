@@ -8,7 +8,6 @@ bit of a basis-state index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,53 +39,38 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin factorization ``m = u @ diag(s) @ v_dagger`` with a fixed phase gauge."""
-
-    u: np.ndarray
-    s: np.ndarray
-    v_dagger: np.ndarray
-    numerical_rank: int
-
-    def __post_init__(self):
-        for a in (self.u, self.s, self.v_dagger):
-            a.setflags(write=False)
-
-    def truncated(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The factors restricted to the numerically nonzero singular values."""
-        r = self.numerical_rank
-        return self.u[:, :r], self.s[:r], self.v_dagger[:r, :]
+#: Relative band within which a row's entries tie for its largest modulus, so
+#: that rounding cannot choose between ``|u00| == |u11|`` of a 2x2 unitary.
+_LEAD_TIE = 1e-10
 
 
-def svd(m, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
-    """Thin SVD with deterministic phases and a relative numerical rank.
+def svd(m, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors, with one phase per row.
 
-    Each left singular vector is rephased so that its first entry of
-    largest modulus is real and positive; the matching right vector absorbs
-    the conjugate phase, leaving the product unchanged.  This removes the
-    phase ambiguity of the factorization so that repeated runs produce
-    identical factors.  ``numerical_rank`` counts singular values above
-    ``rank_tol * s[0]``.
+    Returns ``(s, v_dagger)`` for the singular values above
+    ``rank_tol * s[0]`` only (none for a zero matrix).  Each row of
+    ``v_dagger`` is multiplied by the conjugate phase of its lead entry,
+    the first whose modulus is within a relative :data:`_LEAD_TIE` of the
+    row's largest, so that the lead entry is real positive.  The rows then
+    depend on ``m`` only through ``m† m``: any factor with the same Gram
+    matrix, such as :func:`r_factor`, gives the same result up to rounding,
+    as long as the kept singular values are distinct.
     """
     a = as_matrix(m)
     if rank_tol < 0:
         raise ContractViolationError("rank_tol must be nonnegative")
     try:
-        u, s, vd = np.linalg.svd(a, full_matrices=False)
+        _, s, vd = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"SVD failed to converge for shape {a.shape}") from exc
-    lead = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
+    rank = int(np.count_nonzero(s > rank_tol * s[0]))
+    vd = vd[:rank]
+    modulus = np.abs(vd)
+    tied = modulus >= (1.0 - _LEAD_TIE) * modulus.max(axis=1, keepdims=True)
+    lead = vd[np.arange(rank), tied.argmax(axis=1)]
     # hypot, as the scalar abs() computes it; np.abs may differ in the last bit
-    modulus = np.hypot(lead.real, lead.imag)
-    if np.count_nonzero(modulus) == modulus.size:
-        phase = lead / modulus
-    else:  # a zero column keeps phase 1
-        phase = np.divide(lead, modulus, out=np.ones_like(lead), where=modulus > 0.0)
-    u /= phase
-    vd *= phase[:, None]
-    rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
-    return SvdResult(u, s, vd, rank)
+    phase = np.conj(lead) / np.hypot(lead.real, lead.imag)
+    return s[:rank], vd * phase[:, None]
 
 
 #: Rows per block in the first QR pass of :func:`r_factor`.
@@ -106,6 +90,10 @@ def r_factor(a: np.ndarray) -> np.ndarray:
     stacked QR over its row blocks of :data:`_QR_ROWS` rows, then one more
     over their R's and the leftover rows, so that the block is read once
     (tall-skinny QR).  Any other block is returned unchanged.
+
+    R has the block's Gram matrix ``a† a`` and :func:`svd` phases each row
+    of ``v†`` by that row alone, so the canonical tensors do not depend on
+    this factoring, bar the unitary gauge of a degenerate singular value.
     """
     rows, cols = a.shape
     # a QR pays off only on a tall block: 1024x512 gains, 1024x1024 loses

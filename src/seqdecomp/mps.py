@@ -35,11 +35,15 @@ peeled.  Each cut is factored through its R factor
 (:func:`~seqdecomp.linalg.r_factor`), which has the singular values and
 right singular vectors of the block; the carry to the next cut is the
 block times the kept right vectors, so the left singular vectors of a tall
-block are never formed.  Site 1 is the normalized rest; its norm becomes
-``norm``.  A chain is peeled once from its other end and then peeled the
-same way.  Singular values below ``rank_tol`` times the largest are dropped
-at each cut of each peel; the peel is the only place where a bond is
-truncated.
+block are never formed.  Each row of a canonical tensor is rephased so
+that its lead entry, the first within a relative 1e-10 of the row's
+largest modulus, is real positive; the tensors therefore do not depend on
+how a cut is factored.  A degenerate Schmidt spectrum leaves a unitary
+gauge on the rows of a repeated coefficient that no phase rule fixes.
+Site 1 is the normalized rest; its norm becomes ``norm``.  A chain is
+peeled once from its other end and then peeled the same way.  Singular
+values below ``rank_tol`` times the largest are dropped at each cut of
+each peel; the peel is the only place where a bond is truncated.
 
 Operators are handled by fusing the input leg with the output leg at each
 of the first ``m_in`` sites (fused index = 2 * output + input) and
@@ -54,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, NumericFailureError
 from .linalg import DEFAULT_RANK_TOL, dagger, r_factor, regroup, svd
 from .oplib import Isometry
 
@@ -229,7 +233,7 @@ def _right_sweep(n: int, block, carry: np.ndarray, rank_tol: float):
         b = block(m, carry)
         lft, d, rgt = b.shape
         a = b.reshape(lft, d * rgt)
-        _, s, vd = svd(r_factor(a), rank_tol).truncated()
+        s, vd = svd(r_factor(a), rank_tol)
         if s.size == 0:
             raise ContractViolationError("chain contracts to the zero vector")
         out[m] = vd.reshape(s.size, d, rgt)
@@ -424,8 +428,11 @@ def gauge_check(
         ta, tb = a.tensors[m], b.tensors[m]
         target = np.einsum("iab,bc->iac", tb, v_left)
         cross = np.einsum("iac,ibc->ab", target, np.conj(ta))
-        res = svd(cross)
-        v_m = res.u @ res.v_dagger  # polar factor: closest unitary
+        try:
+            w, _, vd = np.linalg.svd(cross)
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailureError(f"SVD failed to converge for shape {cross.shape}") from exc
+        v_m = w @ vd  # polar factor: closest unitary
         lam = lam_chain[m]
         worst = max(
             worst, float(np.linalg.norm(v_m * lam[None, :] - lam[:, None] * v_m, 2))

@@ -60,14 +60,16 @@ class Isometry:
         return self.m_in == self.n_out
 
 
-def _require_dense_fits(name: str, m_in: int, n_out: int) -> None:
-    """Refuse an operator whose dense matrix, ``16 * 2**(n_out + m_in)``
-    bytes, exceeds the machine's physical memory, before allocating it."""
-    need = 16 * 2 ** (n_out + m_in)
+def _require_dense_fits(name: str, m_in: int, n_out: int, copies: int = 1) -> None:
+    """Refuse work on ``copies`` dense ``m_in -> n_out`` matrices of
+    ``16 * 2**(n_out + m_in)`` bytes each when they exceed the machine's
+    physical memory, before allocating them."""
+    need = copies * 16 * 2 ** (n_out + m_in)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
+        times = f" x {copies}" if copies > 1 else ""
         raise ContractViolationError(
-            f"{name}: the dense {m_in} -> {n_out} matrix needs {need} bytes, "
+            f"{name}: the dense {m_in} -> {n_out} matrix{times} needs {need} bytes, "
             f"more than the {have} bytes of physical memory"
         )
 

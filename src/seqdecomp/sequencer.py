@@ -49,7 +49,7 @@ from .linalg import (
     isometry_residual,
 )
 from .mps import Mps, STATE_NORM_TOL, operator_to_mps
-from .oplib import Isometry
+from .oplib import Isometry, _require_dense_fits
 
 #: Residual above which the sequentiality criterion counts as violated.
 #: Genuine failures (entangling square unitaries) sit at order 1.
@@ -324,13 +324,16 @@ def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
     ancilla; its ancilla-0 block is compared with ``u.matrix`` column by
     column.  Linearity makes basis coverage sufficient: the reported
     ``operator_norm_bound`` scales the worst basis error by
-    ``sqrt(2**m_in)`` to bound the error over all inputs.
+    ``sqrt(2**m_in)`` to bound the error over all inputs.  A contraction
+    that would not fit in physical memory is refused before it starts.
     """
     if plan.n_out != u.n_out or plan.m_in != u.m_in:
         raise ContractViolationError(
             f"plan is {plan.m_in}->{plan.n_out} but operator is "
             f"{u.m_in}->{u.n_out}"
         )
+    # the target, and the last step's input and output: 1 + 1.5 D matrices
+    _require_dense_fits("plan verification", u.m_in, u.n_out, (3 * plan.ancilla_dim + 3) // 2)
     final = _run_chain(plan)
     np.subtract(final[:, :, 0], u.matrix, out=final[:, :, 0])
     # per basis input, the squared error of the chain state and the squared

@@ -331,23 +331,27 @@ def complete_to_unitary_loops(cols) -> np.ndarray:
 
 
 def svd_loops(m, rank_tol=1e-10):
-    """Thin SVD rephased column by column, as ``(u, s, vd, numerical_rank)``.
+    """Truncated SVD rephased row by row, as ``(s, vd)``.
 
-    Each left singular vector is divided by the phase of its first entry of
-    largest modulus, and the matching row of ``vd`` multiplied by it; a zero
-    column keeps its phase.  The reference for ``linalg.svd``.
+    Only the singular values above ``rank_tol * s[0]`` are kept.  Each kept
+    row of ``vd`` is multiplied by the conjugate phase of its lead entry:
+    the first whose modulus is within a relative 1e-10 of the row's
+    largest.  The reference for ``linalg.svd``.
     """
     a = as_matrix(m)
-    u, s, vd = np.linalg.svd(a, full_matrices=False)
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        lead = col[int(np.argmax(np.abs(col)))]
-        if abs(lead) > 0.0:
-            phase = lead / abs(lead)
-            u[:, k] = col / phase
-            vd[k, :] *= phase
-    rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
-    return u, s, vd, rank
+    _, s, vd = np.linalg.svd(a, full_matrices=False)
+    rank = 0
+    while rank < s.size and s[rank] > rank_tol * s[0]:
+        rank += 1
+    rows = []
+    for row in vd[:rank]:
+        modulus = np.abs(row)
+        k = 0
+        while modulus[k] < (1.0 - 1e-10) * modulus.max():
+            k += 1
+        lead = row[k]
+        rows.append(row * (lead.conjugate() / abs(lead)))
+    return s[:rank], np.array(rows, dtype=np.complex128).reshape(rank, vd.shape[1])
 
 
 def run_chain_full_state(plan, inputs: np.ndarray) -> np.ndarray:

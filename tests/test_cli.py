@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from seqdecomp import (
+    ContractViolationError,
     build_plan,
     ghz_state,
     haar_unitary,
@@ -86,6 +88,33 @@ def test_decompose_to_an_unwritable_path_is_a_clear_usage_error(tmp_path, capsys
     assert out == ""
     assert err.startswith(f"error: cannot write plan file '{path}': ")
     assert "FileNotFoundError" not in err
+
+
+def test_decompose_into_a_missing_directory_exits_2_before_the_pipeline(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(cli, "build_plan", lambda *args, **kwargs: calls.append(args))
+    path = tmp_path / "missing" / "plan.json"
+    code, out, err = run_cli(["decompose", "cloner:8", "-o", str(path)], capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith(f"error: cannot write plan file '{path}': ")
+    assert not path.parent.exists()
+
+
+def test_decompose_refuses_a_verification_larger_than_memory(tmp_path, capsys, monkeypatch):
+    # ghz:4 is 512 bytes, within the builtin's guard; verifying its ancilla-2
+    # plan holds the target and the last step's input and output, 4 x 512
+    memory = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    path = tmp_path / "plan.json"
+    code, out, err = run_cli(["decompose", "ghz:4", "-o", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: plan verification: the dense 1 -> 4 matrix x 4 needs 2048 bytes, "
+        "more than the 1024 bytes of physical memory\n"
+    )
+    assert not path.exists()
 
 
 def test_simulate_shor_plus(tmp_path, capsys):
@@ -395,13 +424,17 @@ def test_plan_file_round_trip_is_bitwise(tmp_path):
     plan = build_plan(u)
     from seqdecomp import sequentiality_test, verify_plan
 
-    doc = formats.plan_to_doc(plan, sequentiality_test(u), verify_plan(plan, u))
+    doc = formats.plan_to_doc(plan, verify_plan(plan, u))
+    assert doc["report"]["residuals"] == list(sequentiality_test(u).per_site_residuals)
     text = formats.dumps(doc)
     back = formats.doc_to_plan(json.loads(text))
     assert back.ancilla_dim == plan.ancilla_dim
     assert back.bond_dims == plan.bond_dims
     for a, b in zip(back.steps, plan.steps):
         assert np.array_equal(a, b)
+    # a plan read back carries no report, so it cannot be written again
+    with pytest.raises(ContractViolationError, match="no criterion report"):
+        formats.plan_to_doc(back, verify_plan(back, u))
 
 
 @pytest.mark.parametrize(

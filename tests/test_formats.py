@@ -108,7 +108,7 @@ def test_dumps_calls_the_public_name_once(monkeypatch):
     # a tracer wraps formats.dumps by name; the recursion must not go through it
     u = shor_encoder()
     plan = build_plan(u)
-    doc = formats.plan_to_doc(plan, plan.report, verify_plan(plan, u))
+    doc = formats.plan_to_doc(plan, verify_plan(plan, u))
     calls = []
     public = formats.dumps
 

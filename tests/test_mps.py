@@ -6,10 +6,12 @@ from functools import reduce
 import numpy as np
 import pytest
 
+import seqdecomp
 from seqdecomp import (
     ContractViolationError,
     Isometry,
     Mps,
+    build_plan,
     canonicalize,
     check_canonical,
     cnot,
@@ -18,13 +20,16 @@ from seqdecomp import (
     gauge_check,
     ghz_isometry,
     ghz_state,
+    gisin_massar_cloner,
     haar_unitary,
     operator_to_mps,
     product_unitary,
     random_isometry,
+    sequentiality_test,
     shor_encoder,
     state_to_mps,
 )
+from seqdecomp import cli, formats, linalg, oplib, sequencer
 from seqdecomp import mps as mps_module
 
 from oracles import (
@@ -190,6 +195,54 @@ def test_the_first_cut_of_a_product_is_factored_through_its_r(monkeypatch):
     monkeypatch.setattr(mps_module, "svd", recorded)
     operator_to_mps(haar_product(10, seed=1)[0])
     assert shapes[0] == (4, 4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: random_isometry(1, 10, 3),
+        lambda: random_isometry(3, 8, 2),
+        lambda: random_isometry(2, 9, 4),
+        lambda: random_isometry(5, 10, 1),
+        shor_encoder,
+        lambda: gisin_massar_cloner(6),
+        # the fused row of a 2x2 factor has |u00| = |u11|: guards the tie band
+        lambda: haar_product(10, seed=1)[0],
+    ],
+    ids=["random:1,10,3", "random:3,8,2", "random:2,9,4", "random:5,10,1", "shor", "cloner:6",
+         "product:10"],
+)
+def test_canonical_tensors_do_not_depend_on_how_a_cut_is_factored(build, monkeypatch):
+    u = build()
+    factored, _ = operator_to_mps(u)
+    monkeypatch.setattr(mps_module, "r_factor", lambda a: a)
+    whole, _ = operator_to_mps(u)
+    assert factored.bond_dims == whole.bond_dims
+    for a, b in zip(factored.tensors, whole.tensors):
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_svd_is_public_and_called_once_per_cut(monkeypatch):
+    # a tracer wraps the names in __all__ wherever a package module binds
+    # them, so every SVD of the peel must go through such a binding
+    svd = linalg.svd
+    assert "svd" in seqdecomp.__all__ and seqdecomp.svd is svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    for module in (seqdecomp, cli, formats, linalg, mps_module, oplib, sequencer):
+        for name, value in list(vars(module).items()):
+            if value is svd:
+                monkeypatch.setattr(module, name, counted)
+    u = shor_encoder()
+    build_plan(u)
+    assert len(calls) == u.n_out - 1
+    calls.clear()
+    sequentiality_test(u)
+    assert len(calls) == u.n_out - 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the sequentiality criterion, plan synthesis, and simulation."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -229,6 +230,26 @@ def test_verify_contracts_the_chain_once_with_open_input_legs(monkeypatch):
     assert verify_plan(plan, u).max_error < 1e-12
     # one call, no input block: the operator (chain, input legs, ancilla)
     assert calls == [(None, (8, 8, 1))]
+
+
+@pytest.mark.parametrize("memory, refused", [(3071, True), (3072, False)])
+def test_verify_refuses_a_working_set_larger_than_memory(memory, refused, monkeypatch):
+    # a 3 -> 3 matrix is 1024 bytes; at ancilla 1 verification holds the
+    # target and the last step's input and output, rounded up to 3 matrices
+    rng = np.random.default_rng(19)
+    u = product_unitary([haar_unitary(2, rng) for _ in range(3)])
+    plan = build_plan(u)
+    calls = []
+    run_chain = sequencer._run_chain
+    monkeypatch.setattr(sequencer, "_run_chain", lambda *a: calls.append(a) or run_chain(*a))
+    sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+    if refused:
+        with pytest.raises(ContractViolationError, match="needs 3072 bytes"):
+            verify_plan(plan, u)
+        assert calls == []
+    else:
+        assert verify_plan(plan, u).max_error < 1e-12
 
 
 def test_verify_keeps_the_open_input_legs_in_order():
