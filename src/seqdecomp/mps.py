@@ -60,10 +60,16 @@ import numpy as np
 
 from .errors import ContractViolationError, NumericFailureError
 from .linalg import DEFAULT_RANK_TOL, dagger, r_factor, regroup, svd
-from .oplib import Isometry
+from .oplib import Isometry, _require_dense_fits
 
 #: 2-norm slack allowed on states that are required to be normalized.
 STATE_NORM_TOL = 1e-10
+
+#: Dense matrices' worth of memory that :func:`operator_to_mps` holds at
+#: its peak: the operator itself plus the peel's working copies, which
+#: ``tracemalloc`` measured at up to 6.7 times the matrix on Haar isometries
+#: of 14 to 18 qubits in all (3.0 on ``ghz:16`` and ``cloner:7``).
+_PEEL_COPIES = 8
 
 
 def _validate_chain(tensors) -> tuple[np.ndarray, ...]:
@@ -312,8 +318,11 @@ def operator_to_mps(
     (fused index = 2 * output + input); the remaining sites carry output
     legs only.  The contraction of the result reproduces the operator
     entrywise.  Like :func:`state_to_mps`, it makes one SVD per interior cut.
+    An operator whose peel would not fit in physical memory is refused
+    before anything is allocated.
     """
     n, m = u.n_out, u.m_in
+    _require_dense_fits("canonicalization", m, n, _PEEL_COPIES)
     # matrix legs (i_1 .. i_n, j_1 .. j_m) -> (i_1 j_1, .., i_m j_m, i_{m+1} ..)
     perm = []
     for k in range(m):

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import ISOMETRY_TOL, as_matrix, isometry_residual
+from .linalg import ISOMETRY_TOL, as_matrix, dagger, isometry_residual
 
 _MAX_QUBITS = 10
 
@@ -27,7 +27,11 @@ class Isometry:
 
     ``matrix`` has shape ``(2**n_out, 2**m_in)`` and satisfies
     ``matrix† @ matrix = identity`` within :data:`ISOMETRY_TOL`; for
-    ``m_in == n_out`` it is unitary.
+    ``m_in == n_out`` it is unitary.  It is stored as a read-only
+    ``complex128`` copy.  Constructing an ``Isometry`` checks the matrix
+    densely, through its Gram matrix; so do operator files and the
+    ``cnot``, ``ghz``, ``shor``, ``cloner`` and ``random`` builtins.
+    :func:`product_unitary` decides the same residual from its 2x2 factors.
     """
 
     m_in: int
@@ -47,13 +51,30 @@ class Isometry:
                 f"{self.m_in} -> {self.n_out} qubits"
             )
         residual = isometry_residual(a, ISOMETRY_TOL)
+        self._seal(a.copy(), residual)
+
+    @classmethod
+    def _from_residual(cls, n: int, matrix: np.ndarray, residual: float) -> Isometry:
+        """An ``n``-qubit unitary whose Gram residual is already known.
+
+        ``matrix`` must be a fresh, finite ``complex128`` array of shape
+        ``(2**n, 2**n)`` that nothing else holds; it is frozen in place.
+        """
+        iso = object.__new__(cls)
+        object.__setattr__(iso, "m_in", n)
+        object.__setattr__(iso, "n_out", n)
+        iso._seal(matrix, residual)
+        return iso
+
+    def _seal(self, matrix: np.ndarray, residual: float) -> None:
+        """Refuse a Gram residual above :data:`ISOMETRY_TOL`, else store
+        ``matrix`` (an owned ``complex128`` array) read-only."""
         if residual > ISOMETRY_TOL:
             raise ContractViolationError(
                 f"matrix is not an isometry: residual {residual:.3e}"
             )
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "matrix", a)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def is_unitary(self) -> bool:
@@ -171,22 +192,31 @@ def gisin_massar_cloner(n_clones: int) -> Isometry:
 
 
 def product_unitary(factors: Sequence[np.ndarray]) -> Isometry:
-    """Tensor product of single-qubit unitaries, in site order."""
+    """Tensor product of single-qubit unitaries, in site order.
+
+    The product's Gram matrix is the Kronecker product of its factors' Gram
+    matrices, so its eigenvalues are products of one eigenvalue of each
+    factor's.  The spectral residual ``||U† U - I||`` is therefore
+    ``max(prod(hi) - 1, 1 - prod(lo))`` over the extreme eigenvalues of the
+    2x2 factor Grams, decided without forming ``U† U``.
+    """
     factors = list(factors)
     if not factors:
         raise ContractViolationError("need at least one factor")
     if len(factors) > _MAX_QUBITS:
         raise ContractViolationError(f"at most {_MAX_QUBITS} factors supported")
     total = np.eye(1, dtype=np.complex128)
+    low = high = 1.0
     for k, f in enumerate(factors):
         a = as_matrix(f, f"factor {k}")
         if a.shape != (2, 2):
             raise ContractViolationError(f"factor {k} is not 2x2: shape {a.shape}")
-        if isometry_residual(a, ISOMETRY_TOL) > ISOMETRY_TOL:
+        lo, hi = np.linalg.eigvalsh(dagger(a) @ a)
+        if max(hi - 1.0, 1.0 - lo) > ISOMETRY_TOL:
             raise ContractViolationError(f"factor {k} is not unitary")
+        low, high = low * lo, high * hi
         total = np.kron(total, a)
-    n = len(factors)
-    return Isometry(n, n, total)
+    return Isometry._from_residual(len(factors), total, max(high - 1.0, 1.0 - low))
 
 
 #: Gaussian draws per block in :func:`_gaussian_columns`.

@@ -293,6 +293,28 @@ def haar_columns_full(dim, cols, rng) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
+def product_kron_dense(factors) -> tuple[np.ndarray, float]:
+    """The Kronecker product of 2x2 unitaries and its dense Gram residual.
+
+    Each factor's own Gram residual is refused above ``ISOMETRY_TOL``, as
+    "factor k is not unitary".  The product is the ``np.kron`` chain in
+    site order, returned with the spectral norm of its full ``2**N x 2**N``
+    Gram residual ``U† U - I``, the largest modulus of an eigenvalue of that
+    Hermitian matrix: the value that ``isometry_residual`` reports whenever
+    it refuses, so that ``> ISOMETRY_TOL`` is its verdict.
+    """
+    total = np.eye(1, dtype=np.complex128)
+    for k, f in enumerate(factors):
+        a = as_matrix(f, f"factor {k}")
+        if a.shape != (2, 2):
+            raise ContractViolationError(f"factor {k} is not 2x2: shape {a.shape}")
+        if isometry_residual(a, ISOMETRY_TOL) > ISOMETRY_TOL:
+            raise ContractViolationError(f"factor {k} is not unitary")
+        total = np.kron(total, a)
+    gram = dagger(total) @ total - np.eye(total.shape[1])
+    return total, float(np.abs(np.linalg.eigvalsh(gram)).max())
+
+
 def complete_to_unitary_loops(cols) -> np.ndarray:
     """Unitary completion by Gram–Schmidt over the standard basis.
 

@@ -13,6 +13,7 @@ import pytest
 from seqdecomp import (
     ContractViolationError,
     build_plan,
+    ghz_isometry,
     ghz_state,
     haar_unitary,
     operator_schmidt_ranks,
@@ -20,6 +21,7 @@ from seqdecomp import (
     shor_encoder,
 )
 from seqdecomp import cli, formats, sequencer
+from seqdecomp import mps as mps_module
 from seqdecomp.cli import main
 
 from oracles import complete_to_unitary_loops, operator_cut_ranks
@@ -102,19 +104,60 @@ def test_decompose_into_a_missing_directory_exits_2_before_the_pipeline(
     assert not path.parent.exists()
 
 
+def test_decompose_product_refuses_factors_whose_slack_compounds(tmp_path, capsys):
+    # each factor's Gram is (1 + 2e-11)^2 I, inside its own 1e-10 check; the
+    # product's is (1 + 2e-11)^20 I, a residual of 4e-10
+    rng = np.random.default_rng(12)
+    factors = tmp_path / "factors.json"
+    factors.write_text(formats.dumps([(1.0 + 2e-11) * haar_unitary(2, rng) for _ in range(10)]))
+    code, out, err = run_cli(["decompose", "product", "--factors", str(factors)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: matrix is not an isometry: residual 4.000e-10\n"
+
+
 def test_decompose_refuses_a_verification_larger_than_memory(tmp_path, capsys, monkeypatch):
-    # ghz:4 is 512 bytes, within the builtin's guard; verifying its ancilla-2
-    # plan holds the target and the last step's input and output, 4 x 512
-    memory = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 1}
+    # cloner:3 is 1024 bytes, within the builtin's guard and canonicalization's
+    # 8 matrices; verifying its ancilla-6 plan holds the target and the last
+    # step's input and output, 10 x 1024
+    memory = {"SC_PHYS_PAGES": 8192, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     path = tmp_path / "plan.json"
-    code, out, err = run_cli(["decompose", "ghz:4", "-o", str(path)], capsys)
+    code, out, err = run_cli(["decompose", "cloner:3", "-o", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err == (
-        "error: plan verification: the dense 1 -> 4 matrix x 4 needs 2048 bytes, "
-        "more than the 1024 bytes of physical memory\n"
+        "error: plan verification: the dense 1 -> 5 matrix x 10 needs 10240 bytes, "
+        "more than the 8192 bytes of physical memory\n"
     )
     assert not path.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "decompose", "info"])
+@pytest.mark.parametrize("operator", ["ghz:4", "file", "product"])
+def test_canonicalization_larger_than_memory_exits_2_before_the_peel(
+    command, operator, tmp_path, capsys, monkeypatch
+):
+    # each operator is 1 -> 4 (512 bytes) or 4 -> 4 (4096 bytes) and fits in
+    # memory itself; its peel, 8 matrices, does not
+    rng = np.random.default_rng(17)
+    factors = tmp_path / "factors.json"
+    factors.write_text(formats.dumps([haar_unitary(2, rng) for _ in range(4)]))
+    if operator == "file":
+        operator = str(tmp_path / "ghz.json")
+        (tmp_path / "ghz.json").write_text(
+            formats.dumps({"m_qubits": 1, "n_qubits": 4, "matrix": ghz_isometry(4).matrix})
+        )
+    (m, n) = (4, 4) if operator == "product" else (1, 4)
+    need = 8 * 16 * 2 ** (m + n)
+    peels = []
+    monkeypatch.setattr(mps_module, "_dense_sweep", lambda *args: peels.append(args))
+    memory = {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    code, out, err = run_cli([command, operator, "--factors", str(factors)], capsys)
+    assert (code, out, peels) == (2, "", [])
+    assert err == (
+        f"error: canonicalization: the dense {m} -> {n} matrix x 8 needs {need} bytes, "
+        f"more than the {need - 1} bytes of physical memory\n"
+    )
 
 
 def test_simulate_shor_plus(tmp_path, capsys):

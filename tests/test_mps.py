@@ -1,6 +1,7 @@
 """Tests for matrix-product forms, canonicalization, and gauge checks."""
 
 import math
+import os
 from functools import reduce
 
 import numpy as np
@@ -161,6 +162,21 @@ def assert_cuts_match_the_oracle(result, psi, dims):
     assert mps.bond_dims[1:-1] == schmidt_cut_ranks(psi, dims)
     for got, want in zip(weights.lambdas, schmidt_cut_weights(psi, dims)):
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("memory, refused", [(16383, True), (16384, False)])
+def test_operator_to_mps_refuses_a_peel_larger_than_memory(memory, refused, monkeypatch):
+    # cloner:4 is 1 -> 7, 4096 bytes; the peel counts it and its working
+    # copies as 8 matrices, 32768 bytes at 2 bytes a page
+    u = gisin_massar_cloner(4)
+    sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 2}
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+    if refused:
+        with pytest.raises(ContractViolationError, match="canonicalization: .* x 8 needs 32768 bytes"):
+            operator_to_mps(u)
+    else:
+        op, _ = operator_to_mps(u)
+        assert np.allclose(contract_operator(op), u.matrix, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 9])

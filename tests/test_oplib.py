@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqdecomp import (
     ContractViolationError,
@@ -23,9 +25,15 @@ from seqdecomp import (
     shor_encoder,
     state_to_mps,
 )
+from seqdecomp import oplib
 from seqdecomp.oplib import ISOMETRY_TOL
 
-from oracles import haar_columns_full, reduced_rho_loops, schmidt_cut_ranks
+from oracles import (
+    haar_columns_full,
+    product_kron_dense,
+    reduced_rho_loops,
+    schmidt_cut_ranks,
+)
 
 
 def isometry_residual(u):
@@ -196,3 +204,78 @@ def test_product_unitary():
     assert operator_schmidt_ranks(u) == (1, 1)
     with pytest.raises(ContractViolationError, match="unitary"):
         product_unitary([np.array([[1, 1], [0, 1]], dtype=complex)])
+
+
+#: Distance from ISOMETRY_TOL within which rounding may decide a verdict.
+VERDICT_BAND = 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    deltas=st.lists(st.floats(-5e-11, 5e-11), min_size=1, max_size=10),
+)
+@example(seed=1, deltas=[2e-11] * 10)
+@example(seed=2, deltas=[-2e-11] * 10)
+def test_product_residual_matches_the_dense_gram(seed, deltas):
+    # Haar factors scaled by (1 + delta_k): each passes or fails its own check
+    # near the tolerance, and their product's residual straddles it
+    rng = np.random.default_rng(seed)
+    factors = [(1.0 + d) * haar_unitary(2, rng) for d in deltas]
+    seen = []
+    seal = Isometry._seal
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Isometry, "_seal", lambda self, m, r: seen.append(r) or seal(self, m, r))
+        try:
+            u, error = product_unitary(factors), None
+        except ContractViolationError as exc:
+            u, error = None, str(exc)
+    # a factor whose own residual is this close to the tolerance may go either way
+    rounding_decides = any(
+        abs(np.linalg.norm(dagger(f) @ f - np.eye(2), 2) - ISOMETRY_TOL) <= VERDICT_BAND
+        for f in factors
+    )
+    try:
+        expected, dense = product_kron_dense(factors)
+    except ContractViolationError as exc:
+        assert error == str(exc) or rounding_decides
+        return
+    if error is not None and error.startswith("factor"):
+        assert rounding_decides
+        return
+    assert len(seen) == 1 and abs(seen[0] - dense) <= 1e-13
+    if abs(dense - ISOMETRY_TOL) <= VERDICT_BAND:
+        return
+    if dense > ISOMETRY_TOL:
+        assert error == f"matrix is not an isometry: residual {seen[0]:.3e}"
+        return
+    assert error is None
+    assert u.matrix.tobytes() == expected.tobytes()
+    assert u.matrix.dtype == np.complex128 and not u.matrix.flags.writeable
+
+
+def test_product_matrix_is_the_kron_chain_bit_for_bit():
+    rng = np.random.default_rng(41)
+    factors = [haar_unitary(2, rng) for _ in range(10)]
+    expected, _ = product_kron_dense(factors)
+    u = product_unitary(factors)
+    assert (u.m_in, u.n_out) == (10, 10)
+    assert u.matrix.dtype == np.complex128 and u.matrix.shape == expected.shape
+    assert u.matrix.tobytes() == expected.tobytes()
+    assert not u.matrix.flags.writeable
+    # the product owns its matrix: the caller's factors stay writable
+    assert all(f.flags.writeable for f in factors)
+
+
+def test_product_takes_no_gram_larger_than_its_factors(monkeypatch):
+    # the 1024 x 1024 product is validated through its ten 2 x 2 factors
+    shapes = []
+    residual, eigvalsh = oplib.isometry_residual, np.linalg.eigvalsh
+    monkeypatch.setattr(oplib, "isometry_residual", lambda a, tol: shapes.append(a.shape) or residual(a, tol))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: shapes.append(g.shape) or eigvalsh(g))
+    rng = np.random.default_rng(43)
+    product_unitary([haar_unitary(2, rng) for _ in range(10)])
+    assert shapes == [(2, 2)] * 10
+    shapes.clear()
+    cnot()  # the dense constructors still take the full Gram
+    assert shapes == [(4, 4)]
