@@ -8,7 +8,7 @@ bit of a basis-state index.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -76,32 +76,33 @@ def svd(m, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
 #: Rows per block in the first QR pass of :func:`r_factor`.
 _QR_ROWS = 2**10
 
-#: Fewest rows for which :func:`r_factor` factors a block; below it the QR
-#: costs more than it saves (``timeit``: 128x2 +12 us, 256x4 even, 256x16
-#: 1.8x faster than the SVD of the block itself).
-_QR_GATE = 2**8
 
+def r_factor(chunks: Iterable[np.ndarray]) -> np.ndarray:
+    """The Householder R factor of the rows of ``chunks`` stacked in order.
 
-def r_factor(a: np.ndarray) -> np.ndarray:
-    """A matrix with the singular values and right singular vectors of ``a``.
+    Each chunk is a matrix with the same columns.  Its full row blocks of
+    :data:`_QR_ROWS` rows are reduced by one stacked QR and its leftover rows
+    are kept; one more QR of all those R's and leftovers gives R (tall-skinny
+    QR), so the stacked matrix is read once and never held whole.  R is
+    square when there are at least as many rows as columns.
 
-    A block with at least :data:`_QR_GATE` rows and at least twice as many
-    rows as columns is reduced to its square Householder R factor: one
-    stacked QR over its row blocks of :data:`_QR_ROWS` rows, then one more
-    over their R's and the leftover rows, so that the block is read once
-    (tall-skinny QR).  Any other block is returned unchanged.
-
-    R has the block's Gram matrix ``a† a`` and :func:`svd` phases each row
-    of ``v†`` by that row alone, so the canonical tensors do not depend on
-    this factoring, bar the unitary gauge of a degenerate singular value.
+    R has the stacked matrix's Gram matrix ``a† a`` and :func:`svd` phases
+    each row of ``v†`` by that row alone, so its singular values and right
+    singular vectors are those of the stacked matrix, bar the unitary gauge
+    of a degenerate singular value.
     """
-    rows, cols = a.shape
-    # a QR pays off only on a tall block: 1024x512 gains, 1024x1024 loses
-    if rows < max(_QR_GATE, 2 * cols):
-        return a
-    full = rows - rows % _QR_ROWS
-    blocks = np.linalg.qr(a[:full].reshape(-1, _QR_ROWS, cols), mode="r")
-    return np.linalg.qr(np.concatenate([blocks.reshape(-1, cols), a[full:]]), mode="r")
+    parts = []
+    for a in chunks:
+        rows, cols = a.shape
+        full = rows - rows % _QR_ROWS
+        if not full:
+            parts.append(a)
+            continue
+        blocks = np.linalg.qr(a[:full].reshape(-1, _QR_ROWS, cols), mode="r")
+        parts.append(blocks.reshape(-1, cols))
+        if full < rows:  # a copy, so that the chunk itself can go
+            parts.append(a[full:].copy())
+    return np.linalg.qr(parts[0] if len(parts) == 1 else np.concatenate(parts), mode="r")
 
 
 def isometry_residual(q: np.ndarray, tol: float) -> float:

@@ -31,16 +31,18 @@ corresponding cuts and are therefore minimal.
 A dense vector reaches this gauge by one right-to-left SVD peel: across
 each cut, the SVD of the dense remainder gives the Schmidt coefficients
 and, as its right singular vectors, the canonical tensor of the site just
-peeled.  Each cut is factored through its R factor
+peeled.  A tall cut is factored through its R factor
 (:func:`~seqdecomp.linalg.r_factor`), which has the singular values and
 right singular vectors of the block; the carry to the next cut is the
 block times the kept right vectors, so the left singular vectors of a tall
-block are never formed.  Each row of a canonical tensor is rephased so
-that its lead entry, the first within a relative 1e-10 of the row's
-largest modulus, is real positive; the tensors therefore do not depend on
-how a cut is factored.  A degenerate Schmidt spectrum leaves a unitary
-gauge on the rows of a repeated coefficient that no phase rule fixes.
-Site 1 is the normalized rest; its norm becomes ``norm``.  A chain is
+block are never formed.  A tall block is read in row chunks, once for its
+R factor and once for the carry, so at most one chunk of it is copied at a
+time; a short one is read whole, once.  Each row of a canonical tensor is
+rephased so that its lead entry, the first within a relative 1e-10 of the
+row's largest modulus, is real positive; the tensors therefore do not
+depend on how a cut is factored.  A degenerate Schmidt spectrum leaves a
+unitary gauge on the rows of a repeated coefficient that no phase rule
+fixes.  Site 1 is the normalized rest; its norm becomes ``norm``.  A chain is
 peeled once from its other end and then peeled the same way.  Singular
 values below ``rank_tol`` times the largest are dropped at each cut of
 each peel; the peel is the only place where a bond is truncated.
@@ -48,7 +50,11 @@ each peel; the peel is the only place where a bond is truncated.
 Operators are handled by fusing the input leg with the output leg at each
 of the first ``m_in`` sites (fused index = 2 * output + input) and
 canonicalizing the vectorization; ``norm`` carries the operator scale,
-which is ``sqrt(2 ** m_in)`` for an isometry.
+which is ``sqrt(2 ** m_in)`` for an isometry.  The vectorization is never
+formed: the first cut reads a transposed view of the operator's matrix, in
+the fused order, and every later block is a view of the carry.  The rows
+of a block stay in that order because it decides the SVD's basis within a
+degenerate Schmidt spectrum.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolationError, NumericFailureError
-from .linalg import DEFAULT_RANK_TOL, dagger, r_factor, regroup, svd
+from .linalg import DEFAULT_RANK_TOL, _QR_ROWS, dagger, r_factor, regroup, svd
 from .oplib import Isometry, _require_dense_fits
 
 #: 2-norm slack allowed on states that are required to be normalized.
@@ -67,9 +73,21 @@ STATE_NORM_TOL = 1e-10
 
 #: Dense matrices' worth of memory that :func:`operator_to_mps` holds at
 #: its peak: the operator itself plus the peel's working copies, which
-#: ``tracemalloc`` measured at up to 6.7 times the matrix on Haar isometries
-#: of 14 to 18 qubits in all (3.0 on ``ghz:16`` and ``cloner:7``).
-_PEEL_COPIES = 8
+#: ``tracemalloc`` measured at up to 5.7 times the matrix on Haar isometries
+#: of 14 to 18 qubits in all, where a short cut's SVD copies the block and
+#: forms its left vectors (2.0 on ``cloner:7``, 1.5 on ``ghz:16``, 0.4 on a
+#: 10-factor product, whose tall cuts are read in chunks).
+_PEEL_COPIES = 7
+
+#: Fewest rows for which a cut is factored through its R factor; below it
+#: the QR costs more than it saves (``timeit``: 128x2 +12 us, 256x4 even,
+#: 256x16 1.8x faster than the SVD of the block itself).  A QR also pays
+#: off only on a tall block: 1024x512 gains, 1024x1024 loses.
+_QR_GATE = 2**8
+
+#: Most rows of a tall block that the peel copies at once, a multiple of
+#: :data:`~seqdecomp.linalg._QR_ROWS`.
+_CHUNK_ROWS = 2**4 * _QR_ROWS
 
 
 def _validate_chain(tensors) -> tuple[np.ndarray, ...]:
@@ -100,7 +118,7 @@ def _validate_chain(tensors) -> tuple[np.ndarray, ...]:
     return tuple(arrays)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mps:
     """Matrix-product state or operator; see the module docstring for the layout.
 
@@ -108,6 +126,7 @@ class Mps:
     ``m_in -> n_sites`` qubit operator has ``m_in >= 1``: its first ``m_in``
     sites carry fused physical legs of dimension 4 (fused index =
     2 * output + input) and the remaining sites output legs of dimension 2.
+    Instances compare and hash by identity.
     """
 
     tensors: tuple[np.ndarray, ...]
@@ -148,13 +167,14 @@ class Mps:
         return max(self.bond_dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalWeights:
     """Squared Schmidt coefficients for every interior cut of a chain.
 
     ``lambdas[m]`` belongs to the cut between sites ``m + 1`` and ``m + 2``
     (0-based tuple over the ``N - 1`` interior cuts); each vector is sorted
-    descending, strictly positive, and sums to one.
+    descending, strictly positive, and sums to one.  Instances compare and
+    hash by identity.
     """
 
     lambdas: tuple[np.ndarray, ...]
@@ -226,52 +246,98 @@ def contract_operator(op: Mps) -> np.ndarray:
 # canonicalization sweeps
 
 
-def _right_sweep(n: int, block, carry: np.ndarray, rank_tol: float):
-    """The right-to-left peel of the module docstring over ``n`` sites.
+def _chunks(block: np.ndarray, cols: int):
+    """The rows of ``block.reshape(-1, cols)`` in order, as ``(first row,
+    matrix)`` pairs of at most :data:`_CHUNK_ROWS` rows.
 
-    ``block(m, carry)`` forms the (left, phys, right) block of site ``m``
-    (0-based) from the carry of site ``m + 1``, the first from ``carry``.
+    The leading axes are walked one index at a time until the rest holds
+    few enough rows, so a chunk of a transposed view is one copy of those
+    rows and a chunk of a contiguous block is a view.
+    """
+    lead, per = 0, block.size // cols
+    while per > _CHUNK_ROWS and block.shape[lead] < per:
+        per //= block.shape[lead]
+        lead += 1
+    for k, index in enumerate(np.ndindex(block.shape[:lead])):
+        rows = block[index].reshape(per, cols)
+        for start in range(0, per, _CHUNK_ROWS):
+            yield k * per + start, rows[start : start + _CHUNK_ROWS]
+
+
+def _peel_cut(block: np.ndarray, cols: int, rank_tol: float):
+    """Schmidt coefficients, kept right vectors and next carry of one cut.
+
+    The cut splits ``block.reshape(-1, cols)``, whose trailing axes make
+    the columns in (site, bond) order; the carry is that matrix times the
+    kept right vectors.  A short block is read whole, once, for both the
+    SVD and the carry; a tall one in :func:`_chunks`, once for its R factor
+    and once for the carry, unless it is one chunk.
+    """
+    rows = block.size // cols
+    if rows < max(_QR_GATE, 2 * cols):
+        chunks = [(0, block.reshape(rows, cols))]
+        s, vd = svd(chunks[0][1], rank_tol)
+    else:
+        # a block of one chunk is copied once for both passes
+        chunks = list(_chunks(block, cols)) if rows <= _CHUNK_ROWS else None
+        s, vd = svd(r_factor(a for _, a in chunks or _chunks(block, cols)), rank_tol)
+    if s.size == 0:
+        raise ContractViolationError("chain contracts to the zero vector")
+    vd_dagger = dagger(vd)
+    carry = np.empty((rows, s.size), dtype=np.complex128)
+    for start, a in chunks or _chunks(block, cols):
+        np.matmul(a, vd_dagger, out=carry[start : start + len(a)])
+    return s, vd, carry
+
+
+def _right_sweep(dims: Sequence[int], block, carry: np.ndarray, rank_tol: float):
+    """The right-to-left peel of the module docstring over sites of ``dims``.
+
+    ``block(m, carry)`` views site ``m`` (0-based) in the carry of site
+    ``m + 1``, the first in ``carry``, as an array whose trailing axes, the
+    site's ``dims[m]`` values and then its right bond, make the columns.
     Returns the site tensors, the canonical weights and the norm scale.
     """
+    n = len(dims)
     out = [None] * n
     schmidt = [None] * (n - 1)
     for m in reversed(range(1, n)):
         b = block(m, carry)
-        lft, d, rgt = b.shape
-        a = b.reshape(lft, d * rgt)
-        s, vd = svd(r_factor(a), rank_tol)
-        if s.size == 0:
-            raise ContractViolationError("chain contracts to the zero vector")
-        out[m] = vd.reshape(s.size, d, rgt)
+        s, vd, carry = _peel_cut(b, dims[m] * b.shape[-1], rank_tol)
+        out[m] = vd.reshape(s.size, dims[m], b.shape[-1])
         schmidt[m - 1] = s
-        carry = a @ dagger(vd)
     row = block(0, carry)
     scale = float(np.linalg.norm(row))
     if scale == 0.0:
         raise ContractViolationError("chain contracts to the zero vector")
-    out[0] = row / scale
+    out[0] = row.reshape(1, dims[0], row.shape[-1]) / scale
     tensors = tuple(np.transpose(r, (1, 2, 0)) for r in out)
     return tensors, CanonicalWeights(tuple((s / scale) ** 2 for s in schmidt)), scale
 
 
-def _dense_sweep(v: np.ndarray, dims: Sequence[int], rank_tol: float):
-    """:func:`_right_sweep` of a dense vector; the carry is the remainder."""
+def _dense_sweep(legs: np.ndarray, dims: Sequence[int], rank_tol: float):
+    """:func:`_right_sweep` of a dense vector given as ``legs``, any view
+    with the last site's values and a bond of 1 as its trailing axes.  The
+    first block is ``legs`` itself and every later one a view of the carry,
+    the dense remainder."""
 
     def peel(m, rest):
-        return rest.reshape(-1, dims[m], rest.shape[1])
+        return rest.reshape(-1, dims[m], rest.shape[1]) if rest.ndim == 2 else rest
 
-    return _right_sweep(len(dims), peel, v.reshape(-1, 1), rank_tol)
+    return _right_sweep(dims, peel, legs, rank_tol)
 
 
 def _mirrored_sweep(tensors: Sequence[np.ndarray], rank_tol: float):
     """:func:`_right_sweep` of a chain read from its other end: sites
     reversed, each tensor's bond axes swapped.  The carry is a bond matrix."""
-    mirror = [t.transpose(0, 2, 1) for t in reversed(tensors)]
+    # (left, phys, right) of the mirrored chain
+    mirror = [t.transpose(1, 0, 2) for t in reversed(tensors)]
 
     def peel(m, carry):
-        return np.tensordot(mirror[m], carry, axes=([1], [0])).transpose(1, 0, 2)
+        return np.tensordot(mirror[m], carry, axes=([2], [0]))
 
-    return _right_sweep(len(mirror), peel, np.eye(1, dtype=np.complex128), rank_tol)
+    dims = [t.shape[1] for t in mirror]
+    return _right_sweep(dims, peel, np.eye(1, dtype=np.complex128), rank_tol)
 
 
 def state_to_mps(
@@ -305,7 +371,7 @@ def state_to_mps(
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > STATE_NORM_TOL:
         raise ContractViolationError(f"state is not normalized: |psi| = {nrm!r}")
-    tensors, weights, scale = _dense_sweep(v, dims, rank_tol)
+    tensors, weights, scale = _dense_sweep(v.reshape(-1, dims[-1], 1), dims, rank_tol)
     return Mps(tensors, norm=scale), weights
 
 
@@ -328,8 +394,8 @@ def operator_to_mps(
     for k in range(m):
         perm += [k, n + k]
     perm += list(range(m, n))
-    vec = regroup(u.matrix, [2] * (n + m), [2 ** (n + m)], perm)
-    tensors, weights, scale = _dense_sweep(vec, [4] * m + [2] * (n - m), rank_tol)
+    legs = u.matrix.reshape([2] * (n + m)).transpose(perm)[..., None]
+    tensors, weights, scale = _dense_sweep(legs, [4] * m + [2] * (n - m), rank_tol)
     return Mps(tensors, norm=scale, m_in=m), weights
 
 

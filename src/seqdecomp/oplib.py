@@ -21,7 +21,7 @@ from .linalg import ISOMETRY_TOL, as_matrix, dagger, isometry_residual
 _MAX_QUBITS = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Isometry:
     """An inner-product preserving map from ``m_in`` qubits to ``n_out`` qubits.
 
@@ -32,6 +32,7 @@ class Isometry:
     densely, through its Gram matrix; so do operator files and the
     ``cnot``, ``ghz``, ``shor``, ``cloner`` and ``random`` builtins.
     :func:`product_unitary` decides the same residual from its 2x2 factors.
+    Like every type that holds arrays, it compares and hashes by identity.
     """
 
     m_in: int

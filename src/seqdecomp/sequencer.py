@@ -25,12 +25,14 @@ operator Schmidt rank is 1 across every contiguous cut; see
 
 A plan is checked by running its chain, which amounts to contracting a
 matrix-product chain site by site (Schön, Solano, Verstraete, Cirac, Wolf,
-PRL 95, 110503 (2005)).  :func:`verify_plan` contracts the steps once with
-the input legs left open, into the plan's operator from the input qubits
-to the chain and the ancilla, and compares it with the target;
-:func:`simulate` runs one amplitude vector through the same contraction.
-The state grows by one emitted site per step, and a step after the inputs
-uses only the columns of its unitary that take the chain qubit in |0>.
+PRL 95, 110503 (2005)).  :func:`verify_plan` runs the steps with the input
+legs left open, towards the plan's operator from the input qubits to the
+chain and the ancilla, but finishes the chain on groups of emitted rows
+one at a time and compares each finished block with the same rows of the
+target, so the operator is never held whole; :func:`simulate` runs one
+amplitude vector through the same step function.  The state grows by one
+emitted site per step, and a step after the inputs uses only the columns
+of its unitary that take the chain qubit in |0>.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class SequentialityReport:
     criterion_tol: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequentialPlan:
     """Synthesized sequential decomposition.
 
@@ -86,6 +88,7 @@ class SequentialPlan:
     the ``N + 1`` canonical bond dimensions: integers from 1 to
     ``ancilla_dim``, with both boundaries 1.  ``report`` is the criterion
     report a plan was built from; a plan read from a file has none.
+    Instances compare and hash by identity.
     """
 
     ancilla_dim: int
@@ -238,46 +241,43 @@ def build_plan(
     return SequentialPlan(report.ancilla_dim_if_yes, u.m_in, tuple(steps), op.bond_dims, report)
 
 
-def _run_chain(plan: SequentialPlan, amps: np.ndarray | None = None) -> np.ndarray:
-    """Contract the chain, growing the state by one emitted site per step.
+def _step(plan: SequentialPlan, k: int, state: np.ndarray, open_inputs: bool) -> np.ndarray:
+    """Apply step ``k`` to a state indexed ``(sites emitted, rest, ancilla)``.
 
-    The state is indexed ``(sites emitted, rest, ancilla)`` and starts with
-    nothing emitted and the ancilla in basis state 0.  Without ``amps`` the
-    rest holds the open input legs: input step k appends leg k as the last
-    bit of the rest, and the result is the plan's operator, indexed
-    ``(2**n_out, 2**m_in, ancilla)``.  With ``amps`` the rest starts as
-    those input amplitudes and input step k consumes its leading bit; the
-    result is the final joint state, indexed ``(2**n_out, 1, ancilla)``.
+    The step emits site ``k + 1`` as the last bit of the emitted index.  An
+    input step with ``open_inputs`` appends input leg ``k`` as the last bit
+    of the rest; without, it consumes the leading bit of the rest, which
+    then holds input amplitudes.  A later step uses only the columns of its
+    unitary that take the chain qubit in |0>.
 
-    Each step is one ``np.matmul`` with its unitary reordered to put the
-    new site ahead of the new ancilla index, so the ancilla stays last.
-    Steps after the inputs use only the columns that take the chain qubit in
-    |0> and batch over the rest through a transposed view: one product per
-    value of the rest, however many sites have been emitted.  No step
-    copies the state.
+    The unitary is read as its 2x2 blocks ``v[i, j]``, views that map the
+    ancilla from site value ``j`` to site value ``i``; each block is one
+    ``np.matmul`` written straight into its place in the new state, so no
+    reordered copy of the unitary or of the state is made.  A step after
+    the inputs batches over the rest through a transposed view: one product
+    per value of the rest, however many sites have been emitted.
     """
     d = plan.ancilla_dim
-    if amps is None:
-        state = np.zeros((1, 1, d), dtype=np.complex128)
-        state[0, 0, 0] = 1.0
-    else:
-        state = np.zeros((amps.size, 1, d), dtype=np.complex128).transpose(1, 0, 2)
-        state[0, :, 0] = amps
-    for k, step in enumerate(plan.steps):
-        v = step.reshape(d, 2, d, 2)  # (ancilla', site', ancilla, input)
-        emitted, rest = state.shape[:2]
-        if k >= plan.m_in:  # chain qubit in |0>: batch over the rest
-            w = v[..., 0].transpose(2, 1, 0).reshape(d, 2 * d)
-            state = np.matmul(state.transpose(1, 0, 2), w)
-            state = state.reshape(rest, 2 * emitted, d).transpose(1, 0, 2)
-        elif amps is None:  # leave input leg k open, batch over the emitted sites
-            w = v.transpose(1, 2, 3, 0).reshape(2, d, 2 * d)
-            state = np.matmul(state[:, None], w).reshape(2 * emitted, 2 * rest, d)
-        else:  # consume input leg k, the leading bit of the rest
-            w = v.transpose(3, 2, 1, 0).reshape(2, d, 2 * d)
-            state = np.matmul(state.transpose(1, 0, 2).reshape(2, -1, d), w).sum(axis=0)
-            state = state.reshape(rest // 2, 2 * emitted, d).transpose(1, 0, 2)
-    return state
+    v = plan.steps[k].reshape(d, 2, d, 2).transpose(1, 3, 2, 0)  # (site', site, ancilla, ancilla')
+    emitted, rest = state.shape[:2]
+    if k >= plan.m_in:  # chain qubit in |0>: batch over the rest
+        out = np.empty((rest, emitted, 2, d), dtype=np.complex128)
+        for i in range(2):
+            np.matmul(state.transpose(1, 0, 2), v[i, 0], out=out[:, :, i])
+        return out.reshape(rest, 2 * emitted, d).transpose(1, 0, 2)
+    if open_inputs:  # leave input leg k open, batch over the emitted sites
+        out = np.empty((emitted, 2, rest, 2, d), dtype=np.complex128)
+        for i in range(2):
+            for j in range(2):
+                np.matmul(state, v[i, j], out=out[:, i, :, j])
+        return out.reshape(2 * emitted, 2 * rest, d)
+    # consume input leg k, the leading bit of the rest
+    ins = state.transpose(1, 0, 2).reshape(2, rest // 2, emitted, d)
+    out = np.empty((rest // 2, emitted, 2, d), dtype=np.complex128)
+    for i in range(2):
+        np.matmul(ins[0], v[i, 0], out=out[:, :, i])
+        out[:, :, i] += ins[1] @ v[i, 1]
+    return out.reshape(rest // 2, 2 * emitted, d).transpose(1, 0, 2)
 
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
@@ -307,7 +307,11 @@ def simulate(
         raise ContractViolationError("input contains non-finite amplitudes")
     if abs(np.linalg.norm(amps) - 1.0) > STATE_NORM_TOL:
         raise ContractViolationError("input state is not normalized")
-    final = _run_chain(plan, amps)[:, 0, :]
+    state = np.zeros((amps.size, 1, plan.ancilla_dim), dtype=np.complex128).transpose(1, 0, 2)
+    state[0, :, 0] = amps
+    for k in range(plan.n_out):
+        state = _step(plan, k, state, open_inputs=False)
+    final = state[:, 0, :]
     residual = float(np.linalg.norm(final[:, 1:]))
     block = final[:, 0]
     block_norm = float(np.linalg.norm(block))
@@ -316,15 +320,63 @@ def simulate(
     return block, residual
 
 
+#: Most entries of a finished block of rows in :func:`verify_plan`.
+_VERIFY_ENTRIES = 2**16
+
+
+def _finish(plan: SequentialPlan, u: Isometry, k: int, state: np.ndarray, first_row: int,
+            sums: tuple[np.ndarray, np.ndarray]) -> None:
+    """Run steps ``k`` onwards on a state of open input legs and add each
+    input's squared errors over its final rows to ``sums``.
+
+    ``state`` is indexed as in :func:`_step`, after ``k`` steps; its emitted
+    rows are the prefixes of the final rows from ``first_row`` on.  A
+    state of several emitted rows whose finished block would exceed
+    :data:`_VERIFY_ENTRIES` entries is split into groups of rows, each as
+    large as fits the budget, and each group is finished in turn.  So
+    every finished block fits the budget or comes from one emitted row, and
+    every state held while a block is finished has two emitted rows.
+    """
+    n = plan.n_out
+    while k < n:
+        final_per_row = 2 ** (n - k + plan.m_in) * plan.ancilla_dim
+        if state.shape[0] > 1 and state.shape[0] * final_per_row > _VERIFY_ENTRIES:
+            group = max(1, _VERIFY_ENTRIES // final_per_row)
+            for start in range(0, state.shape[0], group):
+                rows = first_row + start * 2 ** (n - k)
+                _finish(plan, u, k, state[start : start + group], rows, sums)
+            return
+        state = _step(plan, k, state, open_inputs=True)
+        k += 1
+    _compare_rows(state, u, first_row, sums)
+
+
+def _compare_rows(final: np.ndarray, u: Isometry, first_row: int,
+                  sums: tuple[np.ndarray, np.ndarray]) -> None:
+    """Add, per basis input, the squared error of the chain state over the
+    final rows from ``first_row`` on, and the squared norm of the ancilla
+    components that failed to decouple there, to ``sums``."""
+    target = u.matrix[first_row : first_row + final.shape[0]]
+    np.subtract(final[:, :, 0], target, out=final[:, :, 0])
+    state_sq, decouple_sq = sums
+    state_sq += _squared_norms(final[:, :, :1])
+    decouple_sq += _squared_norms(final[:, :, 1:])
+
+
 def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
     """Compare a plan against its target on every computational basis input.
 
-    The chain is contracted once with its input legs left open, into the
-    plan's operator from ``m_in`` input qubits to the chain and the
-    ancilla; its ancilla-0 block is compared with ``u.matrix`` column by
-    column.  Linearity makes basis coverage sufficient: the reported
+    The chain runs with its input legs left open, towards the plan's
+    operator from ``m_in`` input qubits to the chain and the ancilla, but
+    is finished separately on groups of emitted rows (:func:`_finish`): each
+    finished block holds at most :data:`_VERIFY_ENTRIES` entries, unless one
+    emitted row alone finishes into more, and is compared with the same rows
+    of ``u.matrix`` column by column before the next group runs.  So the
+    whole operator is formed only when it fits the budget, and the working
+    set beside the target stays below 1.5 budgets however large the ancilla.
+    Linearity makes basis coverage sufficient: the reported
     ``operator_norm_bound`` scales the worst basis error by
-    ``sqrt(2**m_in)`` to bound the error over all inputs.  A contraction
+    ``sqrt(2**m_in)`` to bound the error over all inputs.  A verification
     that would not fit in physical memory is refused before it starts.
     """
     if plan.n_out != u.n_out or plan.m_in != u.m_in:
@@ -332,14 +384,17 @@ def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
             f"plan is {plan.m_in}->{plan.n_out} but operator is "
             f"{u.m_in}->{u.n_out}"
         )
-    # the target, and the last step's input and output: 1 + 1.5 D matrices
-    _require_dense_fits("plan verification", u.m_in, u.n_out, (3 * plan.ancilla_dim + 3) // 2)
-    final = _run_chain(plan)
-    np.subtract(final[:, :, 0], u.matrix, out=final[:, :, 0])
+    # the target, and the last step's input and output on the largest
+    # finished block: the whole operator, D matrices, when it fits the budget
+    d, entries = plan.ancilla_dim, 2 ** (u.n_out + u.m_in)
+    block = min(d * entries, max(_VERIFY_ENTRIES, 2 ** (u.m_in + 1) * d))
+    _require_dense_fits("plan verification", u.m_in, u.n_out, 1 + -(-3 * block // (2 * entries)))
+    state = np.zeros((1, 1, plan.ancilla_dim), dtype=np.complex128)
+    state[0, 0, 0] = 1.0
     # per basis input, the squared error of the chain state and the squared
     # norm of the ancilla components that failed to decouple
-    state_sq = _squared_norms(final[:, :, :1])
-    decouple_sq = _squared_norms(final[:, :, 1:])
+    state_sq, decouple_sq = sums = (np.zeros(2**u.m_in), np.zeros(2**u.m_in))
+    _finish(plan, u, 0, state, 0, sums)
     max_error = math.sqrt(float((state_sq + decouple_sq).max()))
     return PlanVerification(
         max_error=max_error,

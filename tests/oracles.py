@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from seqdecomp import ContractViolationError, Isometry, Mps, NumericFailureError
-from seqdecomp.linalg import ISOMETRY_TOL, as_matrix, dagger, isometry_residual
+from seqdecomp.linalg import ISOMETRY_TOL, as_matrix, dagger, isometry_residual, regroup, svd
 
 
 def schmidt_cut_ranks(psi, dims, tol=1e-10) -> tuple[int, ...]:
@@ -420,3 +420,60 @@ def verify_plan_loops(plan, u: Isometry) -> tuple[float, float]:
         max_decouple = max(max_decouple, decouple)
         max_error = max(max_error, math.hypot(state_err, decouple))
     return max_error, max_decouple
+
+
+def operator_to_mps_regroup(u: Isometry, rank_tol=1e-10):
+    """Canonical chain of an operator by the fused-vector peel.
+
+    The matrix is regrouped into one vector with the input leg of each of
+    the first ``m_in`` sites fused to its output leg (fused index
+    ``2 * output + input``), and that vector is peeled from the right, one
+    SVD of the whole dense remainder per cut, through the library's
+    ``linalg.svd`` and its phase rule.  Returns the site tensors, the
+    squared Schmidt coefficients per cut and the norm: the reference for
+    ``mps.operator_to_mps``.
+    """
+    n, m = u.n_out, u.m_in
+    perm = []
+    for k in range(m):
+        perm += [k, n + k]
+    perm += list(range(m, n))
+    rest = regroup(u.matrix, [2] * (n + m), [2 ** (n + m)], perm).reshape(-1, 1)
+    dims = [4] * m + [2] * (n - m)
+    tensors = [None] * n
+    weights = [None] * (n - 1)
+    for site in reversed(range(1, n)):
+        block = rest.reshape(-1, dims[site] * rest.shape[1])
+        s, vd = svd(block, rank_tol)
+        tensors[site] = vd.reshape(s.size, dims[site], -1).transpose(1, 2, 0)
+        weights[site - 1] = s
+        rest = block @ dagger(vd)
+    scale = float(np.linalg.norm(rest))
+    tensors[0] = (rest / scale).reshape(1, dims[0], -1).transpose(1, 2, 0)
+    return tuple(tensors), tuple((s / scale) ** 2 for s in weights), scale
+
+
+def verify_plan_one_shot(plan, u: Isometry) -> tuple[float, float]:
+    """``(max_error, max_decoupling_residual)`` of a plan from its whole
+    operator: the chain contracted once with its input legs left open into
+    a ``(2**n_out, 2**m_in, ancilla)`` array, one site per step, whose
+    ancilla-0 block is compared with ``u.matrix``.  The reference for the
+    block-wise ``sequencer.verify_plan``."""
+    d = plan.ancilla_dim
+    state = np.zeros((1, 1, d), dtype=np.complex128)
+    state[0, 0, 0] = 1.0
+    for k, step in enumerate(plan.steps):
+        v = step.reshape(d, 2, d, 2)  # (ancilla', site', ancilla, input)
+        emitted, rest = state.shape[:2]
+        if k >= plan.m_in:
+            w = v[..., 0].transpose(2, 1, 0).reshape(d, 2 * d)
+            state = np.matmul(state.transpose(1, 0, 2), w)
+            state = state.reshape(rest, 2 * emitted, d).transpose(1, 0, 2)
+        else:
+            w = v.transpose(1, 2, 3, 0).reshape(2, d, 2 * d)
+            state = np.matmul(state[:, None], w).reshape(2 * emitted, 2 * rest, d)
+    error = state.copy()
+    error[:, :, 0] -= u.matrix
+    state_sq = np.sum(np.abs(error[:, :, 0]) ** 2, axis=0)
+    decouple_sq = np.sum(np.abs(error[:, :, 1:]) ** 2, axis=(0, 2))
+    return math.sqrt(float((state_sq + decouple_sq).max())), math.sqrt(float(decouple_sq.max()))

@@ -117,8 +117,8 @@ def test_decompose_product_refuses_factors_whose_slack_compounds(tmp_path, capsy
 
 def test_decompose_refuses_a_verification_larger_than_memory(tmp_path, capsys, monkeypatch):
     # cloner:3 is 1024 bytes, within the builtin's guard and canonicalization's
-    # 8 matrices; verifying its ancilla-6 plan holds the target and the last
-    # step's input and output, 10 x 1024
+    # 7 matrices; its whole ancilla-6 operator fits one verification block, so
+    # verifying holds the target and the last step's input and output, 10 x 1024
     memory = {"SC_PHYS_PAGES": 8192, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     path = tmp_path / "plan.json"
@@ -131,13 +131,25 @@ def test_decompose_refuses_a_verification_larger_than_memory(tmp_path, capsys, m
     assert not path.exists()
 
 
+def test_decompose_verifies_a_large_plan_within_the_peel_memory(tmp_path, capsys, monkeypatch):
+    # cloner:8 is 2**20 bytes with ancilla 16: the peel counts 7 matrices and
+    # verification, by blocks of one matrix, 3 where the whole operator made 25
+    memory = {"SC_PHYS_PAGES": 7 * 2**20, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    code, out, err = run_cli(["decompose", "cloner:8"], capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["ancilla_dim"] == 16
+    assert doc["verification_error"] < 1e-12
+
+
 @pytest.mark.parametrize("command", ["check", "decompose", "info"])
 @pytest.mark.parametrize("operator", ["ghz:4", "file", "product"])
 def test_canonicalization_larger_than_memory_exits_2_before_the_peel(
     command, operator, tmp_path, capsys, monkeypatch
 ):
     # each operator is 1 -> 4 (512 bytes) or 4 -> 4 (4096 bytes) and fits in
-    # memory itself; its peel, 8 matrices, does not
+    # memory itself; its peel, 7 matrices, does not
     rng = np.random.default_rng(17)
     factors = tmp_path / "factors.json"
     factors.write_text(formats.dumps([haar_unitary(2, rng) for _ in range(4)]))
@@ -147,7 +159,7 @@ def test_canonicalization_larger_than_memory_exits_2_before_the_peel(
             formats.dumps({"m_qubits": 1, "n_qubits": 4, "matrix": ghz_isometry(4).matrix})
         )
     (m, n) = (4, 4) if operator == "product" else (1, 4)
-    need = 8 * 16 * 2 ** (m + n)
+    need = 7 * 16 * 2 ** (m + n)
     peels = []
     monkeypatch.setattr(mps_module, "_dense_sweep", lambda *args: peels.append(args))
     memory = {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}
@@ -155,7 +167,7 @@ def test_canonicalization_larger_than_memory_exits_2_before_the_peel(
     code, out, err = run_cli([command, operator, "--factors", str(factors)], capsys)
     assert (code, out, peels) == (2, "", [])
     assert err == (
-        f"error: canonicalization: the dense {m} -> {n} matrix x 8 needs {need} bytes, "
+        f"error: canonicalization: the dense {m} -> {n} matrix x 7 needs {need} bytes, "
         f"more than the {need - 1} bytes of physical memory\n"
     )
 

@@ -17,7 +17,7 @@ from seqdecomp import (
     regroup,
     svd,
 )
-from seqdecomp.linalg import _QR_GATE, _QR_ROWS, ISOMETRY_TOL, isometry_residual, r_factor
+from seqdecomp.linalg import _QR_ROWS, ISOMETRY_TOL, isometry_residual, r_factor
 
 from oracles import reduced_rho_loops, svd_loops
 
@@ -140,15 +140,17 @@ def test_svd_rejects_nonfinite():
 @settings(max_examples=60, deadline=None)
 @given(
     # short blocks, and blocks of several row blocks with a leftover
-    rows=st.one_of(st.integers(1, _QR_GATE + 8), st.integers(_QR_GATE, 3 * _QR_ROWS + 300)),
+    rows=st.one_of(st.integers(1, 264), st.integers(256, 3 * _QR_ROWS + 300)),
     cols=st.integers(1, 64),
+    # where the rows are split into chunks, aligned to the row blocks or not
+    splits=st.lists(st.integers(0, 4 * _QR_ROWS), max_size=3),
     rank=st.integers(0, 64),
     real=st.booleans(),
     zero_rows=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_r_factor_keeps_the_singular_values_and_right_vectors(
-    rows, cols, rank, real, zero_rows, seed
+    rows, cols, splits, rank, real, zero_rows, seed
 ):
     rng = np.random.default_rng(seed)
     rank = min(rank, rows, cols)
@@ -159,11 +161,8 @@ def test_r_factor_keeps_the_singular_values_and_right_vectors(
         y = y + 1j * rng.standard_normal((rank, cols))
     a = x @ y
     a[rng.random(rows) < zero_rows] = 0.0
-    r = r_factor(a)
-    if rows < max(_QR_GATE, 2 * cols):
-        assert r is a
-    else:
-        assert r.shape == (cols, cols)
+    r = r_factor(np.split(a, sorted(min(k, rows) for k in splits)))
+    assert r.shape == (min(rows, cols), cols)
     want = np.linalg.svd(a, compute_uv=False)
     s_max = want[0] if want.size else 0.0
     s, vd = svd(r, rank_tol=0.0)

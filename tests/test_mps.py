@@ -6,6 +6,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import seqdecomp
 from seqdecomp import (
@@ -37,6 +39,7 @@ from oracles import (
     fused_vector_loops,
     gauge_inflate,
     operator_cut_ranks,
+    operator_to_mps_regroup,
     schmidt_cut_ranks,
     schmidt_cut_weights,
     swap_network_operator_mps,
@@ -164,15 +167,15 @@ def assert_cuts_match_the_oracle(result, psi, dims):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("memory, refused", [(16383, True), (16384, False)])
+@pytest.mark.parametrize("memory, refused", [(14335, True), (14336, False)])
 def test_operator_to_mps_refuses_a_peel_larger_than_memory(memory, refused, monkeypatch):
     # cloner:4 is 1 -> 7, 4096 bytes; the peel counts it and its working
-    # copies as 8 matrices, 32768 bytes at 2 bytes a page
+    # copies as 7 matrices, 28672 bytes at 2 bytes a page
     u = gisin_massar_cloner(4)
     sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 2}
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
     if refused:
-        with pytest.raises(ContractViolationError, match="canonicalization: .* x 8 needs 32768 bytes"):
+        with pytest.raises(ContractViolationError, match="canonicalization: .* x 7 needs 28672 bytes"):
             operator_to_mps(u)
     else:
         op, _ = operator_to_mps(u)
@@ -213,7 +216,8 @@ def test_the_first_cut_of_a_product_is_factored_through_its_r(monkeypatch):
     assert shapes[0] == (4, 4)
 
 
-@pytest.mark.parametrize(
+#: Operators whose canonical tensors are compared across ways of peeling.
+GAUGE_SET = pytest.mark.parametrize(
     "build",
     [
         lambda: random_isometry(1, 10, 3),
@@ -228,14 +232,56 @@ def test_the_first_cut_of_a_product_is_factored_through_its_r(monkeypatch):
     ids=["random:1,10,3", "random:3,8,2", "random:2,9,4", "random:5,10,1", "shor", "cloner:6",
          "product:10"],
 )
+
+
+@GAUGE_SET
 def test_canonical_tensors_do_not_depend_on_how_a_cut_is_factored(build, monkeypatch):
     u = build()
     factored, _ = operator_to_mps(u)
-    monkeypatch.setattr(mps_module, "r_factor", lambda a: a)
+    # every block read whole and handed to the SVD as it is
+    monkeypatch.setattr(mps_module, "_QR_GATE", math.inf)
     whole, _ = operator_to_mps(u)
     assert factored.bond_dims == whole.bond_dims
     for a, b in zip(factored.tensors, whole.tensors):
         assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def assert_matches_the_fused_vector_peel(u):
+    op, weights = operator_to_mps(u)
+    tensors, lambdas, scale = operator_to_mps_regroup(u)
+    assert op.bond_dims == tuple(t.shape[2] for t in tensors) + (1,)
+    for got, want in zip(op.tensors, tensors):
+        assert np.max(np.abs(got - want)) <= 1e-12
+    for got, want in zip(weights.lambdas, lambdas):
+        assert np.max(np.abs(got - want)) <= 1e-12
+    assert op.norm == pytest.approx(scale, rel=1e-13)
+
+
+@GAUGE_SET
+def test_the_peel_matches_the_fused_vector_peel(build):
+    assert_matches_the_fused_vector_peel(build())
+
+
+@settings(max_examples=15, deadline=None)
+@example(m=4, n=10, seed=0)
+@given(n=st.integers(1, 10), m=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_the_peel_matches_the_fused_vector_peel_on_haar_isometries(m, n, seed):
+    # m <= n <= 10, with at most 14 qubits in all to keep the oracle's SVDs short
+    assert_matches_the_fused_vector_peel(random_isometry(min(m, n, 14 - n), n, seed))
+
+
+@pytest.mark.parametrize("chunk_rows", [mps_module._CHUNK_ROWS, 2**3])
+def test_the_peel_reads_tall_blocks_in_chunks(chunk_rows, monkeypatch):
+    # tall cuts from 16 rows on and QR blocks of 4 rows, read in chunks of
+    # two QR blocks as well as in the default chunks
+    monkeypatch.setattr(mps_module, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(mps_module, "_QR_GATE", 2**4)
+    monkeypatch.setattr(linalg, "_QR_ROWS", 2**2)
+    assert_matches_the_fused_vector_peel(random_isometry(3, 8, 2))
+    assert_matches_the_fused_vector_peel(haar_product(8, seed=3)[0])
+    psi = random_state(10, 5)
+    mps, _ = state_to_mps(psi)
+    assert np.linalg.norm(contract_state(mps) - psi) <= 1e-12
 
 
 def test_svd_is_public_and_called_once_per_cut(monkeypatch):

@@ -2,9 +2,12 @@
 
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqdecomp import (
     ContractViolationError,
@@ -13,9 +16,11 @@ from seqdecomp import (
     SequentialPlan,
     build_plan,
     canonicalize,
+    check_canonical,
     cnot,
     contract_operator,
     direct_sum_operator_mps,
+    gauge_check,
     ghz_isometry,
     ghz_state,
     gisin_massar_cloner,
@@ -41,6 +46,7 @@ from oracles import (
     step_columns_loops,
     swap_network_operator_mps,
     verify_plan_loops,
+    verify_plan_one_shot,
 )
 
 SWAP = Isometry(2, 2, np.eye(4)[:, [0, 2, 1, 3]].astype(complex))
@@ -214,22 +220,39 @@ def test_verify_identity_plan_is_exact():
     assert verify_plan(build_plan(u), u).max_error == 0.0
 
 
-def test_verify_contracts_the_chain_once_with_open_input_legs(monkeypatch):
-    rng = np.random.default_rng(18)
-    u = product_unitary([haar_unitary(2, rng) for _ in range(3)])
+@pytest.mark.parametrize(
+    "make, budget",
+    [
+        (lambda: haar_product(10, seed=18), sequencer._VERIFY_ENTRIES),
+        (lambda: gisin_massar_cloner(8), sequencer._VERIFY_ENTRIES),
+        # one emitted row finishes into more than the budget
+        (lambda: random_isometry(1, 6, seed=18), 2**3),
+        # the whole operator fits the budget
+        (shor_encoder, sequencer._VERIFY_ENTRIES),
+    ],
+    ids=["product:10", "cloner:8", "random:1,6, small budget", "shor"],
+)
+def test_verify_blocks_tile_the_target_exactly_once(make, budget, monkeypatch):
+    u = make()
     plan = build_plan(u)
-    run_chain = sequencer._run_chain
-    calls = []
+    monkeypatch.setattr(sequencer, "_VERIFY_ENTRIES", budget)
+    compare_rows = sequencer._compare_rows
+    blocks = []
 
-    def counted(plan, amps=None):
-        final = run_chain(plan, amps)
-        calls.append((amps, final.shape))
-        return final
+    def recorded(final, u, first_row, sums):
+        blocks.append((first_row, final.shape[0], final.size))
+        compare_rows(final, u, first_row, sums)
 
-    monkeypatch.setattr(sequencer, "_run_chain", counted)
-    assert verify_plan(plan, u).max_error < 1e-12
-    # one call, no input block: the operator (chain, input legs, ancilla)
-    assert calls == [(None, (8, 8, 1))]
+    monkeypatch.setattr(sequencer, "_compare_rows", recorded)
+    assert verify_plan(plan, u).max_error <= 1e-13
+    rows = [(first, first + count) for first, count, _ in sorted(blocks)]
+    assert rows[0][0] == 0 and rows[-1][1] == 2**u.n_out
+    assert all(stop == start for (_, stop), (start, _) in zip(rows, rows[1:]))
+    # each block fits the budget, or is what one emitted row finishes into
+    single_row = 2 ** (u.m_in + 1) * plan.ancilla_dim
+    assert all(size <= max(budget, single_row) for _, _, size in blocks)
+    whole = plan.ancilla_dim * 2 ** (u.n_out + u.m_in)
+    assert len(blocks) == -(-whole // max(budget, single_row))
 
 
 @pytest.mark.parametrize("memory, refused", [(3071, True), (3072, False)])
@@ -240,14 +263,31 @@ def test_verify_refuses_a_working_set_larger_than_memory(memory, refused, monkey
     u = product_unitary([haar_unitary(2, rng) for _ in range(3)])
     plan = build_plan(u)
     calls = []
-    run_chain = sequencer._run_chain
-    monkeypatch.setattr(sequencer, "_run_chain", lambda *a: calls.append(a) or run_chain(*a))
+    finish = sequencer._finish
+    monkeypatch.setattr(sequencer, "_finish", lambda *a: calls.append(a) or finish(*a))
     sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
     if refused:
         with pytest.raises(ContractViolationError, match="needs 3072 bytes"):
             verify_plan(plan, u)
         assert calls == []
+    else:
+        assert verify_plan(plan, u).max_error < 1e-12
+
+
+@pytest.mark.parametrize("spare", [-1, 0])
+def test_verify_counts_its_blocks_not_the_ancilla(spare, monkeypatch):
+    # cloner:8 is 1 -> 15, 2**20 bytes, with ancilla 16; a finished block of
+    # 2**16 entries is one matrix, so verification counts the target and 1.5
+    # blocks, rounded up to 3 matrices, where the whole operator made 25
+    u = gisin_massar_cloner(8)
+    plan = build_plan(u)
+    need = 3 * 2**20
+    sizes = {"SC_PHYS_PAGES": need + spare, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+    if spare < 0:
+        with pytest.raises(ContractViolationError, match=f"x 3 needs {need} bytes"):
+            verify_plan(plan, u)
     else:
         assert verify_plan(plan, u).max_error < 1e-12
 
@@ -308,6 +348,33 @@ def test_verify_agrees_with_the_column_loop(make):
     max_error, max_decouple = verify_plan_loops(plan, u)
     assert abs(verification.max_error - max_error) <= 1e-15
     assert abs(verification.max_decoupling_residual - max_decouple) <= 1e-15
+
+
+@settings(max_examples=25, deadline=None)
+@example(n=10, product=True, corrupt=3, budget=2**3, seed=1)
+@example(n=10, product=False, corrupt=12, budget=2**8, seed=2)
+@given(
+    n=st.integers(1, 10),
+    product=st.booleans(),
+    corrupt=st.integers(0, 12),
+    budget=st.sampled_from([2**3, 2**8, sequencer._VERIFY_ENTRIES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_verify_matches_the_whole_operator_oracle(n, product, corrupt, budget, seed):
+    # m = n for a product of Haar factors, m = 1 for a Haar isometry; a draw
+    # of corrupt < n replaces that step by a Haar unitary
+    u = haar_product(n, seed) if product else random_isometry(1, n, seed)
+    plan = build_plan(u)
+    if corrupt < n:
+        steps = list(plan.steps)
+        steps[corrupt] = haar_unitary(len(steps[corrupt]), np.random.default_rng(seed))
+        plan = SequentialPlan(plan.ancilla_dim, plan.m_in, tuple(steps), plan.bond_dims)
+    with mock.patch.object(sequencer, "_VERIFY_ENTRIES", budget):
+        verification = verify_plan(plan, u)
+    max_error, max_decouple = verify_plan_one_shot(plan, u)
+    assert abs(verification.max_error - max_error) <= 1e-14
+    assert abs(verification.max_decoupling_residual - max_decouple) <= 1e-14
+    assert verification.operator_norm_bound == verification.max_error * math.sqrt(2**u.m_in)
 
 
 def test_verify_rejects_mismatched_operator():
@@ -455,3 +522,40 @@ def test_swap_network_form_is_valid_but_wasteful():
     assert np.max(np.abs(contract_operator(redundant) - u.matrix)) < 1e-12
     canonical, _ = canonicalize(redundant)
     assert canonical.bond_dims[1:-1] == operator_cut_ranks(u)
+
+
+# ---------------------------------------------------------------------------
+# equality of the public types
+
+
+def array_holders():
+    u = shor_encoder()
+    plan = build_plan(u)
+    op, weights = operator_to_mps(u)
+    return {"Isometry": u, "SequentialPlan": plan, "Mps": op, "CanonicalWeights": weights}
+
+
+@pytest.mark.parametrize("name", ["Isometry", "SequentialPlan", "Mps", "CanonicalWeights"])
+def test_array_holding_types_compare_and_hash_by_identity(name):
+    # two builds of the same operator hold equal arrays in distinct objects
+    a, b = array_holders()[name], array_holders()[name]
+    assert a == a and not (a == b) and a != b
+    assert hash(a) == hash(a)
+    assert {a, b, a} == {a, b} and len({a, b}) == 2
+    assert a in {a} and b not in {a}
+
+
+def test_scalar_types_keep_value_equality():
+    u = shor_encoder()
+    report = sequentiality_test(u)
+    assert report == sequentiality_test(u) and hash(report) == hash(sequentiality_test(u))
+    plan = build_plan(u)
+    verification = verify_plan(plan, u)
+    assert verification == verify_plan(plan, u)
+    assert len({verification, verify_plan(plan, u)}) == 1
+    op, weights = operator_to_mps(u)
+    canonical = check_canonical(op, weights)
+    assert canonical == check_canonical(op, weights)
+    verdict = gauge_check(op, weights, op, weights)
+    assert verdict == gauge_check(op, weights, op, weights)
+    assert len({canonical, verdict, check_canonical(op, weights)}) == 2
