@@ -17,7 +17,6 @@ from .linalg import (
     complete_to_unitary,
     dagger,
     reduced_density_matrix,
-    regroup,
     svd,
 )
 from .mps import (
@@ -46,7 +45,6 @@ from .oplib import (
     shor_encoder,
 )
 from .sequencer import (
-    DEFAULT_CRITERION_TOL,
     PlanVerification,
     SequentialPlan,
     SequentialityReport,
@@ -64,7 +62,6 @@ __all__ = [
     "CanonicalReport",
     "CanonicalWeights",
     "ContractViolationError",
-    "DEFAULT_CRITERION_TOL",
     "DEFAULT_RANK_TOL",
     "GaugeVerdict",
     "Isometry",
@@ -94,7 +91,6 @@ __all__ = [
     "product_unitary",
     "random_isometry",
     "reduced_density_matrix",
-    "regroup",
     "sequentiality_test",
     "shor_encoder",
     "simulate",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import formats
 from .errors import ContractViolationError, NotImplementableError, NumericFailureError
-from .linalg import DEFAULT_RANK_TOL, reduced_density_matrix
+from .linalg import DEFAULT_RANK_TOL, ISOMETRY_TOL, reduced_density_matrix
 from .mps import check_canonical, operator_to_mps
 from .oplib import (
     Isometry,
@@ -32,13 +32,7 @@ from .oplib import (
     random_isometry,
     shor_encoder,
 )
-from .sequencer import (
-    DEFAULT_CRITERION_TOL,
-    build_plan,
-    sequentiality_test,
-    simulate,
-    verify_plan,
-)
+from .sequencer import build_plan, sequentiality_test, simulate, verify_plan
 
 _SINGLE_QUBIT_LABELS = {
     "0": (1.0, 0.0),
@@ -124,7 +118,7 @@ def _print_doc(doc) -> None:
 
 def _cmd_check(args) -> int:
     u = load_operator(args.operator, args.factors)
-    report = sequentiality_test(u, tol=args.crit_tol, rank_tol=args.rank_tol)
+    report = sequentiality_test(u, args.rank_tol)
     doc = formats.report_to_doc(report)
     doc["rank_tol"] = float(args.rank_tol)
     _print_doc(doc)
@@ -136,7 +130,7 @@ def _cmd_decompose(args) -> int:
         raise ContractViolationError(f"cannot write plan file '{args.output}': no such directory")
     u = load_operator(args.operator, args.factors)
     try:
-        plan = build_plan(u, tol=args.crit_tol, rank_tol=args.rank_tol)
+        plan = build_plan(u, args.rank_tol)
     except NotImplementableError as exc:
         doc = formats.report_to_doc(exc.report)
         doc["rank_tol"] = float(args.rank_tol)
@@ -161,7 +155,7 @@ def _cmd_decompose(args) -> int:
             "verification_error": float(verification.max_error),
             "verification_error_bound": float(verification.operator_norm_bound),
             "decoupling_residual": float(verification.max_decoupling_residual),
-            "criterion_tol": float(args.crit_tol),
+            "criterion_tol": ISOMETRY_TOL,
             "rank_tol": float(args.rank_tol),
         }
     )
@@ -217,14 +211,13 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _tolerance(text: str, *, positive: bool) -> float:
+def _tolerance(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: '{text}'") from None
-    if not math.isfinite(value) or value < 0 or (positive and value == 0):
-        bound = "> 0" if positive else ">= 0"
-        raise argparse.ArgumentTypeError(f"must be finite and {bound}, got '{text}'")
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got '{text}'")
     return value
 
 
@@ -237,15 +230,9 @@ def _add_operator_arguments(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--rank-tol",
-        type=functools.partial(_tolerance, positive=False),
+        type=_tolerance,
         default=DEFAULT_RANK_TOL,
         help="relative singular-value cutoff, finite and >= 0 (default %(default)g)",
-    )
-    sub.add_argument(
-        "--crit-tol",
-        type=functools.partial(_tolerance, positive=True),
-        default=DEFAULT_CRITERION_TOL,
-        help="criterion residual tolerance, finite and > 0 (default %(default)g)",
     )
 
 

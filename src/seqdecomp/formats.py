@@ -18,6 +18,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ContractViolationError
+from .linalg import ISOMETRY_TOL
 from .oplib import Isometry
 from .sequencer import PlanVerification, SequentialityReport, SequentialPlan
 
@@ -131,7 +132,7 @@ def report_to_doc(report: SequentialityReport) -> dict:
         "per_site_residuals": [float(r) for r in report.per_site_residuals],
         "bond_dims": [int(d) for d in report.bond_dims],
         "ancilla_dim_if_yes": report.ancilla_dim_if_yes,
-        "criterion_tol": float(report.criterion_tol),
+        "criterion_tol": ISOMETRY_TOL,
     }
 
 

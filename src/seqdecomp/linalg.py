@@ -18,7 +18,8 @@ from .errors import ContractViolationError, NumericFailureError
 DEFAULT_RANK_TOL = 1e-10
 
 #: Gram residual ``||q† q - I||`` above which columns no longer count as
-#: orthonormal: operator matrices, loaded step unitaries, completion inputs.
+#: orthonormal: operator matrices, loaded step unitaries, completion inputs,
+#: the canonical form's conditions and the sequentiality criterion.
 ISOMETRY_TOL = 1e-10
 
 
@@ -64,13 +65,14 @@ def svd(m, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"SVD failed to converge for shape {a.shape}") from exc
     rank = int(np.count_nonzero(s > rank_tol * s[0]))
-    vd = vd[:rank]
+    # rephased in place; a truncated v† is copied so that it frees the dropped rows
+    vd = vd[:rank].copy() if rank < len(vd) else vd
     modulus = np.abs(vd)
     tied = modulus >= (1.0 - _LEAD_TIE) * modulus.max(axis=1, keepdims=True)
     lead = vd[np.arange(rank), tied.argmax(axis=1)]
     # hypot, as the scalar abs() computes it; np.abs may differ in the last bit
-    phase = np.conj(lead) / np.hypot(lead.real, lead.imag)
-    return s[:rank], vd * phase[:, None]
+    vd *= (np.conj(lead) / np.hypot(lead.real, lead.imag))[:, None]
+    return s[:rank], vd
 
 
 #: Rows per block in the first QR pass of :func:`r_factor`.
@@ -105,17 +107,17 @@ def r_factor(chunks: Iterable[np.ndarray]) -> np.ndarray:
     return np.linalg.qr(parts[0] if len(parts) == 1 else np.concatenate(parts), mode="r")
 
 
-def isometry_residual(q: np.ndarray, tol: float) -> float:
-    """Gram residual ``||q† q - I||`` for a pass/fail check at ``tol``.
+def isometry_residual(q: np.ndarray) -> float:
+    """Gram residual ``||q† q - I||`` for a pass/fail check at :data:`ISOMETRY_TOL`.
 
     The Frobenius norm bounds the spectral norm from above, so it is returned
-    when already below ``tol``: no ``>`` or ``>=`` verdict against ``tol``
+    when already below the tolerance: no ``>`` or ``>=`` verdict against it
     changes.  Otherwise the exact spectral norm is returned.
     """
     g = dagger(q) @ q
     g -= np.eye(g.shape[0])
     frobenius = float(np.linalg.norm(g))
-    if frobenius < tol:
+    if frobenius < ISOMETRY_TOL:
         return frobenius
     return float(np.linalg.norm(g, 2))
 
@@ -133,46 +135,13 @@ def complete_to_unitary(cols) -> np.ndarray:
     d, k = q.shape
     if k > d:
         raise ContractViolationError(f"more columns ({k}) than rows ({d})")
-    gram_residual = isometry_residual(q, ISOMETRY_TOL)
+    gram_residual = isometry_residual(q)
     if gram_residual > ISOMETRY_TOL:
         raise ContractViolationError(
             f"columns are not orthonormal: Gram residual {gram_residual:.3e}"
         )
     full, _ = np.linalg.qr(q, mode="complete")
     return np.concatenate([q, full[:, k:]], axis=1)
-
-
-def regroup(
-    m,
-    in_shape: Sequence[int],
-    out_shape: Sequence[int],
-    permutation: Sequence[int],
-) -> np.ndarray:
-    """Re-index tensor data: split into legs, permute them, and regroup.
-
-    ``m`` is read row-major as a tensor with leg dimensions ``in_shape``,
-    its legs are transposed by ``permutation`` (entry ``i`` of the output
-    order names an input leg), and the result is read out row-major with
-    shape ``out_shape``.  Pure index bookkeeping: applying the inverse
-    permutation recovers the input bit for bit.
-    """
-    a = np.asarray(m, dtype=np.complex128)
-    ins = tuple(int(x) for x in in_shape)
-    outs = tuple(int(x) for x in out_shape)
-    perm = tuple(int(x) for x in permutation)
-    if math.prod(ins) != a.size:
-        raise ContractViolationError(
-            f"in_shape {ins} does not match element count {a.size}"
-        )
-    if sorted(perm) != list(range(len(ins))):
-        raise ContractViolationError(
-            f"permutation {perm} is not a bijection on {len(ins)} legs"
-        )
-    if math.prod(outs) != a.size:
-        raise ContractViolationError(
-            f"out_shape {outs} does not match element count {a.size}"
-        )
-    return a.reshape(ins).transpose(perm).reshape(outs)
 
 
 def reduced_density_matrix(psi, dims: Sequence[int], keep: int) -> np.ndarray:

@@ -51,7 +51,7 @@ class Isometry:
                 f"matrix shape {a.shape} does not match {expected} for "
                 f"{self.m_in} -> {self.n_out} qubits"
             )
-        residual = isometry_residual(a, ISOMETRY_TOL)
+        residual = isometry_residual(a)
         self._seal(a.copy(), residual)
 
     @classmethod

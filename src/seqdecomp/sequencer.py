@@ -12,11 +12,15 @@ tensors are isometric separately for each input value:
 for every input site ``k`` (the factor 1/2 reflects the unit-norm gauge of
 the stored tensors).  Equivalently, the defined columns ``Q`` of step ``k``,
 read directly off the site tensor, are orthonormal; the residual reported
-for input site ``k`` is ``||Q† Q - I||_2``.  When the criterion holds, the
-remaining columns of each step are the orthogonal complement of ``Q`` from
-one complete QR (:func:`~seqdecomp.linalg.complete_to_unitary`); the chain
-never reaches them.  The ancilla dimension equals the maximal canonical bond
-dimension, which is optimal.
+for input site ``k`` is ``||Q† Q - I||_2``.  The criterion is exact, so its
+tolerance is rounding slack only: it holds when every residual is below
+:data:`~seqdecomp.linalg.ISOMETRY_TOL`, the tolerance of every orthonormality
+check in the package, the completion of each step included.  When the
+criterion holds, the remaining columns of each step are the orthogonal
+complement of ``Q`` from one complete QR
+(:func:`~seqdecomp.linalg.complete_to_unitary`); the chain never reaches
+them.  The ancilla dimension equals the maximal canonical bond dimension,
+which is optimal.
 
 For square (``M = N``) operators the criterion holds only for tensor
 products of single-qubit unitaries, equivalently for operators whose
@@ -53,10 +57,6 @@ from .linalg import (
 from .mps import Mps, STATE_NORM_TOL, operator_to_mps
 from .oplib import Isometry, _require_dense_fits
 
-#: Residual above which the sequentiality criterion counts as violated.
-#: Genuine failures (entangling square unitaries) sit at order 1.
-DEFAULT_CRITERION_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class SequentialityReport:
@@ -65,7 +65,7 @@ class SequentialityReport:
     ``per_site_residuals`` holds, for each input site, ``||Q† Q - I||_2`` of
     the defined columns ``Q`` of that site's step unitary (see the module
     docstring); the verdict is positive exactly when all of them stay below
-    ``criterion_tol``.
+    :data:`~seqdecomp.linalg.ISOMETRY_TOL`.
     ``ancilla_dim_if_yes`` is the ancilla dimension a synthesized plan would
     use, namely the maximal canonical bond dimension.
     """
@@ -74,7 +74,6 @@ class SequentialityReport:
     per_site_residuals: tuple[float, ...]
     bond_dims: tuple[int, ...]
     ancilla_dim_if_yes: int
-    criterion_tol: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +118,7 @@ class SequentialPlan:
                 raise ContractViolationError(
                     f"step {k + 1}: shape {a.shape}, expected {(side, side)}"
                 )
-            residual = isometry_residual(a, ISOMETRY_TOL)
+            residual = isometry_residual(a)
             if residual > ISOMETRY_TOL:
                 raise ContractViolationError(
                     f"step {k + 1} is not unitary: residual {residual:.3e}"
@@ -176,39 +175,30 @@ def _isometry_defect(q: np.ndarray) -> float:
     return defect if rows >= cols else max(defect, 1.0)
 
 
-def _criterion(op: Mps, tol: float) -> tuple[tuple[np.ndarray, ...], SequentialityReport]:
+def _criterion(op: Mps) -> tuple[tuple[np.ndarray, ...], SequentialityReport]:
     """Defined columns of every step of a canonical chain, and the verdict on them."""
     blocks = tuple(_defined_columns(t, k < op.m_in) for k, t in enumerate(op.tensors))
     residuals = tuple(_isometry_defect(q) for q in blocks[: op.m_in])
     report = SequentialityReport(
-        implementable=max(residuals) < tol,
+        implementable=max(residuals) < ISOMETRY_TOL,
         per_site_residuals=residuals,
         bond_dims=op.bond_dims,
         ancilla_dim_if_yes=op.max_bond_dim,
-        criterion_tol=tol,
     )
     return blocks, report
 
 
-def sequentiality_test(
-    u: Isometry,
-    tol: float = DEFAULT_CRITERION_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> SequentialityReport:
+def sequentiality_test(u: Isometry, rank_tol: float = DEFAULT_RANK_TOL) -> SequentialityReport:
     """Test whether the isometry admits a single-pass sequential decomposition.
 
     The verdict does not depend on which canonical form is used, so a single
     canonicalization decides it.  For ``m_in == 1`` the criterion holds
     automatically and the verdict is always positive.
     """
-    return _criterion(operator_to_mps(u, rank_tol)[0], tol)[1]
+    return _criterion(operator_to_mps(u, rank_tol)[0])[1]
 
 
-def build_plan(
-    u: Isometry,
-    tol: float = DEFAULT_CRITERION_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> SequentialPlan:
+def build_plan(u: Isometry, rank_tol: float = DEFAULT_RANK_TOL) -> SequentialPlan:
     """Synthesize the minimal-ancilla sequential decomposition.
 
     The ancilla dimension is the maximal canonical bond dimension.  Each
@@ -221,10 +211,10 @@ def build_plan(
     carries the report the verdict was read from.
 
     Raises :class:`NotImplementableError` (carrying the report) when the
-    criterion fails at ``tol``.
+    criterion fails.
     """
     op, _ = operator_to_mps(u, rank_tol)
-    blocks, report = _criterion(op, tol)
+    blocks, report = _criterion(op)
     if not report.implementable:
         raise NotImplementableError(report)
     side = 2 * report.ancilla_dim_if_yes

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from seqdecomp import ContractViolationError, Isometry, Mps, NumericFailureError
-from seqdecomp.linalg import ISOMETRY_TOL, as_matrix, dagger, isometry_residual, regroup, svd
+from seqdecomp.linalg import ISOMETRY_TOL, as_matrix, dagger, isometry_residual, svd
 
 
 def schmidt_cut_ranks(psi, dims, tol=1e-10) -> tuple[int, ...]:
@@ -308,7 +308,7 @@ def product_kron_dense(factors) -> tuple[np.ndarray, float]:
         a = as_matrix(f, f"factor {k}")
         if a.shape != (2, 2):
             raise ContractViolationError(f"factor {k} is not 2x2: shape {a.shape}")
-        if isometry_residual(a, ISOMETRY_TOL) > ISOMETRY_TOL:
+        if isometry_residual(a) > ISOMETRY_TOL:
             raise ContractViolationError(f"factor {k} is not unitary")
         total = np.kron(total, a)
     gram = dagger(total) @ total - np.eye(total.shape[1])
@@ -327,7 +327,7 @@ def complete_to_unitary_loops(cols) -> np.ndarray:
     d, k = q.shape
     if k > d:
         raise ContractViolationError(f"more columns ({k}) than rows ({d})")
-    gram_residual = isometry_residual(q, ISOMETRY_TOL)
+    gram_residual = isometry_residual(q)
     if gram_residual >= ISOMETRY_TOL:
         raise ContractViolationError(
             f"columns are not orthonormal: Gram residual {gram_residual:.3e}"
@@ -438,7 +438,7 @@ def operator_to_mps_regroup(u: Isometry, rank_tol=1e-10):
     for k in range(m):
         perm += [k, n + k]
     perm += list(range(m, n))
-    rest = regroup(u.matrix, [2] * (n + m), [2 ** (n + m)], perm).reshape(-1, 1)
+    rest = u.matrix.reshape([2] * (n + m)).transpose(perm).reshape(-1, 1)
     dims = [4] * m + [2] * (n - m)
     tensors = [None] * n
     weights = [None] * (n - 1)

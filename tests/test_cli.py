@@ -9,20 +9,25 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from seqdecomp import (
     ContractViolationError,
+    Isometry,
     build_plan,
     ghz_isometry,
     ghz_state,
     haar_unitary,
     operator_schmidt_ranks,
     operator_to_mps,
+    product_unitary,
     shor_encoder,
 )
 from seqdecomp import cli, formats, sequencer
 from seqdecomp import mps as mps_module
 from seqdecomp.cli import main
+from seqdecomp.linalg import ISOMETRY_TOL
 
 from oracles import complete_to_unitary_loops, operator_cut_ranks
 
@@ -428,6 +433,7 @@ def test_builtin_with_wrong_argument_count_exits_2(token, capsys):
     assert "error:" in err
 
 
+# --crit-tol is not an option: any value of it is refused as well
 @pytest.mark.parametrize("flag", ["--rank-tol", "--crit-tol"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-12", "x"])
 def test_bad_tolerance_is_a_usage_error(flag, value, capsys, monkeypatch):
@@ -444,15 +450,90 @@ def test_bad_tolerance_is_a_usage_error(flag, value, capsys, monkeypatch):
 
 
 def test_tolerance_bounds(capsys):
-    # "-1" after the flag is read as its value; it used to turn every
-    # verdict into a rejection (exit 1)
-    for value in ("0", "-1"):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "shor", "--crit-tol", value])
-        assert exc.value.code == 2
+    # "-1" after the flag is read as its value, and refused
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "shor", "--rank-tol", "-1"])
+    assert exc.value.code == 2
     code, out, _ = run_cli(["check", "shor", "--rank-tol", "0"], capsys)
     assert code == 0
     assert json.loads(out)["rank_tol"] == 0.0
+
+
+SUBCOMMANDS = {
+    "check": ["check", "shor"],
+    "decompose": ["decompose", "shor"],
+    "info": ["info", "shor"],
+    "simulate": ["simulate", "plan.json", "--input-state", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_no_subcommand_takes_a_criterion_tolerance(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out, _ = capsys.readouterr()
+    assert "crit" not in out
+    with pytest.raises(SystemExit) as exc:
+        main(SUBCOMMANDS[command] + ["--crit-tol=1e-8"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--crit-tol" in err
+
+
+def test_check_and_decompose_reject_alike(capsys):
+    # the criterion and the completion of each step decide at one tolerance
+    check = run_cli(["check", "random:2,3,0"], capsys)
+    decompose = run_cli(["decompose", "random:2,3,0"], capsys)
+    assert check[0] == decompose[0] == 1
+    assert check[1] == decompose[1]
+    assert check[2] == decompose[2] == ""
+    doc = json.loads(check[1])
+    assert doc["criterion_tol"] == ISOMETRY_TOL
+    assert max(doc["per_site_residuals"]) > 1.0
+
+
+def _perturbed_product(n, p, log_eps, seed, path):
+    """An operator file of exp(-i eps Z x Z) on qubits (p, p + 1) after
+    Haar single-qubit unitaries on each of n qubits."""
+    rng = np.random.default_rng(seed)
+    layer = product_unitary([haar_unitary(2, rng) for _ in range(n)]).matrix
+    zz = np.diag(np.exp(-1j * 10.0**log_eps * np.array([1, -1, -1, 1])))
+    gate = np.kron(np.kron(np.eye(2 ** (p - 1)), zz), np.eye(2 ** (n - p - 1)))
+    path.write_text(formats.dumps(formats.isometry_to_doc(Isometry(n, n, gate @ layer))))
+    return str(path)
+
+
+SEEDS = st.integers(0, 2**16)
+OPERATORS = st.one_of(
+    st.sampled_from(["cnot", "shor"]),
+    st.builds("ghz:{}".format, st.integers(2, 6)),
+    st.builds("cloner:{}".format, st.integers(2, 4)),
+    st.integers(1, 6).flatmap(
+        lambda n: st.builds("random:{},{},{}".format, st.integers(1, n), st.just(n), SEEDS)
+    ),
+    # (qubits, first qubit of the Z x Z, log10 of its angle, seed) of a perturbed product
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n - 1), st.floats(-12, -2), SEEDS)
+    ),
+)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(operator=OPERATORS)
+def test_check_and_decompose_never_disagree(operator, tmp_path, capsys):
+    if isinstance(operator, tuple):
+        operator = _perturbed_product(*operator, tmp_path / "operator.json")
+    check = run_cli(["check", operator], capsys)
+    decompose = run_cli(["decompose", operator], capsys)
+    assert check[0] == decompose[0]
+    assert check[0] in (0, 1)
+    assert check[2] == decompose[2] == ""
+    if check[0] == 1:
+        assert check[1] == decompose[1]
 
 
 @pytest.mark.parametrize("error", [MemoryError("cannot allocate"), RuntimeError("boom")])

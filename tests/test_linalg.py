@@ -14,10 +14,10 @@ from seqdecomp import (
     dagger,
     haar_unitary,
     reduced_density_matrix,
-    regroup,
     svd,
 )
 from seqdecomp.linalg import _QR_ROWS, ISOMETRY_TOL, isometry_residual, r_factor
+from seqdecomp.sequencer import _isometry_defect
 
 from oracles import reduced_rho_loops, svd_loops
 
@@ -35,7 +35,8 @@ def test_svd_zero_matrix_rank_zero():
 
 
 def test_svd_reshuffled_cnot_singular_values():
-    r = regroup(cnot().matrix, [2, 2, 2, 2], [4, 4], (0, 2, 1, 3))
+    # rows pair the output and input legs of qubit 1, columns those of qubit 2
+    r = cnot().matrix.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     s, vd = svd(r)
     assert np.allclose(s, [math.sqrt(2), math.sqrt(2)], atol=1e-12)
     assert vd.shape == (2, 4)
@@ -237,11 +238,13 @@ def test_complete_to_unitary_keeps_the_prefix_and_is_unitary(d, data, kind, seed
     input_qubits=st.integers(0, 5),
     seed=st.integers(0, 2**32 - 1),
     log_scale=st.floats(-2.0, 2.0),
-    tol=st.sampled_from([ISOMETRY_TOL, 1e-8]),
+    wide=st.booleans(),
 )
-def test_isometry_residual_matches_spectral_verdicts(qubits, input_qubits, seed, log_scale, tol):
+def test_isometry_residual_matches_spectral_verdicts(qubits, input_qubits, seed, log_scale, wide):
     # an isometry plus a perturbation whose spectral residual is about
-    # tol * 10**log_scale, i.e. anywhere in [tol / 100, 100 * tol]
+    # tol * 10**log_scale, i.e. anywhere in [tol / 100, 100 * tol]; a wide
+    # draw is its adjoint, whose residual is at least 1 unless it is square
+    tol = ISOMETRY_TOL
     dim = 2**qubits
     k = 2 ** min(input_qubits, qubits)
     rng = np.random.default_rng(seed)
@@ -249,59 +252,20 @@ def test_isometry_residual_matches_spectral_verdicts(qubits, input_qubits, seed,
     z = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
     first_order = np.linalg.norm(dagger(q) @ z + dagger(z) @ q, 2)
     a = q + (tol * 10.0**log_scale / first_order) * z
-    exact = float(np.linalg.norm(dagger(a) @ a - np.eye(k), 2))
-    value = isometry_residual(a, tol)
+    if wide:
+        a = dagger(a)
+    exact = float(np.linalg.norm(dagger(a) @ a - np.eye(a.shape[1]), 2))
+    value = isometry_residual(a)
     assert (value > tol) == (exact > tol)
     assert (value >= tol) == (exact >= tol)
     if value >= tol:
         assert value == exact
     else:
         assert exact <= value
-
-
-def test_regroup_identity_permutation():
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    out = regroup(m, (4, 4), (4, 4), (0, 1))
-    assert np.array_equal(out, m)
-
-
-def test_regroup_cnot_reshuffle_matches_brute_force():
-    u = cnot().matrix
-    out = regroup(u, [2, 2, 2, 2], [4, 4], (0, 2, 1, 3))
-    brute = np.zeros((4, 4), dtype=complex)
-    for i1 in range(2):
-        for i2 in range(2):
-            for j1 in range(2):
-                for j2 in range(2):
-                    brute[i1 * 2 + j1, i2 * 2 + j2] = u[i1 * 2 + i2, j1 * 2 + j2]
-    assert np.array_equal(out, brute)
-
-
-def test_regroup_transpose_via_leg_swap():
-    m = np.arange(6, dtype=complex).reshape(2, 3)
-    assert np.array_equal(regroup(m, (2, 3), (3, 2), (1, 0)), m.T)
-
-
-def test_regroup_round_trip_is_bitwise():
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    perm = (2, 0, 3, 1)
-    inverse = tuple(np.argsort(perm))
-    there = regroup(m, (2, 4, 2, 4), (4, 16), perm)
-    dims_after = tuple(np.array((2, 4, 2, 4))[list(perm)])
-    back = regroup(there, dims_after, (8, 8), inverse)
-    assert np.array_equal(back, m)
-
-
-def test_regroup_rejects_bad_shapes():
-    m = np.eye(4, dtype=complex)
-    with pytest.raises(ContractViolationError):
-        regroup(m, (2, 2, 2), (4, 4), (0, 1, 2))
-    with pytest.raises(ContractViolationError):
-        regroup(m, (2, 2, 2, 2), (4, 4), (0, 0, 1, 2))
-    with pytest.raises(ContractViolationError):
-        regroup(m, (2, 2, 2, 2), (4, 8), (0, 1, 2, 3))
+    # the sequentiality criterion's residual decides at the same tolerance,
+    # bar draws within the Gram matrix's rounding of it
+    if abs(exact - tol) > dim * np.finfo(float).eps:
+        assert (_isometry_defect(a) < tol) == (exact < tol)
 
 
 def test_reduced_density_matrix_matches_loops():

@@ -5,7 +5,7 @@ before it, in units of the operator's dense matrix; numpy reports its
 array allocations to ``tracemalloc``.  The bounds sit above the measured
 peaks: a 10-factor product's peel 0.38 matrices and its verification 0.08,
 ``cloner:8``'s verification 1.5, and the peels of a Haar 1 -> 16, a Haar
-8 -> 9 and ``cloner:8`` 4.8, 4.3 and 2.0, against 5.8, 5.3 and 3.0 when
+8 -> 9 and ``cloner:8`` 4.7, 3.6 and 2.0, against 5.8, 5.3 and 3.0 when
 the peel regrouped the matrix into one fused vector first.
 """
 

@@ -354,7 +354,7 @@ def test_chain_shape_validation():
 
 def test_check_canonical_pipeline_random_state():
     mps, weights = state_to_mps(random_state(5, 13))
-    report = check_canonical(mps, weights, tol=1e-10)
+    report = check_canonical(mps, weights)
     assert report.passed
     assert report.left_normalization < 1e-12
 

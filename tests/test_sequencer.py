@@ -93,8 +93,8 @@ def test_verdict_is_gauge_independent():
         direct, _ = operator_to_mps(u)
         hidden = gauge_inflate(direct, pad_to=direct.max_bond_dim + 2, seed=8)
         recovered, _ = canonicalize(hidden)
-        a = _criterion(direct, 1e-8)[1].implementable
-        b = _criterion(recovered, 1e-8)[1].implementable
+        a = _criterion(direct)[1].implementable
+        b = _criterion(recovered)[1].implementable
         assert a == b == sequentiality_test(u).implementable
 
 
@@ -103,7 +103,7 @@ def test_defined_columns_and_residuals_match_the_raw_definitions():
     cases = (shor_encoder(), cnot(), random_isometry(2, 4, seed=5), random_isometry(2, 2, seed=6))
     for u in cases:
         op, _ = operator_to_mps(u)
-        blocks, report = _criterion(op, 1e-8)
+        blocks, report = _criterion(op)
         for k, (t, q) in enumerate(zip(op.tensors, blocks)):
             assert np.array_equal(q, step_columns_loops(t, k < op.m_in))
         for q, residual in zip(blocks, report.per_site_residuals):
