@@ -13,7 +13,7 @@ from .errors import (
     NumericFailureError,
 )
 from .linalg import (
-    DEFAULT_RANK_TOL,
+    RANK_TOL,
     complete_to_unitary,
     dagger,
     reduced_density_matrix,
@@ -62,13 +62,13 @@ __all__ = [
     "CanonicalReport",
     "CanonicalWeights",
     "ContractViolationError",
-    "DEFAULT_RANK_TOL",
     "GaugeVerdict",
     "Isometry",
     "Mps",
     "NotImplementableError",
     "NumericFailureError",
     "PlanVerification",
+    "RANK_TOL",
     "SequentialPlan",
     "SequentialityReport",
     "build_plan",

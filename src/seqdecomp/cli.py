@@ -21,7 +21,7 @@ import numpy as np
 
 from . import formats
 from .errors import ContractViolationError, NotImplementableError, NumericFailureError
-from .linalg import DEFAULT_RANK_TOL, ISOMETRY_TOL, reduced_density_matrix
+from .linalg import ISOMETRY_TOL, RANK_TOL, reduced_density_matrix
 from .mps import check_canonical, operator_to_mps
 from .oplib import (
     Isometry,
@@ -118,10 +118,8 @@ def _print_doc(doc) -> None:
 
 def _cmd_check(args) -> int:
     u = load_operator(args.operator, args.factors)
-    report = sequentiality_test(u, args.rank_tol)
-    doc = formats.report_to_doc(report)
-    doc["rank_tol"] = float(args.rank_tol)
-    _print_doc(doc)
+    report = sequentiality_test(u)
+    _print_doc(formats.report_to_doc(report))
     return 0 if report.implementable else 1
 
 
@@ -130,11 +128,9 @@ def _cmd_decompose(args) -> int:
         raise ContractViolationError(f"cannot write plan file '{args.output}': no such directory")
     u = load_operator(args.operator, args.factors)
     try:
-        plan = build_plan(u, args.rank_tol)
+        plan = build_plan(u)
     except NotImplementableError as exc:
-        doc = formats.report_to_doc(exc.report)
-        doc["rank_tol"] = float(args.rank_tol)
-        _print_doc(doc)
+        _print_doc(formats.report_to_doc(exc.report))
         return 1
     verification = verify_plan(plan, u)
     if args.output:
@@ -156,7 +152,7 @@ def _cmd_decompose(args) -> int:
             "verification_error_bound": float(verification.operator_norm_bound),
             "decoupling_residual": float(verification.max_decoupling_residual),
             "criterion_tol": ISOMETRY_TOL,
-            "rank_tol": float(args.rank_tol),
+            "rank_tol": RANK_TOL,
         }
     )
     return 0
@@ -189,7 +185,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_info(args) -> int:
     u = load_operator(args.operator, args.factors)
-    op_mps, weights = operator_to_mps(u, rank_tol=args.rank_tol)
+    op_mps, weights = operator_to_mps(u)
     canonical = check_canonical(op_mps, weights)
     doc = {
         "m_qubits": u.m_in,
@@ -205,20 +201,10 @@ def _cmd_info(args) -> int:
             "weight_transport": float(canonical.weight_transport),
             "weight_validity": float(canonical.weight_validity),
         },
-        "rank_tol": float(args.rank_tol),
+        "rank_tol": RANK_TOL,
     }
     _print_doc(doc)
     return 0
-
-
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: '{text}'") from None
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got '{text}'")
-    return value
 
 
 def _add_operator_arguments(sub: argparse.ArgumentParser) -> None:
@@ -227,12 +213,6 @@ def _add_operator_arguments(sub: argparse.ArgumentParser) -> None:
         "--factors",
         default=None,
         help="JSON file with 2x2 unitary factors for the 'product' builtin",
-    )
-    sub.add_argument(
-        "--rank-tol",
-        type=_tolerance,
-        default=DEFAULT_RANK_TOL,
-        help="relative singular-value cutoff, finite and >= 0 (default %(default)g)",
     )
 
 

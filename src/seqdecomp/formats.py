@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import ISOMETRY_TOL
+from .linalg import ISOMETRY_TOL, RANK_TOL
 from .oplib import Isometry
 from .sequencer import PlanVerification, SequentialityReport, SequentialPlan
 
@@ -133,6 +133,7 @@ def report_to_doc(report: SequentialityReport) -> dict:
         "bond_dims": [int(d) for d in report.bond_dims],
         "ancilla_dim_if_yes": report.ancilla_dim_if_yes,
         "criterion_tol": ISOMETRY_TOL,
+        "rank_tol": RANK_TOL,
     }
 
 

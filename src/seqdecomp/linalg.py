@@ -14,12 +14,14 @@ import numpy as np
 
 from .errors import ContractViolationError, NumericFailureError
 
-#: Relative threshold below which singular values count as numerically zero.
-DEFAULT_RANK_TOL = 1e-10
+#: Singular values at or below this times the largest count as numerically
+#: zero: the one cutoff for numerical rank, and so for every bond dimension.
+RANK_TOL = 1e-10
 
 #: Gram residual ``||q† q - I||`` above which columns no longer count as
 #: orthonormal: operator matrices, loaded step unitaries, completion inputs,
-#: the canonical form's conditions and the sequentiality criterion.
+#: the canonical form's conditions and the sequentiality criterion.  Also the
+#: 2-norm slack of a state that must be normalized.
 ISOMETRY_TOL = 1e-10
 
 
@@ -45,11 +47,11 @@ def dagger(m: np.ndarray) -> np.ndarray:
 _LEAD_TIE = 1e-10
 
 
-def svd(m, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+def svd(m) -> tuple[np.ndarray, np.ndarray]:
     """Singular values and right singular vectors, with one phase per row.
 
     Returns ``(s, v_dagger)`` for the singular values above
-    ``rank_tol * s[0]`` only (none for a zero matrix).  Each row of
+    :data:`RANK_TOL` ``* s[0]`` only (none for a zero matrix).  Each row of
     ``v_dagger`` is multiplied by the conjugate phase of its lead entry,
     the first whose modulus is within a relative :data:`_LEAD_TIE` of the
     row's largest, so that the lead entry is real positive.  The rows then
@@ -58,13 +60,11 @@ def svd(m, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
     as long as the kept singular values are distinct.
     """
     a = as_matrix(m)
-    if rank_tol < 0:
-        raise ContractViolationError("rank_tol must be nonnegative")
     try:
         _, s, vd = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"SVD failed to converge for shape {a.shape}") from exc
-    rank = int(np.count_nonzero(s > rank_tol * s[0]))
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
     # rephased in place; a truncated v† is copied so that it frees the dropped rows
     vd = vd[:rank].copy() if rank < len(vd) else vd
     modulus = np.abs(vd)
@@ -107,19 +107,32 @@ def r_factor(chunks: Iterable[np.ndarray]) -> np.ndarray:
     return np.linalg.qr(parts[0] if len(parts) == 1 else np.concatenate(parts), mode="r")
 
 
+def isometry_defect(q: np.ndarray) -> float:
+    """``||q† q - I||_2``, exactly, from the spectrum of the smaller Gram matrix.
+
+    ``q† q`` and ``q q†`` share their nonzero eigenvalues; a wide ``q`` adds
+    zero eigenvalues to ``q† q``, each a defect of exactly 1.
+    """
+    rows, cols = q.shape
+    g = dagger(q) @ q if rows >= cols else q @ dagger(q)
+    defect = float(np.max(np.abs(np.linalg.eigvalsh(g - np.eye(g.shape[0])))))
+    return defect if rows >= cols else max(defect, 1.0)
+
+
 def isometry_residual(q: np.ndarray) -> float:
     """Gram residual ``||q† q - I||`` for a pass/fail check at :data:`ISOMETRY_TOL`.
 
     The Frobenius norm bounds the spectral norm from above, so it is returned
     when already below the tolerance: no ``>`` or ``>=`` verdict against it
-    changes.  Otherwise the exact spectral norm is returned.
+    changes.  Otherwise the exact spectral norm is returned, as
+    :func:`isometry_defect` computes it for the sequentiality criterion.
     """
     g = dagger(q) @ q
     g -= np.eye(g.shape[0])
     frobenius = float(np.linalg.norm(g))
     if frobenius < ISOMETRY_TOL:
         return frobenius
-    return float(np.linalg.norm(g, 2))
+    return isometry_defect(q)
 
 
 def complete_to_unitary(cols) -> np.ndarray:

@@ -44,8 +44,9 @@ depend on how a cut is factored.  A degenerate Schmidt spectrum leaves a
 unitary gauge on the rows of a repeated coefficient that no phase rule
 fixes.  Site 1 is the normalized rest; its norm becomes ``norm``.  A chain is
 peeled once from its other end and then peeled the same way.  Singular
-values below ``rank_tol`` times the largest are dropped at each cut of
-each peel; the peel is the only place where a bond is truncated.
+values at or below :data:`~seqdecomp.linalg.RANK_TOL` times the largest
+are dropped at each cut of each peel; that fixed cutoff is the only
+truncation of a bond.
 
 Operators are handled by fusing the input leg with the output leg at each
 of the first ``m_in`` sites (fused index = 2 * output + input) and
@@ -65,11 +66,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolationError, NumericFailureError
-from .linalg import DEFAULT_RANK_TOL, ISOMETRY_TOL, _QR_ROWS, dagger, r_factor, svd
+from .linalg import ISOMETRY_TOL, _QR_ROWS, dagger, r_factor, svd
 from .oplib import Isometry, _require_dense_fits
-
-#: 2-norm slack allowed on states that are required to be normalized.
-STATE_NORM_TOL = 1e-10
 
 #: Dense matrices' worth of memory that :func:`operator_to_mps` holds at
 #: its peak: the operator itself plus the peel's working copies, which
@@ -265,7 +263,7 @@ def _chunks(block: np.ndarray, cols: int):
             yield k * per + start, rows[start : start + _CHUNK_ROWS]
 
 
-def _peel_cut(block: np.ndarray, cols: int, rank_tol: float):
+def _peel_cut(block: np.ndarray, cols: int):
     """Schmidt coefficients, kept right vectors and next carry of one cut.
 
     The cut splits ``block.reshape(-1, cols)``, whose trailing axes make
@@ -277,11 +275,11 @@ def _peel_cut(block: np.ndarray, cols: int, rank_tol: float):
     rows = block.size // cols
     if rows < max(_QR_GATE, 2 * cols):
         chunks = [(0, block.reshape(rows, cols))]
-        s, vd = svd(chunks[0][1], rank_tol)
+        s, vd = svd(chunks[0][1])
     else:
         # a block of one chunk is copied once for both passes
         chunks = list(_chunks(block, cols)) if rows <= _CHUNK_ROWS else None
-        s, vd = svd(r_factor(a for _, a in chunks or _chunks(block, cols)), rank_tol)
+        s, vd = svd(r_factor(a for _, a in chunks or _chunks(block, cols)))
     if s.size == 0:
         raise ContractViolationError("chain contracts to the zero vector")
     vd_dagger = dagger(vd)
@@ -291,7 +289,7 @@ def _peel_cut(block: np.ndarray, cols: int, rank_tol: float):
     return s, vd, carry
 
 
-def _right_sweep(dims: Sequence[int], block, carry: np.ndarray, rank_tol: float):
+def _right_sweep(dims: Sequence[int], block, carry: np.ndarray):
     """The right-to-left peel of the module docstring over sites of ``dims``.
 
     ``block(m, carry)`` views site ``m`` (0-based) in the carry of site
@@ -304,7 +302,7 @@ def _right_sweep(dims: Sequence[int], block, carry: np.ndarray, rank_tol: float)
     schmidt = [None] * (n - 1)
     for m in reversed(range(1, n)):
         b = block(m, carry)
-        s, vd, carry = _peel_cut(b, dims[m] * b.shape[-1], rank_tol)
+        s, vd, carry = _peel_cut(b, dims[m] * b.shape[-1])
         out[m] = vd.reshape(s.size, dims[m], b.shape[-1])
         schmidt[m - 1] = s
     row = block(0, carry)
@@ -316,7 +314,7 @@ def _right_sweep(dims: Sequence[int], block, carry: np.ndarray, rank_tol: float)
     return tensors, CanonicalWeights(tuple((s / scale) ** 2 for s in schmidt)), scale
 
 
-def _dense_sweep(legs: np.ndarray, dims: Sequence[int], rank_tol: float):
+def _dense_sweep(legs: np.ndarray, dims: Sequence[int]):
     """:func:`_right_sweep` of a dense vector given as ``legs``, any view
     with the last site's values and a bond of 1 as its trailing axes.  The
     first block is ``legs`` itself and every later one a view of the carry,
@@ -325,10 +323,10 @@ def _dense_sweep(legs: np.ndarray, dims: Sequence[int], rank_tol: float):
     def peel(m, rest):
         return rest.reshape(-1, dims[m], rest.shape[1]) if rest.ndim == 2 else rest
 
-    return _right_sweep(dims, peel, legs, rank_tol)
+    return _right_sweep(dims, peel, legs)
 
 
-def _mirrored_sweep(tensors: Sequence[np.ndarray], rank_tol: float):
+def _mirrored_sweep(tensors: Sequence[np.ndarray]):
     """:func:`_right_sweep` of a chain read from its other end: sites
     reversed, each tensor's bond axes swapped.  The carry is a bond matrix."""
     # (left, phys, right) of the mirrored chain
@@ -338,14 +336,10 @@ def _mirrored_sweep(tensors: Sequence[np.ndarray], rank_tol: float):
         return np.tensordot(mirror[m], carry, axes=([2], [0]))
 
     dims = [t.shape[1] for t in mirror]
-    return _right_sweep(dims, peel, np.eye(1, dtype=np.complex128), rank_tol)
+    return _right_sweep(dims, peel, np.eye(1, dtype=np.complex128))
 
 
-def state_to_mps(
-    psi,
-    dims: Sequence[int] | None = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> tuple[Mps, CanonicalWeights]:
+def state_to_mps(psi, dims: Sequence[int] | None = None) -> tuple[Mps, CanonicalWeights]:
     """Canonical matrix-product form of a normalized dense state vector.
 
     ``dims`` lists the per-site physical dimensions and defaults to qubits.
@@ -370,15 +364,13 @@ def state_to_mps(
             f"state length {v.size} does not match dims {tuple(dims)}"
         )
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > STATE_NORM_TOL:
+    if abs(nrm - 1.0) > ISOMETRY_TOL:
         raise ContractViolationError(f"state is not normalized: |psi| = {nrm!r}")
-    tensors, weights, scale = _dense_sweep(v.reshape(-1, dims[-1], 1), dims, rank_tol)
+    tensors, weights, scale = _dense_sweep(v.reshape(-1, dims[-1], 1), dims)
     return Mps(tensors, norm=scale), weights
 
 
-def operator_to_mps(
-    u: Isometry, rank_tol: float = DEFAULT_RANK_TOL
-) -> tuple[Mps, CanonicalWeights]:
+def operator_to_mps(u: Isometry) -> tuple[Mps, CanonicalWeights]:
     """Canonical matrix-product form of an isometry.
 
     The input leg of site ``k <= m_in`` is fused with its output leg
@@ -396,25 +388,23 @@ def operator_to_mps(
         perm += [k, n + k]
     perm += list(range(m, n))
     legs = u.matrix.reshape([2] * (n + m)).transpose(perm)[..., None]
-    tensors, weights, scale = _dense_sweep(legs, [4] * m + [2] * (n - m), rank_tol)
+    tensors, weights, scale = _dense_sweep(legs, [4] * m + [2] * (n - m))
     return Mps(tensors, norm=scale, m_in=m), weights
 
 
-def canonicalize(
-    mps: Mps, rank_tol: float = DEFAULT_RANK_TOL
-) -> tuple[Mps, CanonicalWeights]:
+def canonicalize(mps: Mps) -> tuple[Mps, CanonicalWeights]:
     """Bring an arbitrary shape-consistent chain into canonical form.
 
-    The contraction is preserved (up to the stated rank tolerance); the
-    output bond dimensions are the Schmidt ranks after discarding singular
-    values below ``rank_tol`` relative to the largest at each cut.  A chain
-    that contracts to the zero vector is rejected.  A chain takes two
-    peels, ``2 * (N - 1)`` SVDs: the first, of the chain read from its
-    other end, leaves sites 1..N-1 left-orthonormal; the second, of that
-    result read back, is the canonical one.
+    The contraction is preserved up to the singular values dropped at each
+    cut, those at or below :data:`~seqdecomp.linalg.RANK_TOL` relative to
+    the largest; the output bond dimensions are the Schmidt ranks above
+    that cutoff.  A chain that contracts to the zero vector is rejected.
+    A chain takes two peels, ``2 * (N - 1)`` SVDs: the first, of the chain
+    read from its other end, leaves sites 1..N-1 left-orthonormal; the
+    second, of that result read back, is the canonical one.
     """
-    once, _, first_scale = _mirrored_sweep(mps.tensors, rank_tol)
-    tensors, weights, scale = _mirrored_sweep(once, rank_tol)
+    once, _, first_scale = _mirrored_sweep(mps.tensors)
+    tensors, weights, scale = _mirrored_sweep(once)
     return Mps(tensors, norm=mps.norm * first_scale * scale, m_in=mps.m_in), weights
 
 

@@ -264,10 +264,13 @@ def random_isometry(m: int, n: int, seed: int) -> Isometry:
     The stream is numpy's PCG64 generator seeded with ``seed``, drawn as a
     complex standard-normal ``2**n`` x ``2**n`` matrix whose first ``2**m``
     columns are orthonormalized by QR with a positive diagonal-of-R gauge,
-    so a fixed seed reproduces the same matrix.
+    so a fixed seed reproduces the same matrix.  The seed must be
+    non-negative.
     """
     if not 1 <= m <= n <= _MAX_QUBITS:
         raise ContractViolationError(
             f"need 1 <= m <= n <= {_MAX_QUBITS}, got m={m}, n={n}"
         )
+    if seed < 0:
+        raise ContractViolationError(f"seed must be non-negative, got seed={seed}")
     return Isometry(m, n, _haar_columns(2**n, 2**m, np.random.default_rng(seed)))

@@ -47,14 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, NotImplementableError
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    ISOMETRY_TOL,
-    complete_to_unitary,
-    dagger,
-    isometry_residual,
-)
-from .mps import Mps, STATE_NORM_TOL, operator_to_mps
+from .linalg import ISOMETRY_TOL, complete_to_unitary, isometry_defect, isometry_residual
+from .mps import Mps, operator_to_mps
 from .oplib import Isometry, _require_dense_fits
 
 
@@ -163,22 +157,10 @@ def _defined_columns(t: np.ndarray, fused: bool) -> np.ndarray:
     return t.transpose(1, 0, 2).reshape(2 * rgt, lft)
 
 
-def _isometry_defect(q: np.ndarray) -> float:
-    """``||q† q - I||_2``, exactly, from the spectrum of the smaller Gram matrix.
-
-    ``q† q`` and ``q q†`` share their nonzero eigenvalues; a wide ``q`` adds
-    zero eigenvalues to ``q† q``, each a defect of exactly 1.
-    """
-    rows, cols = q.shape
-    g = dagger(q) @ q if rows >= cols else q @ dagger(q)
-    defect = float(np.max(np.abs(np.linalg.eigvalsh(g - np.eye(g.shape[0])))))
-    return defect if rows >= cols else max(defect, 1.0)
-
-
 def _criterion(op: Mps) -> tuple[tuple[np.ndarray, ...], SequentialityReport]:
     """Defined columns of every step of a canonical chain, and the verdict on them."""
     blocks = tuple(_defined_columns(t, k < op.m_in) for k, t in enumerate(op.tensors))
-    residuals = tuple(_isometry_defect(q) for q in blocks[: op.m_in])
+    residuals = tuple(isometry_defect(q) for q in blocks[: op.m_in])
     report = SequentialityReport(
         implementable=max(residuals) < ISOMETRY_TOL,
         per_site_residuals=residuals,
@@ -188,17 +170,17 @@ def _criterion(op: Mps) -> tuple[tuple[np.ndarray, ...], SequentialityReport]:
     return blocks, report
 
 
-def sequentiality_test(u: Isometry, rank_tol: float = DEFAULT_RANK_TOL) -> SequentialityReport:
+def sequentiality_test(u: Isometry) -> SequentialityReport:
     """Test whether the isometry admits a single-pass sequential decomposition.
 
     The verdict does not depend on which canonical form is used, so a single
     canonicalization decides it.  For ``m_in == 1`` the criterion holds
     automatically and the verdict is always positive.
     """
-    return _criterion(operator_to_mps(u, rank_tol)[0])[1]
+    return _criterion(operator_to_mps(u)[0])[1]
 
 
-def build_plan(u: Isometry, rank_tol: float = DEFAULT_RANK_TOL) -> SequentialPlan:
+def build_plan(u: Isometry) -> SequentialPlan:
     """Synthesize the minimal-ancilla sequential decomposition.
 
     The ancilla dimension is the maximal canonical bond dimension.  Each
@@ -213,7 +195,7 @@ def build_plan(u: Isometry, rank_tol: float = DEFAULT_RANK_TOL) -> SequentialPla
     Raises :class:`NotImplementableError` (carrying the report) when the
     criterion fails.
     """
-    op, _ = operator_to_mps(u, rank_tol)
+    op, _ = operator_to_mps(u)
     blocks, report = _criterion(op)
     if not report.implementable:
         raise NotImplementableError(report)
@@ -295,7 +277,7 @@ def simulate(
         )
     if not np.isfinite(amps).all():
         raise ContractViolationError("input contains non-finite amplitudes")
-    if abs(np.linalg.norm(amps) - 1.0) > STATE_NORM_TOL:
+    if abs(np.linalg.norm(amps) - 1.0) > ISOMETRY_TOL:
         raise ContractViolationError("input state is not normalized")
     state = np.zeros((amps.size, 1, plan.ancilla_dim), dtype=np.complex128).transpose(1, 0, 2)
     state[0, :, 0] = amps
@@ -439,22 +421,20 @@ def direct_sum_operator_mps(u0_mps: Mps, u1_mps: Mps) -> Mps:
     return Mps(tuple(tensors), m_in=1)
 
 
-def operator_schmidt_ranks(
-    u: Isometry, rank_tol: float = DEFAULT_RANK_TOL
-) -> tuple[int, ...]:
+def operator_schmidt_ranks(u: Isometry) -> tuple[int, ...]:
     """Operator Schmidt ranks of a square unitary across contiguous cuts.
 
     The entry for cut c is the rank of the operator with the output and
     input legs of sites <= c on one side and the rest on the other.  On a
     square operator these cuts are those of the fused chain, so the ranks
     are the interior canonical bond dimensions of :func:`operator_to_mps`,
-    the numbers ``info`` prints; under a truncating ``rank_tol`` they are
-    those of the truncated form.  All ranks equal 1 exactly when the
-    unitary is a tensor product of single-qubit unitaries, i.e. when it is
-    non-entangling.
+    the numbers ``info`` prints: singular values at or below
+    :data:`~seqdecomp.linalg.RANK_TOL` times the largest at a cut do not
+    count.  All ranks equal 1 exactly when the unitary is a tensor product
+    of single-qubit unitaries, i.e. when it is non-entangling.
     """
     if not u.is_unitary:
         raise ContractViolationError(
             f"operator is {u.m_in}->{u.n_out}; Schmidt ranks need a square unitary"
         )
-    return operator_to_mps(u, rank_tol)[0].bond_dims[1:-1]
+    return operator_to_mps(u)[0].bond_dims[1:-1]

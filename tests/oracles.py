@@ -352,10 +352,10 @@ def complete_to_unitary_loops(cols) -> np.ndarray:
     return w
 
 
-def svd_loops(m, rank_tol=1e-10):
+def svd_loops(m):
     """Truncated SVD rephased row by row, as ``(s, vd)``.
 
-    Only the singular values above ``rank_tol * s[0]`` are kept.  Each kept
+    Only the singular values above ``1e-10 * s[0]`` are kept.  Each kept
     row of ``vd`` is multiplied by the conjugate phase of its lead entry:
     the first whose modulus is within a relative 1e-10 of the row's
     largest.  The reference for ``linalg.svd``.
@@ -363,7 +363,7 @@ def svd_loops(m, rank_tol=1e-10):
     a = as_matrix(m)
     _, s, vd = np.linalg.svd(a, full_matrices=False)
     rank = 0
-    while rank < s.size and s[rank] > rank_tol * s[0]:
+    while rank < s.size and s[rank] > 1e-10 * s[0]:
         rank += 1
     rows = []
     for row in vd[:rank]:
@@ -422,7 +422,7 @@ def verify_plan_loops(plan, u: Isometry) -> tuple[float, float]:
     return max_error, max_decouple
 
 
-def operator_to_mps_regroup(u: Isometry, rank_tol=1e-10):
+def operator_to_mps_regroup(u: Isometry):
     """Canonical chain of an operator by the fused-vector peel.
 
     The matrix is regrouped into one vector with the input leg of each of
@@ -444,7 +444,7 @@ def operator_to_mps_regroup(u: Isometry, rank_tol=1e-10):
     weights = [None] * (n - 1)
     for site in reversed(range(1, n)):
         block = rest.reshape(-1, dims[site] * rest.shape[1])
-        s, vd = svd(block, rank_tol)
+        s, vd = svd(block)
         tensors[site] = vd.reshape(s.size, dims[site], -1).transpose(1, 2, 0)
         weights[site - 1] = s
         rest = block @ dagger(vd)

@@ -315,15 +315,7 @@ def test_info_schmidt_ranks_match_the_operator_witness(operator, tmp_path, capsy
     assert code == 0
     u = cli.load_operator(operator, str(path))
     assert json.loads(out)["schmidt_ranks"] == list(operator_cut_ranks(u))
-
-
-def test_info_and_operator_schmidt_ranks_agree_under_truncation(capsys):
-    # on this draw a separate SVD of each whole cut keeps one more value at
-    # cut 2 than the peel, which truncates cut 3 before it reaches cut 2
-    code, out, _ = run_cli(["info", "random:5,5,0", "--rank-tol", "0.5"], capsys)
-    assert code == 0
-    ranks = operator_schmidt_ranks(cli.load_operator("random:5,5,0"), 0.5)
-    assert json.loads(out)["schmidt_ranks"] == list(ranks) == [4, 12, 13, 4]
+    assert json.loads(out)["schmidt_ranks"] == list(operator_schmidt_ranks(u))
 
 
 def test_decompose_canonicalizes_once(monkeypatch, capsys):
@@ -415,7 +407,11 @@ def test_unknown_builtin_exits_2(capsys):
 
 @pytest.mark.parametrize(
     "token, message",
-    [("cloner:0", "need at least one clone"), ("ghz:0", "need at least one output qubit")],
+    [
+        ("cloner:0", "need at least one clone"),
+        ("ghz:0", "need at least one output qubit"),
+        ("random:2,3,-1", "seed must be non-negative, got seed=-1"),
+    ],
 )
 def test_builtin_contract_violation_keeps_its_message(token, message, capsys):
     code, out, err = run_cli(["check", token], capsys)
@@ -433,7 +429,7 @@ def test_builtin_with_wrong_argument_count_exits_2(token, capsys):
     assert "error:" in err
 
 
-# --crit-tol is not an option: any value of it is refused as well
+# neither tolerance is an option: any value of either is refused
 @pytest.mark.parametrize("flag", ["--rank-tol", "--crit-tol"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-12", "x"])
 def test_bad_tolerance_is_a_usage_error(flag, value, capsys, monkeypatch):
@@ -449,16 +445,6 @@ def test_bad_tolerance_is_a_usage_error(flag, value, capsys, monkeypatch):
     assert flag in err
 
 
-def test_tolerance_bounds(capsys):
-    # "-1" after the flag is read as its value, and refused
-    with pytest.raises(SystemExit) as exc:
-        main(["check", "shor", "--rank-tol", "-1"])
-    assert exc.value.code == 2
-    code, out, _ = run_cli(["check", "shor", "--rank-tol", "0"], capsys)
-    assert code == 0
-    assert json.loads(out)["rank_tol"] == 0.0
-
-
 SUBCOMMANDS = {
     "check": ["check", "shor"],
     "decompose": ["decompose", "shor"],
@@ -469,17 +455,19 @@ SUBCOMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 def test_no_subcommand_takes_a_criterion_tolerance(command, capsys):
+    # nor a rank cutoff: both tolerances are constants
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
     out, _ = capsys.readouterr()
-    assert "crit" not in out
-    with pytest.raises(SystemExit) as exc:
-        main(SUBCOMMANDS[command] + ["--crit-tol=1e-8"])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "--crit-tol" in err
+    assert "crit" not in out and "rank" not in out
+    for flag in ("--crit-tol", "--rank-tol"):
+        with pytest.raises(SystemExit) as exc:
+            main(SUBCOMMANDS[command] + [f"{flag}=1e-8"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert flag in err
 
 
 def test_check_and_decompose_reject_alike(capsys):
@@ -503,6 +491,20 @@ def _perturbed_product(n, p, log_eps, seed, path):
     gate = np.kron(np.kron(np.eye(2 ** (p - 1)), zz), np.eye(2 ** (n - p - 1)))
     path.write_text(formats.dumps(formats.isometry_to_doc(Isometry(n, n, gate @ layer))))
     return str(path)
+
+
+def test_a_slightly_entangling_gate_is_rejected_and_an_encoder_accepted(tmp_path, capsys):
+    # no rank cutoff can be raised until exp(-i 1e-3 Z x Z) looks like a
+    # product, nor until a 1 -> N isometry loses its canonical gauge
+    operator = _perturbed_product(2, 1, -3, 0, tmp_path / "operator.json")
+    check = run_cli(["check", operator], capsys)
+    decompose = run_cli(["decompose", operator], capsys)
+    assert check[0] == decompose[0] == 1
+    assert check[1] == decompose[1]
+    assert json.loads(check[1])["bond_dims"] == [1, 2, 1]
+    code, out, _ = run_cli(["check", "random:1,6,0"], capsys)
+    assert code == 0
+    assert json.loads(out)["rank_tol"] == 1e-10
 
 
 SEEDS = st.integers(0, 2**16)

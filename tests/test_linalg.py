@@ -16,8 +16,7 @@ from seqdecomp import (
     reduced_density_matrix,
     svd,
 )
-from seqdecomp.linalg import _QR_ROWS, ISOMETRY_TOL, isometry_residual, r_factor
-from seqdecomp.sequencer import _isometry_defect
+from seqdecomp.linalg import _QR_ROWS, ISOMETRY_TOL, isometry_defect, isometry_residual, r_factor
 
 from oracles import reduced_rho_loops, svd_loops
 
@@ -29,7 +28,7 @@ def test_svd_identity():
 
 
 def test_svd_zero_matrix_rank_zero():
-    s, vd = svd(np.zeros((3, 3), dtype=complex), rank_tol=1e-12)
+    s, vd = svd(np.zeros((3, 3), dtype=complex))
     assert s.shape == (0,)
     assert vd.shape == (0, 3)
 
@@ -166,7 +165,7 @@ def test_r_factor_keeps_the_singular_values_and_right_vectors(
     assert r.shape == (min(rows, cols), cols)
     want = np.linalg.svd(a, compute_uv=False)
     s_max = want[0] if want.size else 0.0
-    s, vd = svd(r, rank_tol=0.0)
+    s, vd = svd(r)
     # values that round to zero in one factoring may survive in the other
     assert np.max(np.abs(s - want[: s.size]), initial=0.0) <= 1e-13 * s_max
     assert np.max(want[s.size :], initial=0.0) <= 1e-13 * s_max
@@ -254,18 +253,20 @@ def test_isometry_residual_matches_spectral_verdicts(qubits, input_qubits, seed,
     a = q + (tol * 10.0**log_scale / first_order) * z
     if wide:
         a = dagger(a)
-    exact = float(np.linalg.norm(dagger(a) @ a - np.eye(a.shape[1]), 2))
+    gram = dagger(a) @ a - np.eye(a.shape[1])
+    exact = float(np.linalg.norm(gram, 2))
     value = isometry_residual(a)
-    assert (value > tol) == (exact > tol)
-    assert (value >= tol) == (exact >= tol)
-    if value >= tol:
-        assert value == exact
+    rounding = dim * np.finfo(float).eps
+    if np.linalg.norm(gram) < tol:
+        assert exact <= value < tol
     else:
-        assert exact <= value
-    # the sequentiality criterion's residual decides at the same tolerance,
-    # bar draws within the Gram matrix's rounding of it
-    if abs(exact - tol) > dim * np.finfo(float).eps:
-        assert (_isometry_defect(a) < tol) == (exact < tol)
+        # the sequentiality criterion's residual, so both decide from one value
+        assert value == isometry_defect(a)
+        assert math.isclose(value, exact, rel_tol=1e-12, abs_tol=rounding)
+    # eigvalsh and the SVD round apart only within the Gram matrix's rounding
+    if abs(exact - tol) > rounding:
+        assert (value > tol) == (exact > tol)
+        assert (value >= tol) == (exact >= tol)
 
 
 def test_reduced_density_matrix_matches_loops():

@@ -159,6 +159,25 @@ def _state_on_sites(dims, max_bond, rng):
     return psi / np.linalg.norm(psi)
 
 
+def _chain_sum(a, b):
+    """A chain on the sites of ``a`` and ``b`` contracting to the sum of
+    theirs, each interior bond the direct sum of their bonds."""
+    ta = [a.norm * a.tensors[0], *a.tensors[1:]]
+    tb = [b.norm * b.tensors[0], *b.tensors[1:]]
+    n = len(ta)
+    if n == 1:
+        return Mps((ta[0] + tb[0],), m_in=a.m_in)
+    tensors = []
+    for m, (x, y) in enumerate(zip(ta, tb)):
+        rows = 1 if m == n - 1 else x.shape[1] + y.shape[1]
+        cols = 1 if m == 0 else x.shape[2] + y.shape[2]
+        t = np.zeros((x.shape[0], rows, cols), dtype=complex)
+        t[:, : x.shape[1], : x.shape[2]] = x
+        t[:, rows - y.shape[1] :, cols - y.shape[2] :] = y
+        tensors.append(t)
+    return Mps(tuple(tensors), m_in=a.m_in)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     dims=st.lists(st.integers(1, 4), min_size=1, max_size=6),
@@ -192,9 +211,10 @@ def test_canonicalize_recovers_the_schmidt_spectra_of_a_hidden_chain(
     data, m_in, max_bond, truncate, seed
 ):
     # an operator chain fuses input and output legs on its first m_in sites.
-    # A truncating rank_tol drops a generic tail 1e-9 below the chain: each
-    # cut changes the weights of the cuts peeled before it to second order
-    # in the dropped norm, so only a small tail keeps them within 1e-12
+    # A generic tail 1e-12 below the chain, summed into it, lies below the
+    # rank cutoff, so the peel drops it: each cut changes the weights of the
+    # cuts peeled before it to second order in the dropped norm, well
+    # within 1e-12
     if m_in:
         n = data.draw(st.integers(m_in, 4))
         dims = [4] * m_in + [2] * (n - m_in)
@@ -202,21 +222,21 @@ def test_canonicalize_recovers_the_schmidt_spectra_of_a_hidden_chain(
         dims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
     rng = np.random.default_rng(seed)
     psi = _state_on_sites(dims, max_bond, rng)
-    rank_tol = 1e-10
-    if truncate:
-        psi = psi + 1e-9 * _state_on_sites(dims, None, rng)
-        psi /= np.linalg.norm(psi)
-        rank_tol = 1e-5
     direct, weights = state_to_mps(psi, dims)
     chain = Mps(direct.tensors, norm=direct.norm, m_in=m_in)
-    hidden = gauge_inflate(chain, pad_to=chain.max_bond_dim + 1, seed=seed)
-    recovered, recovered_weights = canonicalize(hidden, rank_tol)
+    hidden = chain
+    if truncate:
+        tail, _ = state_to_mps(_state_on_sites(dims, None, rng), dims)
+        hidden = _chain_sum(chain, Mps(tail.tensors, norm=1e-12 * tail.norm, m_in=m_in))
+        psi = contract_state(hidden)
+    hidden = gauge_inflate(hidden, pad_to=hidden.max_bond_dim + 1, seed=seed)
+    recovered, recovered_weights = canonicalize(hidden)
     assert recovered.m_in == m_in
     assert recovered.physical_dims == tuple(dims)
     contraction = contract_state(recovered)
-    assert np.linalg.norm(contraction - psi) <= (1e-8 if truncate else 1e-12)
+    assert np.linalg.norm(contraction - psi) <= (1e-11 if truncate else 1e-12)
     assert recovered.bond_dims[1:-1] == schmidt_cut_ranks(contraction, dims)
-    assert recovered.bond_dims[1:-1] == schmidt_cut_ranks(psi, dims, rank_tol)
+    assert recovered.bond_dims[1:-1] == schmidt_cut_ranks(psi, dims)
     oracle = schmidt_cut_weights(contraction, dims)
     for lam, want in zip(recovered_weights.lambdas, oracle, strict=True):
         assert np.max(np.abs(lam - want)) <= 1e-12
