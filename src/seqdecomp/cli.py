@@ -22,7 +22,7 @@ import numpy as np
 from . import formats
 from .errors import ContractViolationError, NotImplementableError, NumericFailureError
 from .linalg import ISOMETRY_TOL, RANK_TOL, reduced_density_matrix
-from .mps import check_canonical, operator_to_mps
+from .mps import canonical_chain, check_canonical
 from .oplib import (
     Isometry,
     cnot,
@@ -167,13 +167,11 @@ def _cmd_simulate(args) -> int:
     nrm = float(np.linalg.norm(amps))
     if nrm == 0.0:
         raise ContractViolationError("--input-state: state has zero norm")
+    if args.reduce is not None and not 1 <= args.reduce <= plan.n_out:
+        raise ContractViolationError(f"--reduce: site {args.reduce} out of range 1..{plan.n_out}")
     state, residual = simulate(plan, amps / nrm)
     out: dict = {"decoupling_residual": residual}
     if args.reduce is not None:
-        if not 1 <= args.reduce <= plan.n_out:
-            raise ContractViolationError(
-                f"--reduce: site {args.reduce} out of range 1..{plan.n_out}"
-            )
         rho = reduced_density_matrix(state, [2] * plan.n_out, args.reduce - 1)
         out["site"] = args.reduce
         out["reduced_density_matrix"] = rho
@@ -185,7 +183,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_info(args) -> int:
     u = load_operator(args.operator, args.factors)
-    op_mps, weights = operator_to_mps(u)
+    op_mps, weights = canonical_chain(u)
     canonical = check_canonical(op_mps, weights)
     doc = {
         "m_qubits": u.m_in,

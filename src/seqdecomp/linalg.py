@@ -8,6 +8,7 @@ bit of a basis-state index.
 from __future__ import annotations
 
 import math
+import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +24,20 @@ RANK_TOL = 1e-10
 #: the canonical form's conditions and the sequentiality criterion.  Also the
 #: 2-norm slack of a state that must be normalized.
 ISOMETRY_TOL = 1e-10
+
+
+def _require_dense_fits(name: str, m_in: int, n_out: int, copies: int = 1) -> None:
+    """Refuse work on ``copies`` dense ``m_in -> n_out`` matrices of
+    ``16 * 2**(n_out + m_in)`` bytes each when they exceed the machine's
+    physical memory, before allocating them."""
+    need = copies * 16 * 2 ** (n_out + m_in)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        times = f" x {copies}" if copies > 1 else ""
+        raise ContractViolationError(
+            f"{name}: the dense {m_in} -> {n_out} matrix{times} needs {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:

@@ -56,25 +56,34 @@ formed: the first cut reads a transposed view of the operator's matrix, in
 the fused order, and every later block is a view of the carry.  The rows
 of a block stay in that order because it decides the SVD's basis within a
 degenerate Schmidt spectrum.
+
+An operator held as a chain needs no matrix at all.  A ``product`` is
+held as its bond-1 chain, one fused 4-vector per factor, and
+:func:`canonical_chain`, the one canonicalization of each request, takes
+it through :func:`canonicalize`; a dense operator goes through
+:func:`operator_to_mps`.  Verification reads the target's rows from the
+chain with :func:`target_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ContractViolationError, NumericFailureError
-from .linalg import ISOMETRY_TOL, _QR_ROWS, dagger, r_factor, svd
-from .oplib import Isometry, _require_dense_fits
+from .linalg import ISOMETRY_TOL, _QR_ROWS, _require_dense_fits, dagger, r_factor, svd
+
+if TYPE_CHECKING:
+    from .oplib import Isometry
 
 #: Dense matrices' worth of memory that :func:`operator_to_mps` holds at
 #: its peak: the operator itself plus the peel's working copies, which
 #: ``tracemalloc`` measured at up to 5.4 times the matrix on Haar isometries
 #: of 14 to 18 qubits in all, where a short cut's SVD copies the block and
-#: forms its left vectors (2.0 on ``cloner:7``, 1.5 on ``ghz:16``, 0.4 on a
-#: 10-factor product, whose tall cuts are read in chunks).
+#: forms its left vectors (2.0 on ``cloner:7``, 1.5 on ``ghz:16``, 0.4 on the
+#: matrix of a 10-factor product, whose tall cuts are read in chunks).
 _PEEL_COPIES = 7
 
 #: Fewest rows for which a cut is factored through its R factor; below it
@@ -233,12 +242,53 @@ def contract_state(mps: Mps) -> np.ndarray:
 
 def contract_operator(op: Mps) -> np.ndarray:
     """Dense ``(2**n_sites, 2**m_in)`` matrix represented by an operator chain."""
-    n, m = op.n_sites, op.m_in
-    vec = contract_state(op)
-    # fused legs (i_1 j_1 .. i_m j_m i_{m+1} .. i_n) -> (i_1 .. i_n), (j_1 .. j_m)
-    perm = [2 * k for k in range(m)] + list(range(2 * m, n + m))
-    perm += [2 * k + 1 for k in range(m)]
-    return vec.reshape([2] * (n + m)).transpose(perm).reshape(2**n, 2**m)
+    return operator_rows(op, 0, 2**op.n_sites)
+
+
+def operator_rows(op: Mps, first: int, count: int) -> np.ndarray:
+    """Rows ``first .. first + count - 1`` of :func:`contract_operator`.
+
+    The chain is contracted from site 1 over the row prefixes only: after
+    ``k`` sites it holds, for each prefix of ``k`` output bits that one of
+    the rows starts with, the open input legs of those sites and the right
+    bond.  So it never holds much more than the rows asked for, whose
+    prefixes are a contiguous range at every depth.
+    """
+    n, last = op.n_sites, first + count - 1
+    if not 0 <= first <= last < 2**n:
+        raise ContractViolationError(f"rows {first}..{last} out of range for {n} sites")
+    g = np.full((1, 1, 1), op.norm, dtype=np.complex128)  # (prefix, inputs, bond)
+    low = 0  # the first prefix held
+    for k, t in enumerate(op.tensors):
+        rgt, lft = t.shape[1:]
+        # (output, input, left, right); a site without an input has one value
+        legs = t.reshape(2, -1, rgt, lft).transpose(0, 1, 3, 2)
+        out = np.empty((len(g), 2, g.shape[1], legs.shape[1], rgt), dtype=np.complex128)
+        # out is (prefix, output, inputs so far, this site's input, right)
+        np.matmul(g[:, None, None], legs, out=out.transpose(0, 1, 3, 2, 4))
+        start, stop = first >> (n - k - 1), last >> (n - k - 1)
+        g = out.reshape(2 * len(g), -1, rgt)[start - 2 * low : stop - 2 * low + 1]
+        low = start
+    return g[:, :, 0]
+
+
+def target_rows(u: Isometry, first: int, count: int) -> np.ndarray:
+    """Rows ``first .. first + count - 1`` of the operator's matrix: a view
+    of ``u.matrix``, or, for an operator held as a chain, contracted from
+    it by :func:`operator_rows`, so that its matrix is never formed."""
+    if u.chain is None:
+        return u.matrix[first : first + count]
+    return operator_rows(u.chain, first, count)
+
+
+def canonical_chain(u: Isometry) -> tuple[Mps, CanonicalWeights]:
+    """Canonical matrix-product form of an operator, whatever it is held as.
+
+    This is the one canonicalization of each request: an operator held as
+    a chain (``u.chain``) goes through :func:`canonicalize`, any other is
+    peeled from its matrix by :func:`operator_to_mps`.
+    """
+    return operator_to_mps(u) if u.chain is None else canonicalize(u.chain)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +428,9 @@ def operator_to_mps(u: Isometry) -> tuple[Mps, CanonicalWeights]:
     legs only.  The contraction of the result reproduces the operator
     entrywise.  Like :func:`state_to_mps`, it makes one SVD per interior cut.
     An operator whose peel would not fit in physical memory is refused
-    before anything is allocated.
+    before anything is allocated.  This is the dense peel: it reads
+    ``u.matrix`` even for an operator held as a chain, which
+    :func:`canonical_chain` canonicalizes without it.
     """
     n, m = u.n_out, u.m_in
     _require_dense_fits("canonicalization", m, n, _PEEL_COPIES)

@@ -7,16 +7,17 @@ both big-endian (site 1 is the most significant qubit).
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import ISOMETRY_TOL, as_matrix, dagger, isometry_residual
+from .linalg import ISOMETRY_TOL, _require_dense_fits, as_matrix, dagger, isometry_residual
+from .mps import Mps
 
 _MAX_QUBITS = 10
 
@@ -31,13 +32,18 @@ class Isometry:
     ``complex128`` copy.  Constructing an ``Isometry`` checks the matrix
     densely, through its Gram matrix; so do operator files and the
     ``cnot``, ``ghz``, ``shor``, ``cloner`` and ``random`` builtins.
-    :func:`product_unitary` decides the same residual from its 2x2 factors.
-    Like every type that holds arrays, it compares and hashes by identity.
+
+    :func:`product_unitary` instead holds its operator as ``chain``, a
+    bond-1 :class:`~seqdecomp.mps.Mps`, and decides the same residual from
+    its 2x2 factors; its ``matrix`` is formed the first time it is read.
+    Every other operator has no ``chain``.  Like every type that holds
+    arrays, it compares and hashes by identity.
     """
 
     m_in: int
     n_out: int
     matrix: np.ndarray
+    chain: Mps | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.m_in < 1 or self.n_out < self.m_in:
@@ -55,45 +61,43 @@ class Isometry:
         self._seal(a.copy(), residual)
 
     @classmethod
-    def _from_residual(cls, n: int, matrix: np.ndarray, residual: float) -> Isometry:
-        """An ``n``-qubit unitary whose Gram residual is already known.
-
-        ``matrix`` must be a fresh, finite ``complex128`` array of shape
-        ``(2**n, 2**n)`` that nothing else holds; it is frozen in place.
-        """
+    def _from_chain(cls, chain: Mps, residual: float,
+                    dense: Callable[[], np.ndarray]) -> Isometry:
+        """An isometry held as the operator ``chain``, whose Gram residual
+        is already known; ``dense()`` forms its matrix, a fresh
+        ``complex128`` array, when ``matrix`` is first read."""
         iso = object.__new__(cls)
-        object.__setattr__(iso, "m_in", n)
-        object.__setattr__(iso, "n_out", n)
-        iso._seal(matrix, residual)
+        object.__setattr__(iso, "m_in", chain.m_in)
+        object.__setattr__(iso, "n_out", chain.n_sites)
+        iso._seal(None, residual)
+        object.__setattr__(iso, "chain", chain)
+        object.__setattr__(iso, "_dense", dense)
         return iso
 
-    def _seal(self, matrix: np.ndarray, residual: float) -> None:
+    def _seal(self, matrix: np.ndarray | None, residual: float) -> None:
         """Refuse a Gram residual above :data:`ISOMETRY_TOL`, else store
-        ``matrix`` (an owned ``complex128`` array) read-only."""
+        ``matrix`` (an owned ``complex128`` array), if any, read-only."""
         if residual > ISOMETRY_TOL:
             raise ContractViolationError(
                 f"matrix is not an isometry: residual {residual:.3e}"
             )
+        if matrix is not None:
+            matrix.setflags(write=False)
+            object.__setattr__(self, "matrix", matrix)
+
+    def __getattr__(self, name: str):
+        # reached only for a missing attribute: a chain operator's matrix
+        # before its first read
+        if name != "matrix" or "_dense" not in self.__dict__:
+            raise AttributeError(name)
+        matrix = self._dense()
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
+        return matrix
 
     @property
     def is_unitary(self) -> bool:
         return self.m_in == self.n_out
-
-
-def _require_dense_fits(name: str, m_in: int, n_out: int, copies: int = 1) -> None:
-    """Refuse work on ``copies`` dense ``m_in -> n_out`` matrices of
-    ``16 * 2**(n_out + m_in)`` bytes each when they exceed the machine's
-    physical memory, before allocating them."""
-    need = copies * 16 * 2 ** (n_out + m_in)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        times = f" x {copies}" if copies > 1 else ""
-        raise ContractViolationError(
-            f"{name}: the dense {m_in} -> {n_out} matrix{times} needs {need} bytes, "
-            f"more than the {have} bytes of physical memory"
-        )
 
 
 def cnot() -> Isometry:
@@ -195,6 +199,11 @@ def gisin_massar_cloner(n_clones: int) -> Isometry:
 def product_unitary(factors: Sequence[np.ndarray]) -> Isometry:
     """Tensor product of single-qubit unitaries, in site order.
 
+    The product is held as its bond-1 operator chain: site ``k`` carries
+    factor ``k`` as the fused 4-vector (fused index = 2 * output + input)
+    divided by sqrt(2), and the chain's norm is ``sqrt(2**N)``.  Its matrix,
+    the ``np.kron`` chain of the factors, is formed only when read.
+
     The product's Gram matrix is the Kronecker product of its factors' Gram
     matrices, so its eigenvalues are products of one eigenvalue of each
     factor's.  The spectral residual ``||U† U - I||`` is therefore
@@ -206,7 +215,7 @@ def product_unitary(factors: Sequence[np.ndarray]) -> Isometry:
         raise ContractViolationError("need at least one factor")
     if len(factors) > _MAX_QUBITS:
         raise ContractViolationError(f"at most {_MAX_QUBITS} factors supported")
-    total = np.eye(1, dtype=np.complex128)
+    owned = []
     low = high = 1.0
     for k, f in enumerate(factors):
         a = as_matrix(f, f"factor {k}")
@@ -216,8 +225,12 @@ def product_unitary(factors: Sequence[np.ndarray]) -> Isometry:
         if max(hi - 1.0, 1.0 - lo) > ISOMETRY_TOL:
             raise ContractViolationError(f"factor {k} is not unitary")
         low, high = low * lo, high * hi
-        total = np.kron(total, a)
-    return Isometry._from_residual(len(factors), total, max(high - 1.0, 1.0 - low))
+        owned.append(a.copy())
+    n = len(owned)
+    chain = Mps(tuple(a.reshape(4, 1, 1) / math.sqrt(2.0) for a in owned),
+                norm=math.sqrt(2.0**n), m_in=n)
+    kron_chain = functools.partial(functools.reduce, np.kron, owned)
+    return Isometry._from_chain(chain, max(high - 1.0, 1.0 - low), kron_chain)
 
 
 #: Gaussian draws per block in :func:`_gaussian_columns`.

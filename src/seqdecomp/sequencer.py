@@ -22,6 +22,10 @@ complement of ``Q`` from one complete QR
 them.  The ancilla dimension equals the maximal canonical bond dimension,
 which is optimal.
 
+:func:`sequentiality_test`, :func:`build_plan` and
+:func:`operator_schmidt_ranks` each read the one canonical chain that
+:func:`~seqdecomp.mps.canonical_chain` makes of their operator.
+
 For square (``M = N``) operators the criterion holds only for tensor
 products of single-qubit unitaries, equivalently for operators whose
 operator Schmidt rank is 1 across every contiguous cut; see
@@ -33,7 +37,9 @@ PRL 95, 110503 (2005)).  :func:`verify_plan` runs the steps with the input
 legs left open, towards the plan's operator from the input qubits to the
 chain and the ancilla, but finishes the chain on groups of emitted rows
 one at a time and compares each finished block with the same rows of the
-target, so the operator is never held whole; :func:`simulate` runs one
+target, so the operator is never held whole.  The target's rows are a
+slice of its matrix or, for an operator held as a chain such as a
+``product``, contracted from the chain.  :func:`simulate` runs one
 amplitude vector through the same step function.  The state grows by one
 emitted site per step, and a step after the inputs uses only the columns
 of its unitary that take the chain qubit in |0>.
@@ -47,9 +53,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, NotImplementableError
-from .linalg import ISOMETRY_TOL, complete_to_unitary, isometry_defect, isometry_residual
-from .mps import Mps, operator_to_mps
-from .oplib import Isometry, _require_dense_fits
+from .linalg import ISOMETRY_TOL, _require_dense_fits, complete_to_unitary
+from .linalg import isometry_defect, isometry_residual
+from .mps import Mps, canonical_chain, target_rows
+from .oplib import Isometry
 
 
 @dataclass(frozen=True)
@@ -177,7 +184,7 @@ def sequentiality_test(u: Isometry) -> SequentialityReport:
     canonicalization decides it.  For ``m_in == 1`` the criterion holds
     automatically and the verdict is always positive.
     """
-    return _criterion(operator_to_mps(u)[0])[1]
+    return _criterion(canonical_chain(u)[0])[1]
 
 
 def build_plan(u: Isometry) -> SequentialPlan:
@@ -195,7 +202,7 @@ def build_plan(u: Isometry) -> SequentialPlan:
     Raises :class:`NotImplementableError` (carrying the report) when the
     criterion fails.
     """
-    op, _ = operator_to_mps(u)
+    op, _ = canonical_chain(u)
     blocks, report = _criterion(op)
     if not report.implementable:
         raise NotImplementableError(report)
@@ -295,6 +302,9 @@ def simulate(
 #: Most entries of a finished block of rows in :func:`verify_plan`.
 _VERIFY_ENTRIES = 2**16
 
+#: Most entries of the target rows compared at once in :func:`verify_plan`.
+_TARGET_ENTRIES = 2**14
+
 
 def _finish(plan: SequentialPlan, u: Isometry, k: int, state: np.ndarray, first_row: int,
             sums: tuple[np.ndarray, np.ndarray]) -> None:
@@ -328,8 +338,10 @@ def _compare_rows(final: np.ndarray, u: Isometry, first_row: int,
     """Add, per basis input, the squared error of the chain state over the
     final rows from ``first_row`` on, and the squared norm of the ancilla
     components that failed to decouple there, to ``sums``."""
-    target = u.matrix[first_row : first_row + final.shape[0]]
-    np.subtract(final[:, :, 0], target, out=final[:, :, 0])
+    step = max(1, _TARGET_ENTRIES // 2**u.m_in)
+    for start in range(0, final.shape[0], step):
+        part = final[start : start + step, :, 0]
+        np.subtract(part, target_rows(u, first_row + start, len(part)), out=part)
     state_sq, decouple_sq = sums
     state_sq += _squared_norms(final[:, :, :1])
     decouple_sq += _squared_norms(final[:, :, 1:])
@@ -343,9 +355,13 @@ def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
     is finished separately on groups of emitted rows (:func:`_finish`): each
     finished block holds at most :data:`_VERIFY_ENTRIES` entries, unless one
     emitted row alone finishes into more, and is compared with the same rows
-    of ``u.matrix`` column by column before the next group runs.  So the
+    of the target column by column before the next group runs.  So the
     whole operator is formed only when it fits the budget, and the working
     set beside the target stays below 1.5 budgets however large the ancilla.
+    The target's rows come from :func:`~seqdecomp.mps.target_rows` a slice
+    of the block at a time, at most :data:`_TARGET_ENTRIES` entries: views
+    of ``u.matrix``, or, when ``u`` is held as a chain, rows contracted from
+    it, so that no dense target is held.
     Linearity makes basis coverage sufficient: the reported
     ``operator_norm_bound`` scales the worst basis error by
     ``sqrt(2**m_in)`` to bound the error over all inputs.  A verification
@@ -356,11 +372,12 @@ def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
             f"plan is {plan.m_in}->{plan.n_out} but operator is "
             f"{u.m_in}->{u.n_out}"
         )
-    # the target, and the last step's input and output on the largest
-    # finished block: the whole operator, D matrices, when it fits the budget
+    # the dense target, if any, and the last step's input and output on the
+    # largest finished block: the whole operator, D matrices, when it fits
     d, entries = plan.ancilla_dim, 2 ** (u.n_out + u.m_in)
     block = min(d * entries, max(_VERIFY_ENTRIES, 2 ** (u.m_in + 1) * d))
-    _require_dense_fits("plan verification", u.m_in, u.n_out, 1 + -(-3 * block // (2 * entries)))
+    target = 1 if u.chain is None else 0
+    _require_dense_fits("plan verification", u.m_in, u.n_out, target + -(-3 * block // (2 * entries)))
     state = np.zeros((1, 1, plan.ancilla_dim), dtype=np.complex128)
     state[0, 0, 0] = 1.0
     # per basis input, the squared error of the chain state and the squared
@@ -427,8 +444,9 @@ def operator_schmidt_ranks(u: Isometry) -> tuple[int, ...]:
     The entry for cut c is the rank of the operator with the output and
     input legs of sites <= c on one side and the rest on the other.  On a
     square operator these cuts are those of the fused chain, so the ranks
-    are the interior canonical bond dimensions of :func:`operator_to_mps`,
-    the numbers ``info`` prints: singular values at or below
+    are the interior bond dimensions of the operator's canonical chain
+    (:func:`~seqdecomp.mps.canonical_chain`), the numbers ``info`` prints:
+    singular values at or below
     :data:`~seqdecomp.linalg.RANK_TOL` times the largest at a cut do not
     count.  All ranks equal 1 exactly when the unitary is a tensor product
     of single-qubit unitaries, i.e. when it is non-entangling.
@@ -437,4 +455,4 @@ def operator_schmidt_ranks(u: Isometry) -> tuple[int, ...]:
         raise ContractViolationError(
             f"operator is {u.m_in}->{u.n_out}; Schmidt ranks need a square unitary"
         )
-    return operator_to_mps(u)[0].bond_dims[1:-1]
+    return canonical_chain(u)[0].bond_dims[1:-1]

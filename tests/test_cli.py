@@ -20,7 +20,6 @@ from seqdecomp import (
     ghz_state,
     haar_unitary,
     operator_schmidt_ranks,
-    operator_to_mps,
     product_unitary,
     shor_encoder,
 )
@@ -154,7 +153,8 @@ def test_canonicalization_larger_than_memory_exits_2_before_the_peel(
     command, operator, tmp_path, capsys, monkeypatch
 ):
     # each operator is 1 -> 4 (512 bytes) or 4 -> 4 (4096 bytes) and fits in
-    # memory itself; its peel, 7 matrices, does not
+    # memory itself; its peel, 7 matrices, does not.  A product is
+    # canonicalized as its bond-1 chain, so it needs no peel and is decided.
     rng = np.random.default_rng(17)
     factors = tmp_path / "factors.json"
     factors.write_text(formats.dumps([haar_unitary(2, rng) for _ in range(4)]))
@@ -170,6 +170,9 @@ def test_canonicalization_larger_than_memory_exits_2_before_the_peel(
     memory = {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     code, out, err = run_cli([command, operator, "--factors", str(factors)], capsys)
+    if operator == "product":
+        assert (code, err, peels) == (0, "", [])
+        return
     assert (code, out, peels) == (2, "", [])
     assert err == (
         f"error: canonicalization: the dense {m} -> {n} matrix x 7 needs {need} bytes, "
@@ -257,6 +260,20 @@ def test_simulate_cloner_reduced(tmp_path, capsys):
     assert np.allclose(rho, np.diag([5.0 / 6.0, 1.0 / 6.0]), atol=1e-10)
 
 
+@pytest.mark.parametrize("site", [0, 4])
+def test_simulate_refuses_a_reduced_site_before_running_the_chain(site, tmp_path, capsys,
+                                                                  monkeypatch):
+    path = tmp_path / "plan.json"
+    run_cli(["decompose", "cloner:2", "-o", str(path)], capsys)
+    calls = []
+    monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args))
+    code, out, err = run_cli(
+        ["simulate", str(path), "--input-state", "0", "--reduce", str(site)], capsys
+    )
+    assert (code, out, calls) == (2, "", [])
+    assert err == f"error: --reduce: site {site} out of range 1..3\n"
+
+
 def test_simulate_amplitude_list_input(tmp_path, capsys):
     path = tmp_path / "plan.json"
     run_cli(["decompose", "ghz:2", "-o", str(path)], capsys)
@@ -318,18 +335,27 @@ def test_info_schmidt_ranks_match_the_operator_witness(operator, tmp_path, capsy
     assert json.loads(out)["schmidt_ranks"] == list(operator_schmidt_ranks(u))
 
 
-def test_decompose_canonicalizes_once(monkeypatch, capsys):
+def test_decompose_canonicalizes_once(monkeypatch, capsys, tmp_path):
+    # a dense operator is peeled once; a product's chain is canonicalized once
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return operator_to_mps(*args, **kwargs)
+    def counted(name):
+        original = getattr(mps_module, name)
+        return lambda *args: calls.append(name) or original(*args)
 
-    monkeypatch.setattr(sequencer, "operator_to_mps", counted)
-    monkeypatch.setattr(cli, "operator_to_mps", counted)
-    code, _, _ = run_cli(["decompose", "shor"], capsys)
-    assert code == 0
-    assert len(calls) == 1
+    for name in ("operator_to_mps", "canonicalize"):
+        monkeypatch.setattr(mps_module, name, counted(name))
+    rng = np.random.default_rng(23)
+    factors = tmp_path / "factors.json"
+    factors.write_text(formats.dumps([haar_unitary(2, rng) for _ in range(10)]))
+    for argv, calls_made in [
+        (["decompose", "shor"], ["operator_to_mps"]),
+        (["decompose", "product", "--factors", str(factors)], ["canonicalize"]),
+    ]:
+        calls.clear()
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert calls == calls_made
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -3,10 +3,12 @@
 Each figure is the ``tracemalloc`` peak of one call above what was held
 before it, in units of the operator's dense matrix; numpy reports its
 array allocations to ``tracemalloc``.  The bounds sit above the measured
-peaks: a 10-factor product's peel 0.38 matrices and its verification 0.08,
-``cloner:8``'s verification 1.5, and the peels of a Haar 1 -> 16, a Haar
-8 -> 9 and ``cloner:8`` 4.7, 3.6 and 2.0, against 5.8, 5.3 and 3.0 when
-the peel regrouped the matrix into one fused vector first.
+peaks: the peel of a 10-factor product's dense matrix 0.38 matrices and
+the product's verification 0.09, ``cloner:8``'s verification 1.5, and the
+peels of a Haar 1 -> 16, a Haar 8 -> 9 and ``cloner:8`` 4.7, 3.6 and 2.0,
+against 5.8, 5.3 and 3.0 when the peel regrouped the matrix into one fused
+vector first.  A product held as its chain is planned and verified within
+1.4 MiB, in bytes, where its dense matrix alone is 16 MiB.
 """
 
 import tracemalloc
@@ -17,12 +19,15 @@ import pytest
 from seqdecomp import (
     Isometry,
     build_plan,
+    check_canonical,
     gisin_massar_cloner,
     haar_unitary,
     operator_to_mps,
     product_unitary,
+    sequentiality_test,
     verify_plan,
 )
+from seqdecomp.mps import canonical_chain
 
 
 def haar_isometry(m, n, seed):
@@ -38,8 +43,8 @@ def haar_product(n, seed):
     return product_unitary([haar_unitary(2, rng) for _ in range(n)])
 
 
-def peak_matrices(call, u):
-    """Peak of ``call()`` above what was held before it, in matrices of ``u``."""
+def peak_bytes(call):
+    """Peak of ``call()`` above what was held before it, in bytes."""
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
@@ -47,12 +52,28 @@ def peak_matrices(call, u):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - held) / u.matrix.nbytes
+    return peak - held
+
+
+def peak_matrices(call, u):
+    """Peak of ``call()`` above what was held before it, in matrices of ``u``."""
+    return peak_bytes(call) / u.matrix.nbytes
 
 
 def test_the_peel_of_a_product_holds_under_half_a_matrix():
-    u = haar_product(10, seed=1)
+    # the dense peel of the product's matrix, which the product itself skips
+    u = Isometry(10, 10, haar_product(10, seed=1).matrix)
     assert peak_matrices(lambda: operator_to_mps(u), u) <= 0.5
+
+
+def test_a_product_is_decided_planned_and_verified_without_its_matrix():
+    # 2 MiB is an eighth of the 10-factor product's dense 1024 x 1024 matrix
+    u = haar_product(10, seed=5)
+    warm = haar_product(2, seed=5)  # first calls import numpy modules lazily
+    verify_plan(build_plan(warm), warm)
+    assert peak_bytes(lambda: sequentiality_test(u)) < 2 * 2**20  # check
+    assert peak_bytes(lambda: check_canonical(*canonical_chain(u))) < 2 * 2**20  # info
+    assert peak_bytes(lambda: verify_plan(build_plan(u), u)) < 2 * 2**20  # decompose
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,17 @@
 """Property tests of the invariants promised for every input operator."""
 
+import io
+import json
 import math
+from contextlib import redirect_stdout
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqdecomp import (
+    ContractViolationError,
     Isometry,
     Mps,
     build_plan,
@@ -26,6 +31,8 @@ from seqdecomp import (
     state_to_mps,
     verify_plan,
 )
+from seqdecomp import cli
+from seqdecomp.linalg import ISOMETRY_TOL
 
 from oracles import (
     gauge_inflate,
@@ -243,3 +250,76 @@ def test_canonicalize_recovers_the_schmidt_spectra_of_a_hidden_chain(
     assert check_canonical(recovered, recovered_weights).passed
     if not truncate:
         assert bool(gauge_check(chain, weights, recovered, recovered_weights))
+
+
+def _cli_doc(command, u):
+    """Exit code and JSON output of ``seqdecomp <command>`` on the operator ``u``."""
+    out = io.StringIO()
+    with mock.patch.object(cli, "load_operator", lambda *args: u), redirect_stdout(out):
+        code = cli.main([command, "product"])
+    return code, json.loads(out.getvalue())
+
+
+#: Distance from ISOMETRY_TOL within which rounding may decide a verdict.
+VERDICT_BAND = 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=SEEDS,
+    deltas=st.lists(
+        st.one_of(st.just(0.0), st.floats(-5e-11, 5e-11)), min_size=1, max_size=10
+    ),
+)
+@example(seed=3, deltas=[0.0] * 10)
+@example(seed=4, deltas=[4e-11] * 3)
+def test_a_product_chain_agrees_with_its_dense_matrix(seed, deltas):
+    # Haar factors scaled by (1 + delta): the chain path decides, plans and
+    # verifies from the factors, the dense path from their Kronecker product
+    rng = np.random.default_rng(seed)
+    factors = [(1.0 + d) * haar_unitary(2, rng) for d in deltas]
+    n = len(factors)
+    lows, highs = zip(*(np.linalg.eigvalsh(f.conj().T @ f) for f in factors))
+    residual = max(math.prod(highs) - 1.0, 1.0 - math.prod(lows))
+    kron = factors[0]
+    for f in factors[1:]:
+        kron = np.kron(kron, f)
+    built = []
+    for make in (lambda: product_unitary(factors), lambda: Isometry(n, n, kron)):
+        try:
+            built.append(make())
+        except ContractViolationError as exc:
+            built.append(str(exc))
+    chain, dense = built
+    if isinstance(chain, str) and chain.startswith("factor"):
+        return  # a factor refused on its own never reaches the product
+    if abs(residual - ISOMETRY_TOL) <= VERDICT_BAND:
+        return  # rounding decides
+    if isinstance(chain, str) or isinstance(dense, str):
+        # the same refusal, with residuals that agree to rounding
+        prefix = "matrix is not an isometry: residual "
+        assert chain.startswith(prefix) and dense.startswith(prefix)
+        assert abs(float(chain[len(prefix):]) - float(dense[len(prefix):])) <= VERDICT_BAND
+        return
+    assert chain.chain is not None and dense.chain is None
+    plans = [build_plan(u) for u in built]
+    assert plans[0].bond_dims == plans[1].bond_dims == (1,) * (n + 1)
+    for a, b in zip(plans[0].steps, plans[1].steps, strict=True):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    # a plan is exactly unitary, so a scaled target's own defect shows as its error
+    errors = [verify_plan(plan, u).max_error for plan, u in zip(plans, built)]
+    assert abs(errors[0] - errors[1]) <= 1e-12 and errors[0] <= residual + 1e-12
+    (check_code, check), (check_code_dense, check_dense) = (_cli_doc("check", u) for u in built)
+    assert check_code == check_code_dense == 0
+    residuals = [doc.pop("per_site_residuals") for doc in (check, check_dense)]
+    assert np.allclose(*residuals, rtol=0, atol=1e-12)
+    assert check == check_dense
+    (code, decomposed), (code_dense, decomposed_dense) = (_cli_doc("decompose", u) for u in built)
+    assert code == code_dense == 0
+    for key in ("verification_error", "verification_error_bound", "decoupling_residual"):
+        assert abs(decomposed.pop(key) - decomposed_dense.pop(key)) <= 1e-12
+    assert decomposed == decomposed_dense
+    (_, info), (_, info_dense) = (_cli_doc("info", u) for u in built)
+    residuals = [doc.pop("canonical_residuals") for doc in (info, info_dense)]
+    assert all(r <= 1e-12 for doc in residuals for r in doc.values())
+    assert info == info_dense

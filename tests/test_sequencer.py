@@ -260,7 +260,7 @@ def test_verify_refuses_a_working_set_larger_than_memory(memory, refused, monkey
     # a 3 -> 3 matrix is 1024 bytes; at ancilla 1 verification holds the
     # target and the last step's input and output, rounded up to 3 matrices
     rng = np.random.default_rng(19)
-    u = product_unitary([haar_unitary(2, rng) for _ in range(3)])
+    u = Isometry(3, 3, product_unitary([haar_unitary(2, rng) for _ in range(3)]).matrix)
     plan = build_plan(u)
     calls = []
     finish = sequencer._finish
@@ -271,6 +271,22 @@ def test_verify_refuses_a_working_set_larger_than_memory(memory, refused, monkey
         with pytest.raises(ContractViolationError, match="needs 3072 bytes"):
             verify_plan(plan, u)
         assert calls == []
+    else:
+        assert verify_plan(plan, u).max_error < 1e-12
+
+
+@pytest.mark.parametrize("memory, refused", [(2047, True), (2048, False)])
+def test_verify_of_a_chain_operator_counts_no_target(memory, refused, monkeypatch):
+    # the product's target rows come from its chain, a block at a time, so
+    # only the last step's input and output count: 2 matrices of 1024 bytes
+    rng = np.random.default_rng(19)
+    u = product_unitary([haar_unitary(2, rng) for _ in range(3)])
+    plan = build_plan(u)
+    sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+    if refused:
+        with pytest.raises(ContractViolationError, match="x 2 needs 2048 bytes"):
+            verify_plan(plan, u)
     else:
         assert verify_plan(plan, u).max_error < 1e-12
 
