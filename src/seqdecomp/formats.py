@@ -7,6 +7,11 @@ themselves; ``dumps`` writes them as those ``[re, im]`` pairs, one row per
 ``%`` format.  Serialization is deterministic: keys appear sorted and every
 float is printed with 17 significant digits, which round-trips a double
 exactly, except that -0.0 is written as ``-0`` and reads back as 0.
+
+Reading is the stdlib's JSON decoder, except that the elements of a
+top-level object's ``steps`` list come back as arrays, each converted
+before the next is scanned, so a plan file is never held as one tree of
+Python lists.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ from .sequencer import PlanVerification, SequentialityReport, SequentialPlan
 
 #: What ``json.dumps`` applies to a string, without its per-call set-up.
 _quote = json.encoder.encode_basestring_ascii
+#: The stdlib decoder's own value scanner and whitespace rule, which
+#: ``json.loads`` applies to the whole text.
+_scan = json.JSONDecoder().scan_once
+_skip = json.decoder.WHITESPACE.match
 
 
 def dumps(obj: Any) -> str:
@@ -79,7 +88,7 @@ def decode_matrix(data: Any, rows: int, cols: int, where: str) -> np.ndarray:
     """
     expected = f"{where}: expected {rows}x{cols} [re, im] pairs"
     try:
-        a = np.array(data)
+        a = np.asarray(data)  # no copy of a step that parse_document converted
     except ValueError:  # ragged nesting
         raise ContractViolationError(expected) from None
     if a.shape != (rows, cols, 2) or a.dtype.kind not in "biuf":
@@ -174,6 +183,16 @@ def doc_to_plan(doc: Any, where: str = "plan") -> SequentialPlan:
 
 
 def parse_document(text: str, where: str) -> Any:
+    """The JSON document in ``text``, as ``json.loads`` reads it, except that
+    each element of a top-level object's ``steps`` list is ``np.array`` of
+    its value; an element that ``np.array`` refuses stays as read, so that
+    :func:`decode_matrix` reports it.  Errors name ``where``."""
+    try:
+        return _walk_object(text)
+    except (ValueError, StopIteration, RecursionError):
+        pass
+    # whatever the walk does not take, json.loads reads or refuses, so errors
+    # and every other document read exactly as before
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -182,3 +201,60 @@ def parse_document(text: str, where: str) -> Any:
         ) from None
     except ValueError as exc:  # e.g. an integer over the int-to-string digit limit
         raise ContractViolationError(f"{where}: invalid JSON: {exc}") from None
+
+
+def _walk_object(text: str) -> dict:
+    """The top-level JSON object of ``text``, scanned one member at a time.
+
+    Raises ``StopIteration``, as the scanner does, where the text is not
+    one object between whitespace.
+    """
+    at = _skip(text, 0).end()
+    if not text.startswith("{", at):
+        raise StopIteration(at)
+    doc = {}
+    at = _skip(text, at + 1).end()
+    if not text.startswith("}", at):
+        while True:
+            if not text.startswith('"', at):
+                raise StopIteration(at)
+            key, at = _scan(text, at)
+            at = _skip(text, at).end()
+            if not text.startswith(":", at):
+                raise StopIteration(at)
+            at = _skip(text, at + 1).end()
+            if key == "steps" and text.startswith("[", at):
+                doc[key], at = _walk_steps(text, at)
+            else:
+                doc[key], at = _scan(text, at)
+            at = _skip(text, at).end()
+            if not text.startswith(",", at):
+                break
+            at = _skip(text, at + 1).end()
+        if not text.startswith("}", at):
+            raise StopIteration(at)
+    if _skip(text, at + 1).end() != len(text):
+        raise StopIteration(at + 1)
+    return doc
+
+
+def _walk_steps(text: str, at: int) -> tuple[list, int]:
+    """The list that opens at ``text[at]``, each element converted by the
+    same ``np.array`` call :func:`decode_matrix` makes, and where it ends."""
+    steps = []
+    at = _skip(text, at + 1).end()
+    if not text.startswith("]", at):
+        while True:
+            step, at = _scan(text, at)
+            try:
+                step = np.array(step)
+            except ValueError:  # ragged nesting, which decode_matrix reports
+                pass
+            steps.append(step)
+            at = _skip(text, at).end()
+            if not text.startswith(",", at):
+                break
+            at = _skip(text, at + 1).end()
+        if not text.startswith("]", at):
+            raise StopIteration(at)
+    return steps, at + 1

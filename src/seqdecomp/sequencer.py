@@ -213,9 +213,10 @@ def build_plan(u: Isometry) -> SequentialPlan:
         cols[: q.shape[0]] = q
         completed = complete_to_unitary(cols)
         targets = np.arange(q.shape[1]) * (1 if k < op.m_in else 2)
-        spare = np.setdiff1d(np.arange(side), targets)
+        spare = np.ones(side, dtype=bool)
+        spare[targets] = False
         v = np.empty_like(completed)
-        v[:, np.concatenate([targets, spare])] = completed
+        v[:, np.concatenate([targets, np.flatnonzero(spare)])] = completed
         steps.append(v)
     return SequentialPlan(report.ancilla_dim_if_yes, u.m_in, tuple(steps), op.bond_dims, report)
 

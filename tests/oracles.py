@@ -280,6 +280,19 @@ def amplitudes_loops(doc, m_in) -> np.ndarray:
     return amps
 
 
+def parse_document_tree(text, where):
+    """A JSON document read whole by ``json.loads``, with the library's
+    error messages: the reader that streams plan steps must agree with it."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ContractViolationError(
+            f"{where}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except ValueError as exc:
+        raise ContractViolationError(f"{where}: invalid JSON: {exc}") from None
+
+
 def haar_columns_full(dim, cols, rng) -> np.ndarray:
     """First ``cols`` columns of a Haar unitary from the whole Gaussian matrix.
 

@@ -651,6 +651,19 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout)["implementable"] is False
 
 
+def test_decompose_does_not_import_numpy_ma():
+    # numpy.ma costs each process about 12 ms and 1.6 MB to import
+    code = (
+        "import contextlib, io, sys\n"
+        "from seqdecomp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['decompose', 'shor']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 COMPLETION_OPERATORS = ["shor", "ghz:6", "cloner:3", "cloner:4", "product"] + [
     f"random:1,{n},{30 + n}" for n in range(2, 9)
 ]

@@ -1,7 +1,10 @@
 """The [re, im] codec and the JSON emitter, against entry-by-entry references."""
 
+import copy
+import functools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,10 +13,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from seqdecomp import ContractViolationError, build_plan, shor_encoder, verify_plan
-from seqdecomp import formats, sequencer
+from seqdecomp import cli, formats, sequencer
 from seqdecomp.cli import main
 
-from oracles import amplitudes_loops, decode_matrix_loops, dumps_tokens, encode_matrix
+from oracles import (
+    amplitudes_loops,
+    decode_matrix_loops,
+    dumps_tokens,
+    encode_matrix,
+    parse_document_tree,
+)
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 2.0**53, 1e16]
 
@@ -278,3 +287,135 @@ def test_input_state_lists_match_reference(text, two_qubit_plan, capsys):
         "decoupling_residual": residual,
     }
     assert out == dumps_tokens(expected) + "\n"
+
+
+class _Members(tuple):
+    """A JSON object as its (key, value) pairs, in writing order; keys may repeat."""
+
+
+_GAPS = ["", "", " ", "\n", "\t", "\r\n", "  \n\t "]
+
+
+def _write(value, rng) -> str:
+    """JSON text of ``value`` with whitespace drawn from ``rng`` in every gap."""
+    if isinstance(value, dict):
+        value = _Members(value.items())
+    if isinstance(value, _Members):
+        items = [_write(k, rng) + ":" + _write(v, rng) for k, v in value]
+        return _join("{", items, "}", rng)
+    if isinstance(value, list):
+        return _join("[", [_write(v, rng) for v in value], "]", rng)
+    return rng.choice(_GAPS) + json.dumps(value) + rng.choice(_GAPS)
+
+
+def _join(opening, items, closing, rng):
+    gap = rng.choice(_GAPS)
+    return gap + opening + (",".join(items) or rng.choice(_GAPS)) + closing + gap
+
+
+@functools.cache
+def _plan_docs():
+    docs = []
+    for operator in ("shor", "ghz:3", "product"):
+        u = cli.load_operator(operator)
+        plan = build_plan(u)
+        docs.append(json.loads(formats.dumps(formats.plan_to_doc(plan, verify_plan(plan, u)))))
+    return docs
+
+
+_BAD_ENTRIES = ["1.0", None, math.nan, math.inf, True, False]
+_BAD_STEPS = [1.0, "step", None, {}, []]
+_MUTATIONS = [
+    "bad entry", "ragged row", "ragged pair", "bad step", "empty steps",
+    "duplicate steps", "drop a member", "key not a string", "wrong delimiter", "trailing data",
+    "top-level list", "truncated",
+]
+
+
+def _outer_delimiters(text):
+    """Where ``text`` has a delimiter at most one bracket deep; no string
+    in these documents holds one."""
+    depth, found = 0, []
+    for at, c in enumerate(text):
+        depth -= c in "]}"
+        if c in ",:[]{}" and depth <= 1:
+            found.append(at)
+        depth += c in "[{"
+    return found
+
+
+def _read_plan(parse, text):
+    """The plan that ``parse`` and ``doc_to_plan`` read from ``text``, as
+    comparable bytes, or the message they refuse it with."""
+    try:
+        plan = formats.doc_to_plan(parse(text, "plan"), "plan")
+    except ContractViolationError as exc:
+        return str(exc)
+    steps = [(s.shape, s.dtype.str, s.tobytes()) for s in plan.steps]
+    return plan.ancilla_dim, plan.m_in, plan.bond_dims, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_plans_read_step_by_step_like_the_whole_tree(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(_plan_docs())))
+    # a seeded generator, not st.randoms: it draws thousands of gaps per text
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    mutations = data.draw(st.lists(st.sampled_from(_MUTATIONS), max_size=2, unique=True))
+    steps = doc["steps"]
+    k = rng.randrange(len(steps))
+    row = steps[k][rng.randrange(len(steps[k]))]
+    if "bad entry" in mutations:
+        row[rng.randrange(len(row))][rng.randrange(2)] = rng.choice(_BAD_ENTRIES)
+    if "ragged row" in mutations:
+        del row[rng.randrange(len(row))]
+    if "ragged pair" in mutations:
+        del row[rng.randrange(len(row))][rng.randrange(2)]
+    if "bad step" in mutations:
+        steps[k] = rng.choice(_BAD_STEPS)
+    if "empty steps" in mutations:
+        doc["steps"] = []
+    members = list(doc.items())
+    rng.shuffle(members)
+    if data.draw(st.booleans()):  # steps first
+        members.sort(key=lambda item: item[0] != "steps")
+    if "duplicate steps" in mutations:
+        other = rng.choice([[], steps[:1], steps[::-1], "steps"])
+        members.insert(rng.randrange(len(members) + 1), ("steps", other))
+    if "drop a member" in mutations:
+        del members[rng.randrange(len(members))]
+    if "key not a string" in mutations:
+        at = rng.randrange(len(members))
+        members[at] = (rng.choice([1, None, True]), members[at][1])
+    text = _write(_Members(members), rng)
+    if "wrong delimiter" in mutations:  # of the object or of a list in it
+        at = rng.choice(_outer_delimiters(text))
+        text = text[:at] + rng.choice(",:[]{}x") + text[at + 1 :]
+    if "trailing data" in mutations:
+        text += rng.choice(["x", "{}", "}", "]", ",", " 1", "\ufeff"])
+    if "top-level list" in mutations:
+        text = "[" + text + "]"
+    if "truncated" in mutations:
+        text = text[: rng.randrange(len(text))]
+    assert _read_plan(formats.parse_document, text) == _read_plan(parse_document_tree, text)
+    try:
+        tree = json.loads(text)
+    except ValueError:
+        return
+    if isinstance(tree, dict):  # the walk takes every object, never falling back to the tree
+        formats._walk_object(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[1, 2]", '"steps"', "3", "null", "\ufeff{}", '{"steps": [[1]]} x', '{"a": 1' + "0" * 5000 + "}"],
+)
+def test_documents_other_than_a_plan_read_as_before(text):
+    try:
+        expected = parse_document_tree(text, "doc")
+    except ContractViolationError as exc:
+        with pytest.raises(ContractViolationError) as new:
+            formats.parse_document(text, "doc")
+        assert str(new.value) == str(exc)
+        return
+    assert formats.parse_document(text, "doc") == expected

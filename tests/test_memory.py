@@ -8,7 +8,9 @@ the product's verification 0.09, ``cloner:8``'s verification 1.5, and the
 peels of a Haar 1 -> 16, a Haar 8 -> 9 and ``cloner:8`` 4.7, 3.6 and 2.0,
 against 5.8, 5.3 and 3.0 when the peel regrouped the matrix into one fused
 vector first.  A product held as its chain is planned and verified within
-1.4 MiB, in bytes, where its dense matrix alone is 16 MiB.
+1.4 MiB, in bytes, where its dense matrix alone is 16 MiB.  A plan file is
+read one step at a time, within 2.3 times its steps' bytes, against 9.1
+when its whole JSON tree was built first.
 """
 
 import tracemalloc
@@ -20,6 +22,7 @@ from seqdecomp import (
     Isometry,
     build_plan,
     check_canonical,
+    formats,
     gisin_massar_cloner,
     haar_unitary,
     operator_to_mps,
@@ -27,6 +30,7 @@ from seqdecomp import (
     sequentiality_test,
     verify_plan,
 )
+from seqdecomp.cli import main
 from seqdecomp.mps import canonical_chain
 
 
@@ -100,3 +104,14 @@ def test_verification_holds_a_few_blocks_whatever_the_ancilla(make, bound):
     u = make()
     plan = build_plan(u)
     assert peak_matrices(lambda: verify_plan(plan, u), u) <= bound
+
+
+def test_a_plan_file_is_read_one_step_at_a_time(tmp_path, capsys):
+    # ten 64 x 64 steps; the text itself is held before the read
+    path = tmp_path / "plan.json"
+    assert main(["decompose", "random:1,10,3", "-o", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_text()
+    steps = formats.doc_to_plan(formats.parse_document(text, "plan")).steps
+    held = sum(step.nbytes for step in steps)
+    assert peak_bytes(lambda: formats.doc_to_plan(formats.parse_document(text, "plan"))) < 3 * held
