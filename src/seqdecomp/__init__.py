@@ -5,96 +5,66 @@ chain of unitaries, each acting once on (ancilla, site k) with no
 measurements, synthesizes the minimal-ancilla step unitaries from the
 canonical matrix-product form of the operator when possible, and verifies
 the synthesis by exact state-vector simulation.
+
+Each public name is loaded from its submodule the first time it is used,
+so ``import seqdecomp`` itself imports neither numpy nor any submodule.
 """
 
-from .errors import (
-    ContractViolationError,
-    NotImplementableError,
-    NumericFailureError,
-)
-from .linalg import (
-    RANK_TOL,
-    complete_to_unitary,
-    dagger,
-    reduced_density_matrix,
-    svd,
-)
-from .mps import (
-    CanonicalReport,
-    CanonicalWeights,
-    GaugeVerdict,
-    Mps,
-    canonicalize,
-    check_canonical,
-    contract_operator,
-    contract_state,
-    gauge_check,
-    operator_to_mps,
-    state_to_mps,
-)
-from .oplib import (
-    Isometry,
-    cnot,
-    dicke_state,
-    ghz_isometry,
-    ghz_state,
-    gisin_massar_cloner,
-    haar_unitary,
-    product_unitary,
-    random_isometry,
-    shor_encoder,
-)
-from .sequencer import (
-    PlanVerification,
-    SequentialPlan,
-    SequentialityReport,
-    build_plan,
-    direct_sum_operator_mps,
-    operator_schmidt_ranks,
-    sequentiality_test,
-    simulate,
-    verify_plan,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CanonicalReport",
-    "CanonicalWeights",
-    "ContractViolationError",
-    "GaugeVerdict",
-    "Isometry",
-    "Mps",
-    "NotImplementableError",
-    "NumericFailureError",
-    "PlanVerification",
-    "RANK_TOL",
-    "SequentialPlan",
-    "SequentialityReport",
-    "build_plan",
-    "canonicalize",
-    "check_canonical",
-    "cnot",
-    "complete_to_unitary",
-    "contract_operator",
-    "contract_state",
-    "dagger",
-    "dicke_state",
-    "direct_sum_operator_mps",
-    "gauge_check",
-    "ghz_isometry",
-    "ghz_state",
-    "gisin_massar_cloner",
-    "haar_unitary",
-    "operator_schmidt_ranks",
-    "operator_to_mps",
-    "product_unitary",
-    "random_isometry",
-    "reduced_density_matrix",
-    "sequentiality_test",
-    "shor_encoder",
-    "simulate",
-    "state_to_mps",
-    "svd",
-    "verify_plan",
-]
+#: public name -> the submodule that defines it
+_HOMES = {
+    "ContractViolationError": "errors",
+    "NotImplementableError": "errors",
+    "NumericFailureError": "errors",
+    "RANK_TOL": "linalg",
+    "complete_to_unitary": "linalg",
+    "dagger": "linalg",
+    "reduced_density_matrix": "linalg",
+    "svd": "linalg",
+    "CanonicalReport": "mps",
+    "CanonicalWeights": "mps",
+    "GaugeVerdict": "mps",
+    "Mps": "mps",
+    "canonicalize": "mps",
+    "check_canonical": "mps",
+    "contract_operator": "mps",
+    "contract_state": "mps",
+    "gauge_check": "mps",
+    "operator_to_mps": "mps",
+    "state_to_mps": "mps",
+    "Isometry": "oplib",
+    "cnot": "oplib",
+    "dicke_state": "oplib",
+    "ghz_isometry": "oplib",
+    "ghz_state": "oplib",
+    "gisin_massar_cloner": "oplib",
+    "haar_unitary": "oplib",
+    "product_unitary": "oplib",
+    "random_isometry": "oplib",
+    "shor_encoder": "oplib",
+    "PlanVerification": "sequencer",
+    "SequentialPlan": "sequencer",
+    "SequentialityReport": "sequencer",
+    "build_plan": "sequencer",
+    "direct_sum_operator_mps": "sequencer",
+    "operator_schmidt_ranks": "sequencer",
+    "sequentiality_test": "sequencer",
+    "simulate": "sequencer",
+    "verify_plan": "sequencer",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{home}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -14,25 +14,22 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import formats
 from .errors import ContractViolationError, NotImplementableError, NumericFailureError
 from .linalg import ISOMETRY_TOL, RANK_TOL, reduced_density_matrix
-from .mps import canonical_chain, check_canonical
-from .oplib import (
-    Isometry,
-    cnot,
-    ghz_isometry,
-    gisin_massar_cloner,
-    product_unitary,
-    random_isometry,
-    shor_encoder,
-)
 from .sequencer import build_plan, sequentiality_test, simulate, verify_plan
+
+# oplib and mps are imported by the commands that use them: simulate runs a
+# plan and needs neither
+if TYPE_CHECKING:
+    from .oplib import Isometry
 
 _SINGLE_QUBIT_LABELS = {
     "0": (1.0, 0.0),
@@ -61,22 +58,25 @@ def _load_factors(path: str | None) -> list[np.ndarray]:
     ]
 
 
+#: builtin name -> (its ``oplib`` builder, number of integer arguments)
 _NUMERIC_BUILTINS = {
-    "cloner": (gisin_massar_cloner, 1),
-    "ghz": (ghz_isometry, 1),
-    "random": (random_isometry, 3),
+    "cloner": ("gisin_massar_cloner", 1),
+    "ghz": ("ghz_isometry", 1),
+    "random": ("random_isometry", 3),
 }
 
 
 def load_operator(token: str, factors_path: str | None = None) -> Isometry:
     """Resolve a builtin operator name or an operator-file path."""
+    from . import oplib
+
     name, _, arg = token.partition(":")
     if name == "cnot" and not arg:
-        return cnot()
+        return oplib.cnot()
     if name == "shor" and not arg:
-        return shor_encoder()
+        return oplib.shor_encoder()
     if name == "product" and not arg:
-        return product_unitary(_load_factors(factors_path))
+        return oplib.product_unitary(_load_factors(factors_path))
     if name in _NUMERIC_BUILTINS:
         builder, arity = _NUMERIC_BUILTINS[name]
         if not arg:
@@ -87,7 +87,7 @@ def load_operator(token: str, factors_path: str | None = None) -> Isometry:
             values = []
         if len(values) != arity:
             raise ContractViolationError(f"malformed builtin arguments in '{token}'")
-        return builder(*values)
+        return getattr(oplib, builder)(*values)
     doc = formats.parse_document(_read_text(token, "operator file"), token)
     return formats.doc_to_isometry(doc, where=token)
 
@@ -182,9 +182,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from . import mps
+
     u = load_operator(args.operator, args.factors)
-    op_mps, weights = canonical_chain(u)
-    canonical = check_canonical(op_mps, weights)
+    op_mps, weights = mps.canonical_chain(u)
+    canonical = mps.check_canonical(op_mps, weights)
     doc = {
         "m_qubits": u.m_in,
         "n_qubits": u.n_out,
@@ -274,8 +276,35 @@ def main(argv=None) -> int:
         return 2
 
 
+def _stdout_fault() -> str | None:
+    """Flush standard output: why it could not take the output, or None."""
+    if sys.stdout is None:  # the process started with descriptor 1 closed
+        return "standard output is closed"
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # a full device, or a reader that went away
+        return f"cannot write standard output: {exc}"
+    return None
+
+
 def entry_point() -> None:
-    sys.exit(main())
+    """The ``seqdecomp`` command: :func:`main` on ``sys.argv``, then exit.
+
+    The process ends with ``os._exit`` as soon as its output is flushed, so
+    it skips the interpreter's teardown.  A standard output that cannot
+    take the document fails like any other error: one ``error:`` line on
+    stderr and exit 2.
+    """
+    code = main()
+    fault = _stdout_fault()
+    try:
+        if fault is not None and code != 2:  # a 2 from main has printed its error line
+            code = 2
+            print(f"error: {fault}", file=sys.stderr)
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # no usable stderr either
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -18,14 +18,18 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .errors import ContractViolationError
 from .linalg import ISOMETRY_TOL, RANK_TOL
-from .oplib import Isometry
 from .sequencer import PlanVerification, SequentialityReport, SequentialPlan
+
+# oplib is imported only where an operator file is read, so that reading a
+# plan does not load it
+if TYPE_CHECKING:
+    from .oplib import Isometry
 
 
 #: What ``json.dumps`` applies to a string, without its per-call set-up.
@@ -120,6 +124,8 @@ def isometry_to_doc(u: Isometry) -> dict:
 
 
 def doc_to_isometry(doc: Any, where: str = "operator") -> Isometry:
+    from . import oplib
+
     if not isinstance(doc, dict):
         raise ContractViolationError(f"{where}: expected a JSON object")
     m = _require(doc, "m_qubits", int, where)
@@ -132,7 +138,7 @@ def doc_to_isometry(doc: Any, where: str = "operator") -> Isometry:
             f"{where}.n_qubits: the matrix needs 2**n_qubits rows, it has {len(rows)}"
         )
     matrix = decode_matrix(rows, 2**n, 2**m, f"{where}.matrix")
-    return Isometry(m, n, matrix)
+    return oplib.Isometry(m, n, matrix)
 
 
 def report_to_doc(report: SequentialityReport) -> dict:

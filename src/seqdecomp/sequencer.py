@@ -49,14 +49,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractViolationError, NotImplementableError
 from .linalg import ISOMETRY_TOL, _require_dense_fits, complete_to_unitary
 from .linalg import isometry_defect, isometry_residual
-from .mps import Mps, canonical_chain, target_rows
-from .oplib import Isometry
+
+# mps and oplib are imported inside the functions that use them, so that
+# running a plan (simulate) loads neither
+if TYPE_CHECKING:
+    from .mps import Mps
+    from .oplib import Isometry
 
 
 @dataclass(frozen=True)
@@ -184,7 +189,9 @@ def sequentiality_test(u: Isometry) -> SequentialityReport:
     canonicalization decides it.  For ``m_in == 1`` the criterion holds
     automatically and the verdict is always positive.
     """
-    return _criterion(canonical_chain(u)[0])[1]
+    from . import mps
+
+    return _criterion(mps.canonical_chain(u)[0])[1]
 
 
 def build_plan(u: Isometry) -> SequentialPlan:
@@ -202,7 +209,9 @@ def build_plan(u: Isometry) -> SequentialPlan:
     Raises :class:`NotImplementableError` (carrying the report) when the
     criterion fails.
     """
-    op, _ = canonical_chain(u)
+    from . import mps
+
+    op, _ = mps.canonical_chain(u)
     blocks, report = _criterion(op)
     if not report.implementable:
         raise NotImplementableError(report)
@@ -339,10 +348,12 @@ def _compare_rows(final: np.ndarray, u: Isometry, first_row: int,
     """Add, per basis input, the squared error of the chain state over the
     final rows from ``first_row`` on, and the squared norm of the ancilla
     components that failed to decouple there, to ``sums``."""
+    from . import mps
+
     step = max(1, _TARGET_ENTRIES // 2**u.m_in)
     for start in range(0, final.shape[0], step):
         part = final[start : start + step, :, 0]
-        np.subtract(part, target_rows(u, first_row + start, len(part)), out=part)
+        np.subtract(part, mps.target_rows(u, first_row + start, len(part)), out=part)
     state_sq, decouple_sq = sums
     state_sq += _squared_norms(final[:, :, :1])
     decouple_sq += _squared_norms(final[:, :, 1:])
@@ -436,7 +447,9 @@ def direct_sum_operator_mps(u0_mps: Mps, u1_mps: Mps) -> Mps:
     last[:, :, :l0] = a0[-1]
     last[:, :, l0:] = a1[-1]
     tensors.append(last)
-    return Mps(tuple(tensors), m_in=1)
+    from . import mps
+
+    return mps.Mps(tuple(tensors), m_in=1)
 
 
 def operator_schmidt_ranks(u: Isometry) -> tuple[int, ...]:
@@ -456,4 +469,6 @@ def operator_schmidt_ranks(u: Isometry) -> tuple[int, ...]:
         raise ContractViolationError(
             f"operator is {u.m_in}->{u.n_out}; Schmidt ranks need a square unitary"
         )
-    return canonical_chain(u)[0].bond_dims[1:-1]
+    from . import mps
+
+    return mps.canonical_chain(u)[0].bond_dims[1:-1]

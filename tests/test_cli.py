@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the file formats."""
 
+import io
 import json
 import math
 import os
@@ -641,14 +642,111 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "seqdecomp", "check", "cnot"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["implementable"] is False
+def run_command(argv, stdout=subprocess.PIPE, cwd=None, launcher=()):
+    """``python -m seqdecomp argv`` on the package under test, started through
+    ``launcher`` if one is given, with standard output block-buffered as when
+    the command runs normally."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    command = [*launcher, sys.executable, "-m", "seqdecomp", *argv]
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, cwd=cwd, env=env)
+
+
+ENTRY_POINT_ROWS = {
+    "check-shor": (["check", "shor"], 0),
+    "check-cnot": (["check", "cnot"], 1),
+    "decompose-shor": (["decompose", "shor", "-o", "plan.json"], 0),
+    "simulate-label": (["simulate", "shor.json", "--input-state", "+"], 0),
+    "simulate-amplitudes": (["simulate", "shor.json", "--input-state", "[0.6, [0, 0.8]]"], 0),
+    "simulate-reduce": (["simulate", "shor.json", "--input-state=-", "--reduce", "2"], 0),
+    "info-cnot": (["info", "cnot"], 0),
+    "info-product": (["info", "product", "--factors", "factors.json"], 0),
+    "usage-error": (["check", "shor", "--no-such-flag"], 2),
+    "missing-file": (["check", "missing.json"], 2),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code", ENTRY_POINT_ROWS.values(), ids=ENTRY_POINT_ROWS.keys()
+)
+def test_console_entry_point_matches_main(argv, code, tmp_path, capsys, monkeypatch):
+    # the command ends with os._exit once its output is flushed; it must exit,
+    # print and write files exactly as main does in process
+    runs = {}
+    for where in ("main", "command"):
+        folder = tmp_path / where
+        folder.mkdir()
+        monkeypatch.chdir(folder)
+        rng = np.random.default_rng(8)
+        (folder / "factors.json").write_text(
+            formats.dumps([haar_unitary(2, rng) for _ in range(3)])
+        )
+        assert run_cli(["decompose", "shor", "-o", "shor.json"], capsys)[0] == 0
+        if where == "main":
+            try:
+                status = main(list(argv))
+            except SystemExit as exc:
+                status = exc.code
+            out, err = capsys.readouterr()
+            runs[where] = [status, out.encode(), err.encode()]
+        else:
+            proc = run_command(argv, cwd=folder)
+            runs[where] = [proc.returncode, proc.stdout, proc.stderr]
+        runs[where].append({p.name: p.read_bytes() for p in folder.iterdir()})
+    assert runs["command"] == runs["main"]
+    assert runs["main"][0] == code
+    assert ("plan.json" in runs["main"][3]) == (argv[0] == "decompose")
+
+
+def _full_device(argv):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "wb") as full:
+        return run_command(argv, stdout=full)
+
+
+def _closed_pipe(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        return run_command(argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+
+
+def _closed_descriptor(argv):
+    # sh closes descriptor 1, then runs the command in its own place
+    return run_command(argv, stdout=None, launcher=["sh", "-c", 'exec "$@" >&-', "sh"])
+
+
+UNWRITABLE_STDOUT = {
+    "full-device": _full_device,
+    "closed-pipe": _closed_pipe,
+    "closed-descriptor": _closed_descriptor,
+}
+
+
+@pytest.mark.parametrize("output", ["small", "large", "none"])
+@pytest.mark.parametrize("run", UNWRITABLE_STDOUT.values(), ids=UNWRITABLE_STDOUT.keys())
+def test_unwritable_stdout_exits_2_with_one_error_line(run, output, tmp_path, capsys):
+    # a small document waits in the buffer for the final flush; a large one
+    # fails while main is still printing it; a failed request has printed
+    # its own error line and nothing on stdout
+    if output == "small":
+        argv = ["check", "shor"]
+    elif output == "large":
+        plan = tmp_path / "plan.json"
+        assert run_cli(["decompose", "random:1,8,0", "-o", str(plan)], capsys)[0] == 0
+        argv = ["simulate", str(plan), "--input-state", "0"]
+        assert len(run_cli(argv, capsys)[1]) > io.DEFAULT_BUFFER_SIZE
+    else:
+        argv = ["check", str(tmp_path / "missing.json")]
+    proc = run(argv)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def test_decompose_does_not_import_numpy_ma():
@@ -662,6 +760,27 @@ def test_decompose_does_not_import_numpy_ma():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_simulate_imports_neither_mps_nor_oplib(tmp_path, capsys):
+    # a plan runs as it stands: no canonical form, no operator, no random draw
+    plan = tmp_path / "plan.json"
+    assert run_cli(["decompose", "shor", "-o", str(plan)], capsys)[0] == 0
+    code = (
+        "import contextlib, io, sys\n"
+        "import seqdecomp\n"
+        "print('numpy' in sys.modules)\n"
+        "import numpy\n"
+        "unwanted = {'seqdecomp.mps', 'seqdecomp.oplib'}\n"
+        "if 'numpy.random' not in sys.modules:  # numpy before 2.0 imports it itself\n"
+        "    unwanted.add('numpy.random')\n"
+        "from seqdecomp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['simulate', {str(plan)!r}, '--input-state=0']) == 0\n"
+        "print(sorted(unwanted & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n[]\n", "")
 
 
 COMPLETION_OPERATORS = ["shor", "ghz:6", "cloner:3", "cloner:4", "product"] + [
