@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
 import os
 import sys
@@ -269,11 +270,19 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ContractViolationError, NumericFailureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(str(exc))
         return 2
     except Exception as exc:  # exit 1 means "rejected", so nothing else may leak out
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _print_error(f"{type(exc).__name__}: {exc}")
         return 2
+
+
+def _print_error(message: str) -> None:
+    """One ``error:`` line on stderr, if it can take one; nothing else depends on it."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _stdout_fault() -> str | None:
@@ -290,19 +299,25 @@ def _stdout_fault() -> str | None:
 def entry_point() -> None:
     """The ``seqdecomp`` command: :func:`main` on ``sys.argv``, then exit.
 
-    The process ends with ``os._exit`` as soon as its output is flushed, so
-    it skips the interpreter's teardown.  A standard output that cannot
-    take the document fails like any other error: one ``error:`` line on
-    stderr and exit 2.
+    The process ends with ``os._exit`` as soon as its output is flushed,
+    argparse's exits included, so it skips the interpreter's teardown.  A
+    standard output that cannot take the document fails like any other
+    error: one ``error:`` line on stderr and exit 2.  A closed or
+    unwritable stderr loses that line, and changes nothing else.
     """
-    code = main()
-    fault = _stdout_fault()
+    if sys.stderr is None:  # descriptor 2 closed: print and argparse would write to stdout
+        sys.stderr = io.StringIO()
     try:
-        if fault is not None and code != 2:  # a 2 from main has printed its error line
-            code = 2
-            print(f"error: {fault}", file=sys.stderr)
+        code = main()
+    except SystemExit as exc:  # argparse, which has printed what it had to
+        code = exc.code
+    fault = _stdout_fault()
+    if fault is not None and code != 2:  # a 2 from main has printed its error line
+        code = 2
+        _print_error(fault)
+    try:
         sys.stderr.flush()
-    except (AttributeError, OSError):  # no usable stderr either
+    except OSError:  # the line stays unwritten; the interpreter would exit 120 over it
         pass
     os._exit(code)
 

@@ -61,8 +61,10 @@ An operator held as a chain needs no matrix at all.  A ``product`` is
 held as its bond-1 chain, one fused 4-vector per factor, and
 :func:`canonical_chain`, the one canonicalization of each request, takes
 it through :func:`canonicalize`; a dense operator goes through
-:func:`operator_to_mps`.  Verification reads the target's rows from the
-chain with :func:`target_rows`.
+:func:`operator_to_mps`.  An operator chain, or a qubit chain whose last
+bond is left open such as a plan, is contracted a block of rows at a time
+by one depth-first walk that contracts each row prefix once
+(:func:`_row_blocks`).
 """
 
 from __future__ import annotations
@@ -241,44 +243,53 @@ def contract_state(mps: Mps) -> np.ndarray:
 
 
 def contract_operator(op: Mps) -> np.ndarray:
-    """Dense ``(2**n_sites, 2**m_in)`` matrix represented by an operator chain."""
-    return operator_rows(op, 0, 2**op.n_sites)
+    """Dense ``(2**n_sites, 2**m_in)`` matrix represented by an operator
+    chain: all its rows as one block of :func:`_row_blocks`."""
+    block = next(_row_blocks(op.tensors, 2**op.n_sites, op.norm))
+    # the block's inputs run from the last input site to the first
+    return block.reshape([2] * (len(block).bit_length() - 1) + [-1]).T.reshape(2**op.n_sites, -1)
 
 
-def operator_rows(op: Mps, first: int, count: int) -> np.ndarray:
-    """Rows ``first .. first + count - 1`` of :func:`contract_operator`.
+def _grow(x: np.ndarray, legs: np.ndarray) -> np.ndarray:
+    """States ``x``, indexed (input, row prefix, left bond), one site on, in
+    one product with the site's ``legs`` as :func:`_row_blocks` arranges
+    them: its input becomes the most significant, its output the least
+    significant bit of each prefix."""
+    out = np.matmul(x.reshape(1, -1, x.shape[2]), legs)  # (input', input x prefix, output x right)
+    return out.reshape(-1, 2 * x.shape[1], legs.shape[2] // 2)
 
-    The chain is contracted from site 1 over the row prefixes only: after
-    ``k`` sites it holds, for each prefix of ``k`` output bits that one of
-    the rows starts with, the open input legs of those sites and the right
-    bond.  So it never holds much more than the rows asked for, whose
-    prefixes are a contiguous range at every depth.
+
+def _row_blocks(tensors, rows: int, norm: float = 1.0):
+    """The rows of a qubit chain whose last bond is left open, ``rows`` at a time.
+
+    ``tensors`` are in the module's layout with a first left bond of 1; a
+    site of physical dimension 4 carries an input leg (fused index 2 *
+    output + input).  The returned generator yields the consecutive blocks
+    of ``rows`` rows, a power of two, each indexed (input, row, right
+    bond), with the inputs running from the last input site, the most
+    significant, to the first.  The prefixes above the blocks are walked
+    depth first, one :func:`_grow` making both children of each; below, a
+    block's prefixes grow together, one :func:`_grow` a site.  So each
+    prefix is contracted once.  Each site is arranged once per walk.
     """
-    n, last = op.n_sites, first + count - 1
-    if not 0 <= first <= last < 2**n:
-        raise ContractViolationError(f"rows {first}..{last} out of range for {n} sites")
-    g = np.full((1, 1, 1), op.norm, dtype=np.complex128)  # (prefix, inputs, bond)
-    low = 0  # the first prefix held
-    for k, t in enumerate(op.tensors):
-        rgt, lft = t.shape[1:]
-        # (output, input, left, right); a site without an input has one value
-        legs = t.reshape(2, -1, rgt, lft).transpose(0, 1, 3, 2)
-        out = np.empty((len(g), 2, g.shape[1], legs.shape[1], rgt), dtype=np.complex128)
-        # out is (prefix, output, inputs so far, this site's input, right)
-        np.matmul(g[:, None, None], legs, out=out.transpose(0, 1, 3, 2, 4))
-        start, stop = first >> (n - k - 1), last >> (n - k - 1)
-        g = out.reshape(2 * len(g), -1, rgt)[start - 2 * low : stop - 2 * low + 1]
-        low = start
-    return g[:, :, 0]
+    legs = []
+    for t in tensors:
+        d, rgt, lft = t.shape
+        site = t.reshape(2, d // 2, rgt, lft).transpose(1, 3, 0, 2)
+        legs.append(site.reshape(d // 2, lft, 2 * rgt))  # (input, left, output x right)
+    split = len(legs) - rows.bit_length() + 1  # the sites walked one prefix at a time
 
+    def walk(x, k):
+        if k < split:
+            both = _grow(x, legs[k])
+            for output in range(2):
+                yield from walk(both[:, output : output + 1], k + 1)
+        else:
+            for site in legs[k:]:
+                x = _grow(x, site)
+            yield x
 
-def target_rows(u: Isometry, first: int, count: int) -> np.ndarray:
-    """Rows ``first .. first + count - 1`` of the operator's matrix: a view
-    of ``u.matrix``, or, for an operator held as a chain, contracted from
-    it by :func:`operator_rows`, so that its matrix is never formed."""
-    if u.chain is None:
-        return u.matrix[first : first + count]
-    return operator_rows(u.chain, first, count)
+    return walk(np.full((1, 1, 1), norm, dtype=np.complex128), 0)
 
 
 def canonical_chain(u: Isometry) -> tuple[Mps, CanonicalWeights]:

@@ -31,18 +31,17 @@ products of single-qubit unitaries, equivalently for operators whose
 operator Schmidt rank is 1 across every contiguous cut; see
 :func:`operator_schmidt_ranks`.
 
-A plan is checked by running its chain, which amounts to contracting a
-matrix-product chain site by site (Schön, Solano, Verstraete, Cirac, Wolf,
-PRL 95, 110503 (2005)).  :func:`verify_plan` runs the steps with the input
-legs left open, towards the plan's operator from the input qubits to the
-chain and the ancilla, but finishes the chain on groups of emitted rows
-one at a time and compares each finished block with the same rows of the
-target, so the operator is never held whole.  The target's rows are a
-slice of its matrix or, for an operator held as a chain such as a
-``product``, contracted from the chain.  :func:`simulate` runs one
-amplitude vector through the same step function.  The state grows by one
-emitted site per step, and a step after the inputs uses only the columns
-of its unitary that take the chain qubit in |0>.
+A plan is a matrix-product chain whose bond is the ancilla (Schön,
+Solano, Verstraete, Cirac, Wolf, PRL 95, 110503 (2005)).
+:func:`verify_plan` reads it as an operator chain in the
+:mod:`~seqdecomp.mps` layout, from the input qubits to the chain and the
+final ancilla, and contracts it a block of rows at a time by the walk that
+also reads a target held as a chain, such as a ``product``; a dense target
+is viewed in the same layout.  Each block is compared with the target's
+before the next is contracted, so the operator is never held whole.
+:func:`simulate` runs one amplitude vector through the steps instead: the
+state grows by one emitted site per step, and a step after the inputs uses
+only the columns of its unitary that take the chain qubit in |0>.
 """
 
 from __future__ import annotations
@@ -230,14 +229,13 @@ def build_plan(u: Isometry) -> SequentialPlan:
     return SequentialPlan(report.ancilla_dim_if_yes, u.m_in, tuple(steps), op.bond_dims, report)
 
 
-def _step(plan: SequentialPlan, k: int, state: np.ndarray, open_inputs: bool) -> np.ndarray:
+def _step(plan: SequentialPlan, k: int, state: np.ndarray) -> np.ndarray:
     """Apply step ``k`` to a state indexed ``(sites emitted, rest, ancilla)``.
 
     The step emits site ``k + 1`` as the last bit of the emitted index.  An
-    input step with ``open_inputs`` appends input leg ``k`` as the last bit
-    of the rest; without, it consumes the leading bit of the rest, which
-    then holds input amplitudes.  A later step uses only the columns of its
-    unitary that take the chain qubit in |0>.
+    input step consumes the leading bit of the rest, which holds input
+    amplitudes.  A later step uses only the columns of its unitary that
+    take the chain qubit in |0>.
 
     The unitary is read as its 2x2 blocks ``v[i, j]``, views that map the
     ancilla from site value ``j`` to site value ``i``; each block is one
@@ -254,12 +252,6 @@ def _step(plan: SequentialPlan, k: int, state: np.ndarray, open_inputs: bool) ->
         for i in range(2):
             np.matmul(state.transpose(1, 0, 2), v[i, 0], out=out[:, :, i])
         return out.reshape(rest, 2 * emitted, d).transpose(1, 0, 2)
-    if open_inputs:  # leave input leg k open, batch over the emitted sites
-        out = np.empty((emitted, 2, rest, 2, d), dtype=np.complex128)
-        for i in range(2):
-            for j in range(2):
-                np.matmul(state, v[i, j], out=out[:, i, :, j])
-        return out.reshape(2 * emitted, 2 * rest, d)
     # consume input leg k, the leading bit of the rest
     ins = state.transpose(1, 0, 2).reshape(2, rest // 2, emitted, d)
     out = np.empty((rest // 2, emitted, 2, d), dtype=np.complex128)
@@ -270,10 +262,10 @@ def _step(plan: SequentialPlan, k: int, state: np.ndarray, open_inputs: bool) ->
 
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
-    """Squared 2-norm of each ``x[:, r, :]`` of an ``(emitted, rest, ancilla)`` array."""
+    """Squared 2-norm of each ``x[i]`` of an ``(input, row, ancilla)`` array."""
     if not x.size:  # einsum would still walk the empty slices one by one
-        return np.zeros(x.shape[1])
-    return np.einsum("era,era->r", x.real, x.real) + np.einsum("era,era->r", x.imag, x.imag)
+        return np.zeros(x.shape[0])
+    return np.einsum("ira,ira->i", x.real, x.real) + np.einsum("ira,ira->i", x.imag, x.imag)
 
 
 def simulate(
@@ -299,7 +291,7 @@ def simulate(
     state = np.zeros((amps.size, 1, plan.ancilla_dim), dtype=np.complex128).transpose(1, 0, 2)
     state[0, :, 0] = amps
     for k in range(plan.n_out):
-        state = _step(plan, k, state, open_inputs=False)
+        state = _step(plan, k, state)
     final = state[:, 0, :]
     residual = float(np.linalg.norm(final[:, 1:]))
     block = final[:, 0]
@@ -309,93 +301,72 @@ def simulate(
     return block, residual
 
 
-#: Most entries of a finished block of rows in :func:`verify_plan`.
+#: Most entries of the blocks of rows that :func:`verify_plan` holds at once.
 _VERIFY_ENTRIES = 2**16
 
-#: Most entries of the target rows compared at once in :func:`verify_plan`.
-_TARGET_ENTRIES = 2**14
 
-
-def _finish(plan: SequentialPlan, u: Isometry, k: int, state: np.ndarray, first_row: int,
-            sums: tuple[np.ndarray, np.ndarray]) -> None:
-    """Run steps ``k`` onwards on a state of open input legs and add each
-    input's squared errors over its final rows to ``sums``.
-
-    ``state`` is indexed as in :func:`_step`, after ``k`` steps; its emitted
-    rows are the prefixes of the final rows from ``first_row`` on.  A
-    state of several emitted rows whose finished block would exceed
-    :data:`_VERIFY_ENTRIES` entries is split into groups of rows, each as
-    large as fits the budget, and each group is finished in turn.  So
-    every finished block fits the budget or comes from one emitted row, and
-    every state held while a block is finished has two emitted rows.
-    """
-    n = plan.n_out
-    while k < n:
-        final_per_row = 2 ** (n - k + plan.m_in) * plan.ancilla_dim
-        if state.shape[0] > 1 and state.shape[0] * final_per_row > _VERIFY_ENTRIES:
-            group = max(1, _VERIFY_ENTRIES // final_per_row)
-            for start in range(0, state.shape[0], group):
-                rows = first_row + start * 2 ** (n - k)
-                _finish(plan, u, k, state[start : start + group], rows, sums)
-            return
-        state = _step(plan, k, state, open_inputs=True)
-        k += 1
-    _compare_rows(state, u, first_row, sums)
-
-
-def _compare_rows(final: np.ndarray, u: Isometry, first_row: int,
-                  sums: tuple[np.ndarray, np.ndarray]) -> None:
-    """Add, per basis input, the squared error of the chain state over the
-    final rows from ``first_row`` on, and the squared norm of the ancilla
-    components that failed to decouple there, to ``sums``."""
-    from . import mps
-
-    step = max(1, _TARGET_ENTRIES // 2**u.m_in)
-    for start in range(0, final.shape[0], step):
-        part = final[start : start + step, :, 0]
-        np.subtract(part, mps.target_rows(u, first_row + start, len(part)), out=part)
-    state_sq, decouple_sq = sums
-    state_sq += _squared_norms(final[:, :, :1])
-    decouple_sq += _squared_norms(final[:, :, 1:])
+def _plan_chain(plan: SequentialPlan):
+    """The plan's site tensors, one at a time, as an operator chain in the
+    :mod:`~seqdecomp.mps` layout whose bond is the ancilla: an input
+    step's is its whole unitary, as (2 * output + input, ancilla',
+    ancilla), a later step's the columns that take the chain qubit in |0>.
+    The first left bond is ancilla state 0; the last right bond, the whole
+    ancilla, is left open."""
+    d = plan.ancilla_dim
+    for k, step in enumerate(plan.steps):
+        v = step.reshape(d, 2, d, 2)[:, :, : 1 if k == 0 else d]  # (ancilla', site', ancilla, site)
+        if k < plan.m_in:
+            yield v.transpose(1, 3, 0, 2).reshape(4, d, -1)
+        else:
+            yield v[..., 0].transpose(1, 0, 2)
 
 
 def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
     """Compare a plan against its target on every computational basis input.
 
-    The chain runs with its input legs left open, towards the plan's
-    operator from ``m_in`` input qubits to the chain and the ancilla, but
-    is finished separately on groups of emitted rows (:func:`_finish`): each
-    finished block holds at most :data:`_VERIFY_ENTRIES` entries, unless one
-    emitted row alone finishes into more, and is compared with the same rows
-    of the target column by column before the next group runs.  So the
-    whole operator is formed only when it fits the budget, and the working
-    set beside the target stays below 1.5 budgets however large the ancilla.
-    The target's rows come from :func:`~seqdecomp.mps.target_rows` a slice
-    of the block at a time, at most :data:`_TARGET_ENTRIES` entries: views
-    of ``u.matrix``, or, when ``u`` is held as a chain, rows contracted from
-    it, so that no dense target is held.
+    The plan, read as a chain by :func:`_plan_chain`, is contracted a block
+    of rows at a time by :func:`~seqdecomp.mps._row_blocks`, and each block
+    is compared with the same rows of the target before the next is
+    contracted.  The target's blocks are views of ``u.matrix`` or, for an
+    operator held as a chain, the same walk of that chain.  A block has as
+    many rows as fit, beside the target's block if that is contracted, in
+    :data:`_VERIFY_ENTRIES` entries, and at least one, so the working set
+    beside a dense target stays near 1.5 budgets however large the ancilla.
     Linearity makes basis coverage sufficient: the reported
     ``operator_norm_bound`` scales the worst basis error by
     ``sqrt(2**m_in)`` to bound the error over all inputs.  A verification
     that would not fit in physical memory is refused before it starts.
     """
+    from . import mps
+
     if plan.n_out != u.n_out or plan.m_in != u.m_in:
         raise ContractViolationError(
             f"plan is {plan.m_in}->{plan.n_out} but operator is "
             f"{u.m_in}->{u.n_out}"
         )
-    # the dense target, if any, and the last step's input and output on the
-    # largest finished block: the whole operator, D matrices, when it fits
-    d, entries = plan.ancilla_dim, 2 ** (u.n_out + u.m_in)
-    block = min(d * entries, max(_VERIFY_ENTRIES, 2 ** (u.m_in + 1) * d))
-    target = 1 if u.chain is None else 0
-    _require_dense_fits("plan verification", u.m_in, u.n_out, target + -(-3 * block // (2 * entries)))
-    state = np.zeros((1, 1, plan.ancilla_dim), dtype=np.complex128)
-    state[0, 0, 0] = 1.0
-    # per basis input, the squared error of the chain state and the squared
-    # norm of the ancilla components that failed to decouple
-    state_sq, decouple_sq = sums = (np.zeros(2**u.m_in), np.zeros(2**u.m_in))
-    _finish(plan, u, 0, state, 0, sums)
+    d, m, n = plan.ancilla_dim, u.m_in, u.n_out
+    dense = u.chain is None
+    width = 2**m * (d + (not dense))  # entries of one row of the blocks held at once
+    rows = 2 ** min(n, max(0, (_VERIFY_ENTRIES // width).bit_length() - 1))
+    # the dense target, if any, and the blocks held at once, each with the
+    # input of the product that finishes it
+    _require_dense_fits("plan verification", m, n, dense + -(-3 * rows * width // 2 ** (n + m + 1)))
+    inputs = [2] * m
+    if dense:
+        walk = u.matrix.reshape(-1, *inputs).T  # (last input .. first input, row)
+        targets = (walk[..., r : r + rows] for r in range(0, 2**n, rows))
+    else:
+        targets = mps._row_blocks(u.chain.tensors, rows, u.chain.norm)
+    # per basis input, in the walk's order, the squared error of the chain
+    # state and the squared norm of the ancilla components that failed to
+    # decouple
+    state_sq, decouple_sq = np.zeros(2**m), np.zeros(2**m)
+    for block in mps._row_blocks(_plan_chain(plan), rows):
+        error = block.reshape(*inputs, -1, d)[..., 0]
+        np.subtract(error, next(targets).reshape(error.shape), out=error)
+        state_sq += _squared_norms(block[:, :, :1])
+        decouple_sq += _squared_norms(block[:, :, 1:])
+        del block, error  # so that the next blocks are contracted without these
     max_error = math.sqrt(float((state_sq + decouple_sq).max()))
     return PlanVerification(
         max_error=max_error,

@@ -8,6 +8,7 @@ meaningful.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -417,6 +418,27 @@ def simulate_full_state(plan, amps) -> tuple[np.ndarray, float]:
     block = final[0]
     block_norm = float(np.linalg.norm(block))
     return (block / block_norm if block_norm > 0.0 else block), float(np.linalg.norm(final[1:]))
+
+
+def open_chain_rows_loops(tensors, norm=1.0) -> np.ndarray:
+    """Every row of a qubit chain whose last bond is left open, as a
+    ``(2**n, 2**inputs, right bond)`` array, one basis entry at a time.
+
+    ``tensors`` are in the library's ``(phys, right, left)`` layout; a
+    site of physical dimension 4 carries an input (fused index
+    2 * output + input), and inputs are numbered in site order, the first
+    most significant.  The reference for ``mps._row_blocks``.
+    """
+    fused = [t.shape[0] == 4 for t in tensors]
+    out = np.zeros((2 ** len(tensors), 2 ** sum(fused), tensors[-1].shape[1]), dtype=complex)
+    for row, outputs in enumerate(itertools.product((0, 1), repeat=len(tensors))):
+        for col, inputs in enumerate(itertools.product((0, 1), repeat=sum(fused))):
+            vec = np.full(1, norm, dtype=complex)
+            ins = iter(inputs)
+            for t, i, f in zip(tensors, outputs, fused):
+                vec = t[2 * i + next(ins) if f else i] @ vec
+            out[row, col] = vec
+    return out
 
 
 def verify_plan_loops(plan, u: Isometry) -> tuple[float, float]:

@@ -123,7 +123,7 @@ def test_decompose_product_refuses_factors_whose_slack_compounds(tmp_path, capsy
 def test_decompose_refuses_a_verification_larger_than_memory(tmp_path, capsys, monkeypatch):
     # cloner:3 is 1024 bytes, within the builtin's guard and canonicalization's
     # 7 matrices; its whole ancilla-6 operator fits one verification block, so
-    # verifying holds the target and the last step's input and output, 10 x 1024
+    # verifying holds the target, the block and its last product's input, 10 x 1024
     memory = {"SC_PHYS_PAGES": 8192, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     path = tmp_path / "plan.json"
@@ -747,6 +747,28 @@ def test_unwritable_stdout_exits_2_with_one_error_line(run, output, tmp_path, ca
     err = proc.stderr.decode()
     assert proc.returncode == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+UNUSABLE_STDERR = {"closed": 'exec "$@" 2>&-', "read-only": 'exec "$@" 2</dev/null'}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", "missing.json"], 2),
+        (["check", "shor", "--no-such-flag"], 2),
+        (["check", "cnot"], 1),
+    ],
+    ids=["missing-file", "usage-error", "rejected"],
+)
+@pytest.mark.parametrize("redirect", UNUSABLE_STDERR.values(), ids=UNUSABLE_STDERR.keys())
+def test_an_unusable_stderr_changes_neither_exit_code_nor_stdout(redirect, argv, code, tmp_path):
+    # the error line is lost; with descriptor 2 closed, print and argparse
+    # would otherwise write it, or the usage, to stdout
+    proc = run_command(argv, cwd=tmp_path, launcher=["sh", "-c", redirect, "sh"])
+    usable = run_command(argv, cwd=tmp_path)
+    assert (usable.returncode, bool(usable.stderr)) == (code, code == 2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, usable.stdout, b"")
 
 
 def test_decompose_does_not_import_numpy_ma():

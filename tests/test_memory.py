@@ -4,11 +4,11 @@ Each figure is the ``tracemalloc`` peak of one call above what was held
 before it, in units of the operator's dense matrix; numpy reports its
 array allocations to ``tracemalloc``.  The bounds sit above the measured
 peaks: the peel of a 10-factor product's dense matrix 0.38 matrices and
-the product's verification 0.09, ``cloner:8``'s verification 1.5, and the
+the product's verification 0.07, ``cloner:8``'s verification 1.6, and the
 peels of a Haar 1 -> 16, a Haar 8 -> 9 and ``cloner:8`` 4.7, 3.6 and 2.0,
 against 5.8, 5.3 and 3.0 when the peel regrouped the matrix into one fused
 vector first.  A product held as its chain is planned and verified within
-1.4 MiB, in bytes, where its dense matrix alone is 16 MiB.  A plan file is
+1.2 MiB, in bytes, where its dense matrix alone is 16 MiB.  A plan file is
 read one step at a time, within 2.3 times its steps' bytes, against 9.1
 when its whole JSON tree was built first.
 """

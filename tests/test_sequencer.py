@@ -35,7 +35,7 @@ from seqdecomp import (
     state_to_mps,
     verify_plan,
 )
-from seqdecomp import sequencer
+from seqdecomp import mps, sequencer
 from seqdecomp.sequencer import _criterion
 
 from oracles import (
@@ -225,7 +225,7 @@ def test_verify_identity_plan_is_exact():
     [
         (lambda: haar_product(10, seed=18), sequencer._VERIFY_ENTRIES),
         (lambda: gisin_massar_cloner(8), sequencer._VERIFY_ENTRIES),
-        # one emitted row finishes into more than the budget
+        # one row is more than the budget
         (lambda: random_isometry(1, 6, seed=18), 2**3),
         # the whole operator fits the budget
         (shor_encoder, sequencer._VERIFY_ENTRIES),
@@ -236,35 +236,42 @@ def test_verify_blocks_tile_the_target_exactly_once(make, budget, monkeypatch):
     u = make()
     plan = build_plan(u)
     monkeypatch.setattr(sequencer, "_VERIFY_ENTRIES", budget)
-    compare_rows = sequencer._compare_rows
-    blocks = []
+    row_blocks = mps._row_blocks
+    walks = []  # the shapes of each walk's blocks, in order
 
-    def recorded(final, u, first_row, sums):
-        blocks.append((first_row, final.shape[0], final.size))
-        compare_rows(final, u, first_row, sums)
+    def recorded(tensors, rows, norm=1.0):
+        shapes = []
+        walks.append(shapes)
+        for block in row_blocks(tensors, rows, norm):
+            shapes.append(block.shape)
+            yield block
 
-    monkeypatch.setattr(sequencer, "_compare_rows", recorded)
+    monkeypatch.setattr(mps, "_row_blocks", recorded)
     assert verify_plan(plan, u).max_error <= 1e-13
-    rows = [(first, first + count) for first, count, _ in sorted(blocks)]
-    assert rows[0][0] == 0 and rows[-1][1] == 2**u.n_out
-    assert all(stop == start for (_, stop), (start, _) in zip(rows, rows[1:]))
-    # each block fits the budget, or is what one emitted row finishes into
-    single_row = 2 ** (u.m_in + 1) * plan.ancilla_dim
-    assert all(size <= max(budget, single_row) for _, _, size in blocks)
-    whole = plan.ancilla_dim * 2 ** (u.n_out + u.m_in)
-    assert len(blocks) == -(-whole // max(budget, single_row))
+    # the plan's walk, and the target's when it is held as a chain
+    assert len(walks) == (1 if u.chain is None else 2)
+    for shapes in walks:
+        inputs, rows, bond = shapes[0]
+        assert inputs == 2**u.m_in and bond in (1, plan.ancilla_dim)
+        assert shapes == [shapes[0]] * (2**u.n_out // rows)
+    # the blocks held at once fit the budget, or are one row each
+    width = sum(inputs * bond for inputs, _, bond in (shapes[0] for shapes in walks))
+    rows = walks[0][0][1]
+    assert rows * width <= max(budget, width)
+    assert rows == 2**u.n_out or 2 * rows * width > budget
 
 
 @pytest.mark.parametrize("memory, refused", [(3071, True), (3072, False)])
 def test_verify_refuses_a_working_set_larger_than_memory(memory, refused, monkeypatch):
-    # a 3 -> 3 matrix is 1024 bytes; at ancilla 1 verification holds the
-    # target and the last step's input and output, rounded up to 3 matrices
+    # a 3 -> 3 matrix is 1024 bytes; at ancilla 1 the whole operator is one
+    # block, so verification holds the target, the block and the input of
+    # the product that finishes it, rounded up to 3 matrices
     rng = np.random.default_rng(19)
     u = Isometry(3, 3, product_unitary([haar_unitary(2, rng) for _ in range(3)]).matrix)
     plan = build_plan(u)
     calls = []
-    finish = sequencer._finish
-    monkeypatch.setattr(sequencer, "_finish", lambda *a: calls.append(a) or finish(*a))
+    grow = mps._grow
+    monkeypatch.setattr(mps, "_grow", lambda *a: calls.append(a) or grow(*a))
     sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
     if refused:
@@ -273,19 +280,22 @@ def test_verify_refuses_a_working_set_larger_than_memory(memory, refused, monkey
         assert calls == []
     else:
         assert verify_plan(plan, u).max_error < 1e-12
+        assert calls
 
 
-@pytest.mark.parametrize("memory, refused", [(2047, True), (2048, False)])
+@pytest.mark.parametrize("memory, refused", [(3071, True), (3072, False)])
 def test_verify_of_a_chain_operator_counts_no_target(memory, refused, monkeypatch):
-    # the product's target rows come from its chain, a block at a time, so
-    # only the last step's input and output count: 2 matrices of 1024 bytes
+    # the product's target rows come from its chain, a block beside each of
+    # the plan's, so no dense target counts: the plan's block and the
+    # target's, each the whole 64-entry operator, with the inputs of their
+    # last products, 3 matrices of 1024 bytes
     rng = np.random.default_rng(19)
     u = product_unitary([haar_unitary(2, rng) for _ in range(3)])
     plan = build_plan(u)
     sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
     if refused:
-        with pytest.raises(ContractViolationError, match="x 2 needs 2048 bytes"):
+        with pytest.raises(ContractViolationError, match="x 3 needs 3072 bytes"):
             verify_plan(plan, u)
     else:
         assert verify_plan(plan, u).max_error < 1e-12
@@ -293,9 +303,9 @@ def test_verify_of_a_chain_operator_counts_no_target(memory, refused, monkeypatc
 
 @pytest.mark.parametrize("spare", [-1, 0])
 def test_verify_counts_its_blocks_not_the_ancilla(spare, monkeypatch):
-    # cloner:8 is 1 -> 15, 2**20 bytes, with ancilla 16; a finished block of
-    # 2**16 entries is one matrix, so verification counts the target and 1.5
-    # blocks, rounded up to 3 matrices, where the whole operator made 25
+    # cloner:8 is 1 -> 15, 2**20 bytes, with ancilla 16; a block of 2**11
+    # rows, 2**16 entries, is one matrix, so verification counts the target
+    # and 1.5 blocks, rounded up to 3 matrices, where the whole operator made 25
     u = gisin_massar_cloner(8)
     plan = build_plan(u)
     need = 3 * 2**20
