@@ -124,9 +124,22 @@ def _cmd_check(args) -> int:
     return 0 if report.implementable else 1
 
 
+def _plan_path_fault(path: str) -> str | None:
+    """Why a plan file cannot be written at ``path``, if that shows before
+    any work, or None."""
+    if not path:
+        return "empty path"
+    if Path(path).is_dir():
+        return "is a directory"
+    if not Path(path).parent.is_dir():
+        return "no such directory"
+    return None
+
+
 def _cmd_decompose(args) -> int:
-    if args.output and not Path(args.output).parent.is_dir():
-        raise ContractViolationError(f"cannot write plan file '{args.output}': no such directory")
+    fault = None if args.output is None else _plan_path_fault(args.output)
+    if fault is not None:
+        raise ContractViolationError(f"cannot write plan file '{args.output}': {fault}")
     u = load_operator(args.operator, args.factors)
     try:
         plan = build_plan(u)
@@ -134,10 +147,11 @@ def _cmd_decompose(args) -> int:
         _print_doc(formats.report_to_doc(exc.report))
         return 1
     verification = verify_plan(plan, u)
-    if args.output:
-        text = formats.dumps(formats.plan_to_doc(plan, verification))
+    if args.output is not None:
+        doc = formats.plan_to_doc(plan, verification)
         try:
-            Path(args.output).write_text(text + "\n", encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as fh:
+                formats.write(doc, fh)
         except OSError as exc:
             raise ContractViolationError(
                 f"cannot write plan file '{args.output}': {exc}"

@@ -3,10 +3,15 @@
 Complex entries are written as ``[re, im]`` pairs, matrices row-major with
 rows indexed by the output basis state (big-endian, site 1 most
 significant).  Documents may carry ``complex128`` vectors and matrices
-themselves; ``dumps`` writes them as those ``[re, im]`` pairs, one row per
+themselves; they are written as those ``[re, im]`` pairs, one row per
 ``%`` format.  Serialization is deterministic: keys appear sorted and every
 float is printed with 17 significant digits, which round-trips a double
 exactly, except that -0.0 is written as ``-0`` and reads back as 0.
+
+Writing makes a document's text in consecutive pieces, one matrix row
+each: :func:`write` feeds them to an open file, so a plan file is never
+held as one string, and :func:`dumps` returns their join, so both make
+the same bytes.
 
 Reading is the stdlib's JSON decoder, except that the elements of a
 top-level object's ``steps`` list come back as arrays, each converted
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator, TextIO
 
 import numpy as np
 
@@ -42,23 +47,55 @@ _skip = json.decoder.WHITESPACE.match
 
 def dumps(obj: Any) -> str:
     """Deterministic JSON text for a document of dicts, lists and scalars."""
-    return _emit(obj)
+    return "".join(_pieces(obj))
 
 
-def _emit(obj: Any) -> str:
+def write(obj: Any, fh: TextIO) -> None:
+    """Write :func:`dumps` of ``obj`` and a newline to the text file ``fh``,
+    one piece at a time: a matrix goes one row per piece, so the text of a
+    document is never held whole."""
+    fh.writelines(_pieces(obj))
+    fh.write("\n")
+
+
+def _pieces(obj: Any) -> Iterator[str]:
+    """The text of ``obj`` in consecutive pieces, the one definition of the
+    bytes of both :func:`dumps` and :func:`write`.  A scalar is joined to
+    the piece before it, so a small document costs few pieces."""
     # Recurse here, not through ``dumps``: wrapping the public name must see
     # one call per document.
+    if isinstance(obj, np.ndarray):
+        yield from _array_pieces(obj)
+        return
+    if not isinstance(obj, _NESTED):
+        yield _scalar(obj)
+        return
+    keyed = isinstance(obj, dict)
+    close = "}" if keyed else "]"
+    if not obj:
+        yield ("{" if keyed else "[") + close
+        return
+    sep = "{" if keyed else "["
+    for key in sorted(obj) if keyed else obj:
+        head, value = (sep + _quote(str(key)) + ":", obj[key]) if keyed else (sep, key)
+        sep = ","
+        if isinstance(value, _NESTED):
+            yield head
+            yield from _pieces(value)
+        else:
+            yield head + _scalar(value)
+    yield close
+
+
+#: What :func:`_pieces` walks into; anything else is one scalar.
+_NESTED = (dict, list, tuple, np.ndarray)
+
+
+def _scalar(obj: Any) -> str:
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ContractViolationError("refusing to serialize a non-finite number")
         return format(obj, ".17g")
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(map(_emit, obj)) + "]"
-    if isinstance(obj, np.ndarray):
-        return _emit_array(obj)
-    if isinstance(obj, dict):
-        items = [_quote(str(key)) + ":" + _emit(obj[key]) for key in sorted(obj)]
-        return "{" + ",".join(items) + "}"
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None:
@@ -68,11 +105,11 @@ def _emit(obj: Any) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, np.floating):
-        return _emit(float(obj))
+        return _scalar(float(obj))
     raise ContractViolationError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit_array(a: np.ndarray) -> str:
+def _array_pieces(a: np.ndarray) -> Iterator[str]:
     # '%.17g' % x and format(x, '.17g') print a double the same way
     if a.dtype != np.complex128 or a.ndim not in (1, 2):
         raise ContractViolationError(f"cannot serialize a {a.ndim}-D {a.dtype} array")
@@ -81,8 +118,12 @@ def _emit_array(a: np.ndarray) -> str:
         raise ContractViolationError("refusing to serialize a non-finite number")
     row = "[" + ",".join(["[%.17g,%.17g]"] * a.shape[-1]) + "]"
     if a.ndim == 1:
-        return row % tuple(pairs.tolist())
-    return "[" + ",".join([row % tuple(r) for r in pairs.tolist()]) + "]"
+        yield row % tuple(pairs.tolist())
+        return
+    yield "["
+    for k, r in enumerate(pairs):
+        yield ("," if k else "") + row % tuple(r.tolist())
+    yield "]"
 
 
 def decode_matrix(data: Any, rows: int, cols: int, where: str) -> np.ndarray:

@@ -26,18 +26,22 @@ RANK_TOL = 1e-10
 ISOMETRY_TOL = 1e-10
 
 
-def _require_dense_fits(name: str, m_in: int, n_out: int, copies: int = 1) -> None:
-    """Refuse work on ``copies`` dense ``m_in -> n_out`` matrices of
-    ``16 * 2**(n_out + m_in)`` bytes each when they exceed the machine's
-    physical memory, before allocating them."""
-    need = copies * 16 * 2 ** (n_out + m_in)
+def _require_fits(name: str, what: str, need: int) -> None:
+    """Refuse work whose ``what`` needs ``need`` bytes when that exceeds
+    the machine's physical memory, before allocating it."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
-        times = f" x {copies}" if copies > 1 else ""
         raise ContractViolationError(
-            f"{name}: the dense {m_in} -> {n_out} matrix{times} needs {need} bytes, "
-            f"more than the {have} bytes of physical memory"
+            f"{name}: {what} needs {need} bytes, more than the {have} bytes of physical memory"
         )
+
+
+def _require_dense_fits(name: str, m_in: int, n_out: int, copies: int = 1) -> None:
+    """:func:`_require_fits` for ``copies`` dense ``m_in -> n_out`` matrices
+    of ``16 * 2**(n_out + m_in)`` bytes each."""
+    times = f" x {copies}" if copies > 1 else ""
+    what = f"the dense {m_in} -> {n_out} matrix{times}"
+    _require_fits(name, what, copies * 16 * 2 ** (n_out + m_in))
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:

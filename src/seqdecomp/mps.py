@@ -64,7 +64,8 @@ it through :func:`canonicalize`; a dense operator goes through
 :func:`operator_to_mps`.  An operator chain, or a qubit chain whose last
 bond is left open such as a plan, is contracted a block of rows at a time
 by one depth-first walk that contracts each row prefix once
-(:func:`_row_blocks`).
+(:func:`_row_blocks`), and the norms of its columns come from one sweep
+of R factors that forms no row (:func:`_column_norms`).
 """
 
 from __future__ import annotations
@@ -290,6 +291,38 @@ def _row_blocks(tensors, rows: int, norm: float = 1.0):
             yield x
 
     return walk(np.full((1, 1, 1), norm, dtype=np.complex128), 0)
+
+
+def _column_norms(tensors, heads: np.ndarray) -> np.ndarray:
+    """The 2-norm of every input column of a qubit chain whose last bond is
+    left open, seen through each of ``heads``.
+
+    ``tensors`` are as for :func:`_row_blocks`, and ``heads`` is a stack of
+    matrices applied to the open bond, ``(head, rows, last right bond)``.
+    Returns ``(head, input)`` norms, the inputs ordered as
+    :func:`_row_blocks` orders them.
+
+    One right-to-left sweep.  The sites right of a bond act on it as a
+    matrix X, of which only an R factor is kept, with X's Gram matrix.
+    Each site stacks R times its tensor over its output values and takes
+    the R factor of that, an LQ step on the conjugate transpose, batched
+    over the heads and the input values passed so far by one
+    ``np.linalg.qr(..., mode="r")``; the first site leaves one column,
+    whose norm is the answer.  Only orthogonal transforms act on the
+    values, so a norm near rounding is resolved as well as any other,
+    where a Gram or overlap formula stops near the square root of it.
+    """
+    x = heads.astype(np.complex128)  # (batch, rows, right bond)
+    for k in reversed(range(len(tensors))):
+        d, rgt, lft = tensors[k].shape
+        site = tensors[k].reshape(2, d // 2, rgt, lft).transpose(2, 1, 0, 3)  # (right, input, output, left)
+        batch, rows = x.shape[:2]
+        # one product for the whole batch, then (batch, input, output, rows, left)
+        x = (x.reshape(-1, rgt) @ site.reshape(rgt, -1)).reshape(batch, rows, d // 2, 2, lft)
+        x = x.transpose(0, 2, 3, 1, 4).reshape(-1, 2 * rows, lft)
+        if k:
+            x = np.linalg.qr(x, mode="r")
+    return np.linalg.norm(x[..., 0], axis=1).reshape(len(heads), -1)
 
 
 def canonical_chain(u: Isometry) -> tuple[Mps, CanonicalWeights]:

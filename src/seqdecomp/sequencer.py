@@ -35,10 +35,13 @@ A plan is a matrix-product chain whose bond is the ancilla (Schön,
 Solano, Verstraete, Cirac, Wolf, PRL 95, 110503 (2005)).
 :func:`verify_plan` reads it as an operator chain in the
 :mod:`~seqdecomp.mps` layout, from the input qubits to the chain and the
-final ancilla, and contracts it a block of rows at a time by the walk that
-also reads a target held as a chain, such as a ``product``; a dense target
-is viewed in the same layout.  Each block is compared with the target's
-before the next is contracted, so the operator is never held whole.
+final ancilla.  A target held as a chain, such as a ``product``, is
+compared chain to chain: the difference of the two is one chain, whose
+column norms, the errors of all basis inputs, one sweep of R factors
+gives.  A dense target is compared a block of rows at a time: the plan
+is contracted by a depth-first walk over its row prefixes and each block
+is compared with the same rows of the target before the next, so the
+plan's operator is never held whole.
 :func:`simulate` runs one amplitude vector through the steps instead: the
 state grows by one emitted site per step, and a step after the inputs uses
 only the columns of its unitary that take the chain qubit in |0>.
@@ -53,7 +56,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractViolationError, NotImplementableError
-from .linalg import ISOMETRY_TOL, _require_dense_fits, complete_to_unitary
+from .linalg import ISOMETRY_TOL, _require_dense_fits, _require_fits, complete_to_unitary
 from .linalg import isometry_defect, isometry_residual
 
 # mps and oplib are imported inside the functions that use them, so that
@@ -321,42 +324,78 @@ def _plan_chain(plan: SequentialPlan):
             yield v[..., 0].transpose(1, 0, 2)
 
 
-def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
-    """Compare a plan against its target on every computational basis input.
+def _difference_chain(plan: SequentialPlan, target: Mps) -> list[np.ndarray]:
+    """The chain of ``(|0>_ancilla (x) U) - P`` in the :mod:`~seqdecomp.mps`
+    layout: the direct sum of the target's chain U and the plan's chain P
+    (:func:`_plan_chain`), negated at its first site.  The bond is U's plus
+    the ancilla.  The last right bond is P's, the open ancilla, and U's
+    last bond sits on its state 0.
 
-    The plan, read as a chain by :func:`_plan_chain`, is contracted a block
-    of rows at a time by :func:`~seqdecomp.mps._row_blocks`, and each block
-    is compared with the same rows of the target before the next is
-    contracted.  The target's blocks are views of ``u.matrix`` or, for an
-    operator held as a chain, the same walk of that chain.  A block has as
-    many rows as fit, beside the target's block if that is contracted, in
-    :data:`_VERIFY_ENTRIES` entries, and at least one, so the working set
-    beside a dense target stays near 1.5 budgets however large the ancilla.
-    Linearity makes basis coverage sufficient: the reported
-    ``operator_norm_bound`` scales the worst basis error by
-    ``sqrt(2**m_in)`` to bound the error over all inputs.  A verification
-    that would not fit in physical memory is refused before it starts.
+    U's ``norm`` is shared evenly by its sites.  That gives each factor of
+    a ``product`` back its own scale, so the errors follow the rounding of
+    the dense target more closely than with the norm on one site; the share
+    is taken as ``2 ** (log2(norm) / N)``, which is exactly sqrt(2) for
+    every product, where ``norm ** (1 / N)`` is not.
     """
+    d, n = plan.ancilla_dim, plan.n_out
+    share = 2 ** (math.log2(target.norm) / n)
+    sites = []
+    for k, (a, p) in enumerate(zip(target.tensors, _plan_chain(plan))):
+        a = share * a
+        if k == 0:
+            p = -p
+        rows = d if k == n - 1 else a.shape[1] + p.shape[1]
+        cols = 1 if k == 0 else a.shape[2] + p.shape[2]
+        t = np.zeros((len(a), rows, cols), dtype=np.complex128)
+        t[:, : a.shape[1], : a.shape[2]] = a
+        t[:, rows - p.shape[1] :, cols - p.shape[2] :] += p  # one site may be both first and last
+        sites.append(t)
+    return sites
+
+
+#: Arrays of one site's products that the memory guard of
+#: :func:`_sweep_errors` counts: the products, their reordered copy and
+#: LAPACK's copy of that (``tracemalloc`` measured 1.7 of them on a
+#: 10-factor product, and 3.2 with the chain itself on ``cloner:8``).
+_SWEEP_COPIES = 3
+
+
+def _sweep_errors(plan: SequentialPlan, target: Mps) -> tuple[float, float]:
+    """Worst error and decoupling residual over the basis inputs, from one
+    :func:`~seqdecomp.mps._column_norms` sweep of the difference chain: the
+    error of an input is the norm of its column, the residual the norm of
+    the part of it on ancilla states other than 0."""
     from . import mps
 
-    if plan.n_out != u.n_out or plan.m_in != u.m_in:
-        raise ContractViolationError(
-            f"plan is {plan.m_in}->{plan.n_out} but operator is "
-            f"{u.m_in}->{u.n_out}"
-        )
+    d, m = plan.ancilla_dim, plan.m_in
+    sites = _difference_chain(plan, target)
+    bond = max(t.shape[1] for t in sites)
+    # the chain, and for both heads and every input one site's products,
+    # at most 2 * bond x bond entries each
+    need = 16 * (sum(t.size for t in sites) + _SWEEP_COPIES * 2 ** (m + 1) * 2 * bond**2)
+    _require_fits("plan verification", f"the sweep of {2**m} inputs at bond {bond}", need)
+    heads = np.stack([np.eye(d), np.diag(np.arange(d) > 0)])  # the whole ancilla; states 1..
+    errors, decoupling = mps._column_norms(sites, heads)
+    return float(errors.max()), float(decoupling.max())
+
+
+def _walk_errors(plan: SequentialPlan, u: Isometry) -> tuple[float, float]:
+    """Worst error and decoupling residual over the basis inputs, from the
+    plan's rows walked beside the same rows of the dense target."""
+    from . import mps
+
     d, m, n = plan.ancilla_dim, u.m_in, u.n_out
-    dense = u.chain is None
-    width = 2**m * (d + (not dense))  # entries of one row of the blocks held at once
+    width = 2**m * d  # entries of one row of a block
     rows = 2 ** min(n, max(0, (_VERIFY_ENTRIES // width).bit_length() - 1))
-    # the dense target, if any, and the blocks held at once, each with the
-    # input of the product that finishes it
-    _require_dense_fits("plan verification", m, n, dense + -(-3 * rows * width // 2 ** (n + m + 1)))
+    # the target, and in its matrices, rounded up, the blocks held at once,
+    # each with the input of the product that finishes it, and the sites
+    # that the walk arranges, about half of each step after the inputs
+    arranged = sum(4 * d * d if k < m else 2 * d * d for k in range(1, n)) + 4 * d
+    held = 3 * rows * width // 2 + arranged
+    _require_dense_fits("plan verification", m, n, 1 + -(-held // 2 ** (n + m)))
     inputs = [2] * m
-    if dense:
-        walk = u.matrix.reshape(-1, *inputs).T  # (last input .. first input, row)
-        targets = (walk[..., r : r + rows] for r in range(0, 2**n, rows))
-    else:
-        targets = mps._row_blocks(u.chain.tensors, rows, u.chain.norm)
+    walk = u.matrix.reshape(-1, *inputs).T  # (last input .. first input, row)
+    targets = (walk[..., r : r + rows] for r in range(0, 2**n, rows))
     # per basis input, in the walk's order, the squared error of the chain
     # state and the squared norm of the ancilla components that failed to
     # decouple
@@ -367,10 +406,39 @@ def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
         state_sq += _squared_norms(block[:, :, :1])
         decouple_sq += _squared_norms(block[:, :, 1:])
         del block, error  # so that the next blocks are contracted without these
-    max_error = math.sqrt(float((state_sq + decouple_sq).max()))
+    return math.sqrt(float((state_sq + decouple_sq).max())), math.sqrt(float(decouple_sq.max()))
+
+
+def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
+    """Compare a plan against its target on every computational basis input.
+
+    A target held as a chain (``u.chain``) is compared chain to chain: the
+    difference chain (:func:`_difference_chain`) is reduced by one sweep
+    that yields every input's error together, batched over the inputs
+    (:func:`_sweep_errors`), so no row of either operator is formed.  A
+    dense target is compared a block of rows at a time: the plan, read as
+    a chain by :func:`_plan_chain`, is contracted by
+    :func:`~seqdecomp.mps._row_blocks`, and each block is compared with
+    the same rows of ``u.matrix`` before the next is contracted.  A block
+    has as many rows as fit in :data:`_VERIFY_ENTRIES` entries, and at
+    least one, so the blocks held beside the target stay near 1.5 budgets
+    however large the ancilla.  Linearity makes basis coverage sufficient:
+    the reported ``operator_norm_bound`` scales the worst basis error by
+    ``sqrt(2**m_in)`` to bound the error over all inputs.  A verification
+    that would not fit in physical memory is refused before it starts.
+    """
+    if plan.n_out != u.n_out or plan.m_in != u.m_in:
+        raise ContractViolationError(
+            f"plan is {plan.m_in}->{plan.n_out} but operator is "
+            f"{u.m_in}->{u.n_out}"
+        )
+    if u.chain is None:
+        max_error, max_decoupling = _walk_errors(plan, u)
+    else:
+        max_error, max_decoupling = _sweep_errors(plan, u.chain)
     return PlanVerification(
         max_error=max_error,
-        max_decoupling_residual=math.sqrt(float(decouple_sq.max())),
+        max_decoupling_residual=max_decoupling,
         operator_norm_bound=max_error * math.sqrt(2**u.m_in),
     )
 

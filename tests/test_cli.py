@@ -109,6 +109,37 @@ def test_decompose_into_a_missing_directory_exits_2_before_the_pipeline(
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize("where, fault", [("", "empty path"), (".", "is a directory")])
+def test_decompose_into_an_unwritable_path_exits_2_before_the_pipeline(
+    where, fault, tmp_path, capsys, monkeypatch
+):
+    # an empty path once exited 0 and wrote nothing; a directory failed only
+    # after the whole decomposition
+    calls = []
+    monkeypatch.setattr(cli, "build_plan", lambda *args, **kwargs: calls.append(args))
+    path = str(tmp_path) if where else ""
+    code, out, err = run_cli(["decompose", "shor", "-o", path], capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert err == f"error: cannot write plan file '{path}': {fault}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_plan_file_that_fails_while_written_exits_2(capsys):
+    code, out, err = run_cli(["decompose", "random:1,8,0", "-o", "/dev/full"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write plan file '/dev/full': [Errno 28]")
+
+
+def test_the_plan_file_is_the_document_and_a_newline(tmp_path, capsys):
+    # written a row at a time, byte for byte what dumps makes of it
+    path = tmp_path / "plan.json"
+    assert run_cli(["decompose", "random:1,6,4", "-o", str(path)], capsys)[0] == 0
+    u = cli.load_operator("random:1,6,4")
+    plan = build_plan(u)
+    text = formats.dumps(formats.plan_to_doc(plan, sequencer.verify_plan(plan, u))) + "\n"
+    assert path.read_bytes() == text.encode("utf-8")
+
+
 def test_decompose_product_refuses_factors_whose_slack_compounds(tmp_path, capsys):
     # each factor's Gram is (1 + 2e-11)^2 I, inside its own 1e-10 check; the
     # product's is (1 + 2e-11)^20 I, a residual of 4e-10
@@ -123,14 +154,15 @@ def test_decompose_product_refuses_factors_whose_slack_compounds(tmp_path, capsy
 def test_decompose_refuses_a_verification_larger_than_memory(tmp_path, capsys, monkeypatch):
     # cloner:3 is 1024 bytes, within the builtin's guard and canonicalization's
     # 7 matrices; its whole ancilla-6 operator fits one verification block, so
-    # verifying holds the target, the block and its last product's input, 10 x 1024
+    # verifying holds the target and, rounded up, the block and its last
+    # product's input (9 matrices) and the walk's arranged sites (4.9): 15 x 1024
     memory = {"SC_PHYS_PAGES": 8192, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     path = tmp_path / "plan.json"
     code, out, err = run_cli(["decompose", "cloner:3", "-o", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err == (
-        "error: plan verification: the dense 1 -> 5 matrix x 10 needs 10240 bytes, "
+        "error: plan verification: the dense 1 -> 5 matrix x 15 needs 15360 bytes, "
         "more than the 8192 bytes of physical memory\n"
     )
     assert not path.exists()

@@ -223,14 +223,13 @@ def test_verify_identity_plan_is_exact():
 @pytest.mark.parametrize(
     "make, budget",
     [
-        (lambda: haar_product(10, seed=18), sequencer._VERIFY_ENTRIES),
         (lambda: gisin_massar_cloner(8), sequencer._VERIFY_ENTRIES),
         # one row is more than the budget
         (lambda: random_isometry(1, 6, seed=18), 2**3),
         # the whole operator fits the budget
         (shor_encoder, sequencer._VERIFY_ENTRIES),
     ],
-    ids=["product:10", "cloner:8", "random:1,6, small budget", "shor"],
+    ids=["cloner:8", "random:1,6, small budget", "shor"],
 )
 def test_verify_blocks_tile_the_target_exactly_once(make, budget, monkeypatch):
     u = make()
@@ -248,24 +247,65 @@ def test_verify_blocks_tile_the_target_exactly_once(make, budget, monkeypatch):
 
     monkeypatch.setattr(mps, "_row_blocks", recorded)
     assert verify_plan(plan, u).max_error <= 1e-13
-    # the plan's walk, and the target's when it is held as a chain
-    assert len(walks) == (1 if u.chain is None else 2)
-    for shapes in walks:
-        inputs, rows, bond = shapes[0]
-        assert inputs == 2**u.m_in and bond in (1, plan.ancilla_dim)
-        assert shapes == [shapes[0]] * (2**u.n_out // rows)
+    # one walk, the plan's, beside views of the dense target
+    [shapes] = walks
+    inputs, rows, bond = shapes[0]
+    assert inputs == 2**u.m_in and bond == plan.ancilla_dim
+    assert shapes == [shapes[0]] * (2**u.n_out // rows)
     # the blocks held at once fit the budget, or are one row each
-    width = sum(inputs * bond for inputs, _, bond in (shapes[0] for shapes in walks))
-    rows = walks[0][0][1]
+    width = inputs * bond
     assert rows * width <= max(budget, width)
     assert rows == 2**u.n_out or 2 * rows * width > budget
+
+
+def held_as_chain(u):
+    """``u`` held as its canonical chain, like a ``product``: verification
+    then takes the sweep of the difference chain."""
+    chain = mps.canonical_chain(u)[0]
+    return Isometry._from_chain(chain, 0.0, lambda: np.array(u.matrix))
+
+
+def test_verify_of_a_chain_target_walks_no_rows(monkeypatch):
+    # a 10-factor product under 1 MiB of memory, a sixteenth of its dense
+    # matrix: the sweep needs 0.79 MB, and forms no row of either operator
+    u = haar_product(10, seed=18)
+    plan = build_plan(u)
+
+    def refuse(*args):
+        raise AssertionError("a row of the operator was contracted")
+
+    monkeypatch.setattr(mps, "_grow", refuse)
+    monkeypatch.setattr(mps, "_row_blocks", refuse)
+    sizes = {"SC_PHYS_PAGES": 2**20, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+    assert verify_plan(plan, u).max_error <= 1e-14
+    assert "matrix" not in vars(u)
+
+
+@pytest.mark.parametrize("memory, refused", [(6655, True), (6656, False)])
+def test_verify_of_a_chain_operator_counts_its_sweep(memory, refused, monkeypatch):
+    # a 3-factor product and its ancilla-1 plan make a difference chain of
+    # bond 2 whose sites hold 8 + 16 + 8 entries; the sweep counts 3 arrays
+    # of 2 * 2 x 2 entries for each of 2 heads x 8 inputs: 416 entries of
+    # 16 bytes, where the dense matrix would be 1024 bytes
+    rng = np.random.default_rng(19)
+    u = product_unitary([haar_unitary(2, rng) for _ in range(3)])
+    plan = build_plan(u)
+    sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+    if refused:
+        with pytest.raises(ContractViolationError, match="sweep of 8 inputs at bond 2 needs 6656 bytes"):
+            verify_plan(plan, u)
+    else:
+        assert verify_plan(plan, u).max_error < 1e-12
 
 
 @pytest.mark.parametrize("memory, refused", [(3071, True), (3072, False)])
 def test_verify_refuses_a_working_set_larger_than_memory(memory, refused, monkeypatch):
     # a 3 -> 3 matrix is 1024 bytes; at ancilla 1 the whole operator is one
-    # block, so verification holds the target, the block and the input of
-    # the product that finishes it, rounded up to 3 matrices
+    # block, so verification holds the target and, rounded up to 2 matrices,
+    # the block, the input of the product that finishes it (1.5) and the
+    # walk's arranged sites (0.19): 3 matrices
     rng = np.random.default_rng(19)
     u = Isometry(3, 3, product_unitary([haar_unitary(2, rng) for _ in range(3)]).matrix)
     plan = build_plan(u)
@@ -283,29 +323,12 @@ def test_verify_refuses_a_working_set_larger_than_memory(memory, refused, monkey
         assert calls
 
 
-@pytest.mark.parametrize("memory, refused", [(3071, True), (3072, False)])
-def test_verify_of_a_chain_operator_counts_no_target(memory, refused, monkeypatch):
-    # the product's target rows come from its chain, a block beside each of
-    # the plan's, so no dense target counts: the plan's block and the
-    # target's, each the whole 64-entry operator, with the inputs of their
-    # last products, 3 matrices of 1024 bytes
-    rng = np.random.default_rng(19)
-    u = product_unitary([haar_unitary(2, rng) for _ in range(3)])
-    plan = build_plan(u)
-    sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
-    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
-    if refused:
-        with pytest.raises(ContractViolationError, match="x 3 needs 3072 bytes"):
-            verify_plan(plan, u)
-    else:
-        assert verify_plan(plan, u).max_error < 1e-12
-
-
 @pytest.mark.parametrize("spare", [-1, 0])
 def test_verify_counts_its_blocks_not_the_ancilla(spare, monkeypatch):
     # cloner:8 is 1 -> 15, 2**20 bytes, with ancilla 16; a block of 2**11
     # rows, 2**16 entries, is one matrix, so verification counts the target
-    # and 1.5 blocks, rounded up to 3 matrices, where the whole operator made 25
+    # and, rounded up, 1.5 blocks and the walk's arranged sites (0.11): 3
+    # matrices, where the whole operator made 25
     u = gisin_massar_cloner(8)
     plan = build_plan(u)
     need = 3 * 2**20
@@ -401,6 +424,42 @@ def test_verify_matches_the_whole_operator_oracle(n, product, corrupt, budget, s
     assert abs(verification.max_error - max_error) <= 1e-14
     assert abs(verification.max_decoupling_residual - max_decouple) <= 1e-14
     assert verification.operator_norm_bound == verification.max_error * math.sqrt(2**u.m_in)
+
+
+def corrupted(plan, k, seed):
+    """``plan`` with step ``k`` replaced by a Haar unitary."""
+    steps = list(plan.steps)
+    steps[k] = haar_unitary(len(steps[k]), np.random.default_rng(seed))
+    return SequentialPlan(plan.ancilla_dim, plan.m_in, tuple(steps), plan.bond_dims)
+
+
+@settings(max_examples=40, deadline=None)
+@example(n=8, chain=False, corrupt=8, seed=8)
+@example(n=6, chain=True, corrupt=3, seed=1)
+@given(
+    n=st.integers(1, 8),
+    chain=st.booleans(),
+    corrupt=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_sweep_matches_the_dense_oracle(n, chain, corrupt, seed):
+    # a product of n Haar factors (ancilla 1), or a Haar 1 -> n isometry held
+    # as its canonical chain (ancilla up to 2**(n // 2), so the decoupling
+    # residual is measured too); a draw of corrupt < n replaces that step
+    u = held_as_chain(random_isometry(1, n, seed)) if chain else haar_product(n, seed)
+    plan = build_plan(u)
+    if corrupt < n:
+        plan = corrupted(plan, corrupt, seed)
+    verification = verify_plan(plan, u)
+    max_error, max_decouple = verify_plan_one_shot(plan, u)
+    bound = max_error * math.sqrt(2**u.m_in)
+    swept = (verification.max_error, verification.max_decoupling_residual,
+             verification.operator_norm_bound)
+    for got, want in zip(swept, (max_error, max_decouple, bound)):
+        if corrupt < n:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+        else:
+            assert abs(got - want) <= 1e-13
 
 
 def test_verify_rejects_mismatched_operator():
