@@ -9,17 +9,31 @@ canonicalizations of the same state agree up to the allowed bond gauge.
 
 import numpy as np
 
-from seqdecomp import (
-    Mps,
-    canonicalize,
-    check_canonical,
-    contract_state,
-    gauge_check,
-    ghz_state,
-    state_to_mps,
-)
+from seqdecomp import Mps, canonicalize, check_canonical, ghz_state, state_to_mps
 
 np.set_printoptions(precision=6, suppress=True)
+
+
+def contract(chain):
+    """The dense state of a chain, one site at a time."""
+    g = chain.tensors[0][:, :, 0]
+    for t in chain.tensors[1:]:
+        g = np.einsum("pa,qba->pqb", g, t).reshape(-1, t.shape[1])
+    return chain.norm * g[:, 0]
+
+
+def gauge_residual(a, b):
+    """How far two canonical chains of equal bonds are from b = V a V†, with
+    the bond unitaries V found site by site from the left as polar factors."""
+    v = np.eye(1)
+    worst = 0.0
+    for ta, tb in zip(a.tensors, b.tensors):
+        target = np.einsum("iab,bc->iac", tb, v)
+        w, _, vd = np.linalg.svd(np.einsum("iac,ibc->ab", target, ta.conj()))
+        v = w @ vd
+        worst = max(worst, np.abs(target - np.einsum("ab,ibc->iac", v, ta)).max())
+    return max(worst, abs(v[0, 0] - 1.0))
+
 
 # A four-qubit GHZ state: Schmidt rank 2 across every cut, weights (1/2, 1/2).
 psi = ghz_state(4)
@@ -51,7 +65,7 @@ for m, t in enumerate(mps.tensors):
                             np.linalg.inv(gauges[m])))
 fat = Mps(tuple(padded), norm=mps.norm)
 print("\ndisguised bond dimensions:", fat.bond_dims)
-print("still the same state:", f"{np.linalg.norm(contract_state(fat) - psi):.2e}")
+print("still the same state:", f"{np.linalg.norm(contract(fat) - psi):.2e}")
 
 # Canonicalization crushes the padding back to the true ranks.
 slim, slim_weights = canonicalize(fat)
@@ -59,13 +73,11 @@ print("after canonicalization:", slim.bond_dims)
 print("weights recovered:", [w.tolist() for w in slim_weights.lambdas])
 
 # The two canonical forms describe the same state, so they must be related
-# by bond unitaries that commute with the weights; gauge_check finds them.
-verdict = gauge_check(mps, weights, slim, slim_weights)
-print("\ngauge related:", bool(verdict), "| worst residual:", f"{verdict.max_residual:.2e}")
+# by bond unitaries that commute with the weights; gauge_residual finds them.
+print("\ngauge residual:", f"{gauge_residual(mps, slim):.2e}")
 
-# Orthogonal states are never gauge related: the weight spectra already differ.
+# Orthogonal states are never gauge related: here the bonds already differ.
 other = np.zeros(16, dtype=complex)
 other[1] = 1.0
-other_mps, other_weights = state_to_mps(other)
-verdict = gauge_check(mps, weights, other_mps, other_weights)
-print("GHZ vs |0001>:", bool(verdict), f"({verdict.reason})")
+other_mps, _ = state_to_mps(other)
+print("GHZ vs |0001> bonds:", mps.bond_dims, "vs", other_mps.bond_dims)

@@ -26,13 +26,10 @@ _HOMES = {
     "svd": "linalg",
     "CanonicalReport": "mps",
     "CanonicalWeights": "mps",
-    "GaugeVerdict": "mps",
     "Mps": "mps",
     "canonicalize": "mps",
     "check_canonical": "mps",
     "contract_operator": "mps",
-    "contract_state": "mps",
-    "gauge_check": "mps",
     "operator_to_mps": "mps",
     "state_to_mps": "mps",
     "Isometry": "oplib",
@@ -49,7 +46,6 @@ _HOMES = {
     "SequentialPlan": "sequencer",
     "SequentialityReport": "sequencer",
     "build_plan": "sequencer",
-    "direct_sum_operator_mps": "sequencer",
     "operator_schmidt_ranks": "sequencer",
     "sequentiality_test": "sequencer",
     "simulate": "sequencer",

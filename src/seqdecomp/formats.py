@@ -156,14 +156,6 @@ def _require(doc: dict, key: str, kind, where: str):
     return value
 
 
-def isometry_to_doc(u: Isometry) -> dict:
-    return {
-        "m_qubits": u.m_in,
-        "n_qubits": u.n_out,
-        "matrix": u.matrix,
-    }
-
-
 def doc_to_isometry(doc: Any, where: str = "operator") -> Isometry:
     from . import oplib
 

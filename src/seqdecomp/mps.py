@@ -65,7 +65,9 @@ it through :func:`canonicalize`; a dense operator goes through
 bond is left open such as a plan, is contracted a block of rows at a time
 by one depth-first walk that contracts each row prefix once
 (:func:`_row_blocks`), and the norms of its columns come from one sweep
-of R factors that forms no row (:func:`_column_norms`).
+of R factors that forms no row (:func:`_column_norms`).  The sum of two
+chains is one chain, their :func:`direct_sum`; the difference chain that
+compares a plan with a target held as a chain is built by it.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericFailureError
+from .errors import ContractViolationError
 from .linalg import ISOMETRY_TOL, _QR_ROWS, _require_dense_fits, dagger, r_factor, svd
 
 if TYPE_CHECKING:
@@ -218,29 +220,32 @@ class CanonicalReport:
         )
 
 
-@dataclass(frozen=True)
-class GaugeVerdict:
-    """Outcome of testing whether two canonical forms are gauge related."""
-
-    related: bool
-    reason: str
-    max_residual: float
-
-    def __bool__(self) -> bool:
-        return self.related
-
-
 # ---------------------------------------------------------------------------
 # contraction
 
 
-def contract_state(mps: Mps) -> np.ndarray:
-    """Dense vector represented by the chain (fused legs stay fused)."""
-    g = mps.tensors[0][:, :, 0]  # (d_1, D_2)
-    for t in mps.tensors[1:]:
-        g = np.einsum("pa,qba->pqb", g, t)
-        g = g.reshape(-1, t.shape[1])
-    return mps.norm * g[:, 0]
+def direct_sum(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The site tensors of a chain that contracts to the sum of the
+    contractions of chains ``a`` and ``b``, two lists of site tensors of
+    equal length in the module's layout, with the same physical dimensions.
+
+    The first site stacks the two right bonds, the interior sites are block
+    diagonal, and the last site stacks the two left bonds.  The two last
+    right bonds share their leading states, so that a chain closed by a
+    bond of 1 lands on state 0 of the other's open bond.  A chain of one
+    site gets both rules.  Every interior bond is the sum of the two.
+    """
+    last = len(a) - 1
+    sites = []
+    for k, (x, y) in enumerate(zip(a, b, strict=True)):
+        top = 0 if k == last else x.shape[1]  # where y's right bond starts
+        left = 0 if k == 0 else x.shape[2]  # where y's left bond starts
+        rows = max(x.shape[1], top + y.shape[1])
+        t = np.zeros((len(x), rows, left + y.shape[2]), dtype=np.complex128)
+        t[:, : x.shape[1], : x.shape[2]] = x
+        t[:, top : top + y.shape[1], left:] += y  # a first and last site overlaps x
+        sites.append(t)
+    return sites
 
 
 def contract_operator(op: Mps) -> np.ndarray:
@@ -546,60 +551,3 @@ def check_canonical(mps: Mps, weights: CanonicalWeights) -> CanonicalReport:
         res_weights = max(res_weights, max(0.0, -float(np.min(lam))))
     return CanonicalReport(res_norm, res_transport, res_weights)
 
-
-def gauge_check(
-    a: Mps,
-    weights_a: CanonicalWeights,
-    b: Mps,
-    weights_b: CanonicalWeights,
-    tol: float = 1e-8,
-) -> GaugeVerdict:
-    """Decide whether two canonical forms describe the same object.
-
-    Two canonical chains are equivalent exactly when there are unitaries
-    ``V_m`` on the bonds, trivial at both boundaries and commuting with the
-    weights, with ``b_tensor[i] = V_right @ a_tensor[i] @ V_left†`` at every
-    site.  The ``V_m`` are recovered site by site from the left as the
-    least-squares unitary (polar factor) and all residuals are tested
-    against ``tol``.
-    """
-    if a.physical_dims != b.physical_dims:
-        return GaugeVerdict(False, "physical dimensions differ", float("inf"))
-    if a.m_in != b.m_in:
-        return GaugeVerdict(False, "input site counts differ", float("inf"))
-    if a.bond_dims != b.bond_dims:
-        return GaugeVerdict(
-            False,
-            f"bond dimensions differ: {a.bond_dims} vs {b.bond_dims}",
-            float("inf"),
-        )
-    if abs(a.norm - b.norm) > tol * max(a.norm, b.norm):
-        return GaugeVerdict(False, "overall scales differ", float("inf"))
-    worst = 0.0
-    for la, lb in zip(weights_a.lambdas, weights_b.lambdas):
-        worst = max(worst, float(np.max(np.abs(np.sort(la)[::-1] - np.sort(lb)[::-1]))))
-    if worst > tol:
-        return GaugeVerdict(False, "weight spectra differ", worst)
-
-    v_left = np.eye(1, dtype=np.complex128)
-    lam_chain = list(weights_a.lambdas) + [np.ones(1)]
-    for m in range(a.n_sites):
-        ta, tb = a.tensors[m], b.tensors[m]
-        target = np.einsum("iab,bc->iac", tb, v_left)
-        cross = np.einsum("iac,ibc->ab", target, np.conj(ta))
-        try:
-            w, _, vd = np.linalg.svd(cross)
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailureError(f"SVD failed to converge for shape {cross.shape}") from exc
-        v_m = w @ vd  # polar factor: closest unitary
-        lam = lam_chain[m]
-        worst = max(
-            worst, float(np.linalg.norm(v_m * lam[None, :] - lam[:, None] * v_m, 2))
-        )
-        relation = np.einsum("ab,ibc->iac", v_m, ta)
-        worst = max(worst, float(np.max(np.abs(target - relation))))
-        v_left = v_m
-    worst = max(worst, float(abs(v_left[0, 0] - 1.0)))
-    if worst > tol:
-        return GaugeVerdict(False, "gauge relation residual too large", worst)
-    return GaugeVerdict(True, "", worst)

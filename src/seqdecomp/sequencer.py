@@ -36,12 +36,13 @@ Solano, Verstraete, Cirac, Wolf, PRL 95, 110503 (2005)).
 :func:`verify_plan` reads it as an operator chain in the
 :mod:`~seqdecomp.mps` layout, from the input qubits to the chain and the
 final ancilla.  A target held as a chain, such as a ``product``, is
-compared chain to chain: the difference of the two is one chain, whose
-column norms, the errors of all basis inputs, one sweep of R factors
-gives.  A dense target is compared a block of rows at a time: the plan
-is contracted by a depth-first walk over its row prefixes and each block
-is compared with the same rows of the target before the next, so the
-plan's operator is never held whole.
+compared chain to chain: the difference of the two is one chain, the
+:func:`~seqdecomp.mps.direct_sum` of the target and the negated plan,
+whose column norms, the errors of all basis inputs, one sweep of R
+factors gives.  A dense target is compared a block of rows at a time:
+the plan is contracted by a depth-first walk over its row prefixes and
+each block is compared with the same rows of the target before the next,
+so the plan's operator is never held whole.
 :func:`simulate` runs one amplitude vector through the steps instead: the
 state grows by one emitted site per step, and a step after the inputs uses
 only the columns of its unitary that take the chain qubit in |0>.
@@ -326,10 +327,10 @@ def _plan_chain(plan: SequentialPlan):
 
 def _difference_chain(plan: SequentialPlan, target: Mps) -> list[np.ndarray]:
     """The chain of ``(|0>_ancilla (x) U) - P`` in the :mod:`~seqdecomp.mps`
-    layout: the direct sum of the target's chain U and the plan's chain P
-    (:func:`_plan_chain`), negated at its first site.  The bond is U's plus
-    the ancilla.  The last right bond is P's, the open ancilla, and U's
-    last bond sits on its state 0.
+    layout: the :func:`~seqdecomp.mps.direct_sum` of the target's chain U
+    and the plan's chain P (:func:`_plan_chain`), with P negated at its
+    first site.  The bond is U's plus the ancilla.  The last right bond is
+    P's, the open ancilla, and U's last bond sits on its state 0.
 
     U's ``norm`` is shared evenly by its sites.  That gives each factor of
     a ``product`` back its own scale, so the errors follow the rounding of
@@ -337,20 +338,12 @@ def _difference_chain(plan: SequentialPlan, target: Mps) -> list[np.ndarray]:
     is taken as ``2 ** (log2(norm) / N)``, which is exactly sqrt(2) for
     every product, where ``norm ** (1 / N)`` is not.
     """
-    d, n = plan.ancilla_dim, plan.n_out
-    share = 2 ** (math.log2(target.norm) / n)
-    sites = []
-    for k, (a, p) in enumerate(zip(target.tensors, _plan_chain(plan))):
-        a = share * a
-        if k == 0:
-            p = -p
-        rows = d if k == n - 1 else a.shape[1] + p.shape[1]
-        cols = 1 if k == 0 else a.shape[2] + p.shape[2]
-        t = np.zeros((len(a), rows, cols), dtype=np.complex128)
-        t[:, : a.shape[1], : a.shape[2]] = a
-        t[:, rows - p.shape[1] :, cols - p.shape[2] :] += p  # one site may be both first and last
-        sites.append(t)
-    return sites
+    from . import mps
+
+    share = 2 ** (math.log2(target.norm) / plan.n_out)
+    p = list(_plan_chain(plan))
+    p[0] = -p[0]
+    return mps.direct_sum([share * a for a in target.tensors], p)
 
 
 #: Arrays of one site's products that the memory guard of
@@ -441,54 +434,6 @@ def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
         max_decoupling_residual=max_decoupling,
         operator_norm_bound=max_error * math.sqrt(2**u.m_in),
     )
-
-
-def direct_sum_operator_mps(u0_mps: Mps, u1_mps: Mps) -> Mps:
-    """Stack matrix-product forms of the two basis images of a 1 -> N map.
-
-    Given chains for the images of |0> and |1>, builds the block chain whose
-    contraction is (image of |0>)<0| + (image of |1>)<1|: the fused first
-    site routes each input value into its own branch, interior sites are
-    block diagonal, and the last site concatenates the branches.  The bond
-    dimension at every interior cut is the sum of the branch bond
-    dimensions, which upper-bounds the canonical bond dimension of the
-    operator (the bound need not be tight).
-    """
-    if u0_mps.n_sites != u1_mps.n_sites:
-        raise ContractViolationError(
-            f"site counts differ: {u0_mps.n_sites} vs {u1_mps.n_sites}"
-        )
-    if u0_mps.n_sites < 2:
-        raise ContractViolationError("need at least two sites")
-    dims = set(u0_mps.physical_dims) | set(u1_mps.physical_dims)
-    if dims != {2}:
-        raise ContractViolationError("both chains must carry qubit sites")
-    n = u0_mps.n_sites
-    tensors = []
-    # fold each branch's overall scale into its first tensor
-    a0 = [u0_mps.norm * u0_mps.tensors[0]] + list(u0_mps.tensors[1:])
-    a1 = [u1_mps.norm * u1_mps.tensors[0]] + list(u1_mps.tensors[1:])
-    d0, d1 = a0[0].shape[1], a1[0].shape[1]
-    first = np.zeros((4, d0 + d1, 1), dtype=np.complex128)
-    for i in range(2):
-        first[2 * i + 0, :d0, 0] = a0[0][i, :, 0]
-        first[2 * i + 1, d0:, 0] = a1[0][i, :, 0]
-    tensors.append(first)
-    for m in range(1, n - 1):
-        r0, l0 = a0[m].shape[1], a0[m].shape[2]
-        r1, l1 = a1[m].shape[1], a1[m].shape[2]
-        t = np.zeros((2, r0 + r1, l0 + l1), dtype=np.complex128)
-        t[:, :r0, :l0] = a0[m]
-        t[:, r0:, l0:] = a1[m]
-        tensors.append(t)
-    l0, l1 = a0[-1].shape[2], a1[-1].shape[2]
-    last = np.zeros((2, 1, l0 + l1), dtype=np.complex128)
-    last[:, :, :l0] = a0[-1]
-    last[:, :, l0:] = a1[-1]
-    tensors.append(last)
-    from . import mps
-
-    return mps.Mps(tuple(tensors), m_in=1)
 
 
 def operator_schmidt_ranks(u: Isometry) -> tuple[int, ...]:

@@ -179,6 +179,44 @@ def gauge_inflate(mps, pad_to=None, seed=None):
     return Mps(tuple(tensors), norm=mps.norm, m_in=mps.m_in)
 
 
+def contract_state(mps: Mps) -> np.ndarray:
+    """Dense vector of a chain, fused legs left fused, one site at a time."""
+    g = mps.tensors[0][:, :, 0]  # (d_1, D_2)
+    for t in mps.tensors[1:]:
+        g = np.einsum("pa,qba->pqb", g, t).reshape(-1, t.shape[1])
+    return mps.norm * g[:, 0]
+
+
+def gauge_residual(a: Mps, weights_a, b: Mps, weights_b) -> float:
+    """Worst residual of the gauge relation between two canonical forms.
+
+    Two canonical chains describe the same object exactly when there are
+    unitaries ``V_m`` on the bonds, trivial at both boundaries and commuting
+    with the weights, with ``b_tensor[i] = V_right @ a_tensor[i] @ V_left†``
+    at every site.  The ``V_m`` are recovered site by site from the left as
+    the least-squares unitary (polar factor).  Returns the largest of the
+    relative gap of the norms, the gap of the sorted weight spectra, each
+    ``V_m``'s failure to commute with its weights, each site's relation
+    residual and the last ``V``'s distance from 1; ``inf`` when the
+    physical dimensions, input site counts or bond dimensions differ.
+    """
+    if (a.physical_dims, a.m_in, a.bond_dims) != (b.physical_dims, b.m_in, b.bond_dims):
+        return math.inf
+    worst = abs(a.norm - b.norm) / max(a.norm, b.norm)
+    for la, lb in zip(weights_a.lambdas, weights_b.lambdas):
+        worst = max(worst, float(np.max(np.abs(np.sort(la)[::-1] - np.sort(lb)[::-1]))))
+    v_left = np.eye(1, dtype=complex)
+    lambdas = list(weights_a.lambdas) + [np.ones(1)]
+    for ta, tb, lam in zip(a.tensors, b.tensors, lambdas):
+        target = np.einsum("iab,bc->iac", tb, v_left)
+        w, _, vd = np.linalg.svd(np.einsum("iac,ibc->ab", target, np.conj(ta)))
+        v_left = w @ vd  # polar factor: the closest unitary
+        commutator = v_left * lam[None, :] - lam[:, None] * v_left
+        relation = target - np.einsum("ab,ibc->iac", v_left, ta)
+        worst = max(worst, float(np.linalg.norm(commutator, 2)), float(np.max(np.abs(relation))))
+    return max(worst, float(abs(v_left[0, 0] - 1.0)))
+
+
 def dumps_tokens(obj) -> str:
     """Deterministic JSON text built as one token list, one branch per type.
 

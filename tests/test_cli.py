@@ -32,6 +32,11 @@ from seqdecomp.linalg import ISOMETRY_TOL
 from oracles import complete_to_unitary_loops, operator_cut_ranks
 
 
+def operator_doc(u):
+    """The operator file document of an isometry, as ``formats.doc_to_isometry`` reads it."""
+    return {"m_qubits": u.m_in, "n_qubits": u.n_out, "matrix": u.matrix}
+
+
 def run_cli(args, capsys):
     code = main(args)
     out, err = capsys.readouterr()
@@ -194,7 +199,7 @@ def test_canonicalization_larger_than_memory_exits_2_before_the_peel(
     if operator == "file":
         operator = str(tmp_path / "ghz.json")
         (tmp_path / "ghz.json").write_text(
-            formats.dumps({"m_qubits": 1, "n_qubits": 4, "matrix": ghz_isometry(4).matrix})
+            formats.dumps(operator_doc(ghz_isometry(4)))
         )
     (m, n) = (4, 4) if operator == "product" else (1, 4)
     need = 7 * 16 * 2 ** (m + n)
@@ -548,7 +553,7 @@ def _perturbed_product(n, p, log_eps, seed, path):
     layer = product_unitary([haar_unitary(2, rng) for _ in range(n)]).matrix
     zz = np.diag(np.exp(-1j * 10.0**log_eps * np.array([1, -1, -1, 1])))
     gate = np.kron(np.kron(np.eye(2 ** (p - 1)), zz), np.eye(2 ** (n - p - 1)))
-    path.write_text(formats.dumps(formats.isometry_to_doc(Isometry(n, n, gate @ layer))))
+    path.write_text(formats.dumps(operator_doc(Isometry(n, n, gate @ layer))))
     return str(path)
 
 
@@ -611,7 +616,7 @@ def test_unexpected_exception_exits_2(error, capsys, monkeypatch):
 
 def test_operator_file_round_trip_is_bitwise():
     u = shor_encoder()
-    text = formats.dumps(formats.isometry_to_doc(u))
+    text = formats.dumps(operator_doc(u))
     back = formats.doc_to_isometry(json.loads(text))
     assert np.array_equal(back.matrix, u.matrix)
 

@@ -19,8 +19,6 @@ from seqdecomp import (
     check_canonical,
     cnot,
     contract_operator,
-    contract_state,
-    gauge_check,
     ghz_isometry,
     ghz_state,
     gisin_massar_cloner,
@@ -36,8 +34,10 @@ from seqdecomp import cli, formats, linalg, oplib, sequencer
 from seqdecomp import mps as mps_module
 
 from oracles import (
+    contract_state,
     fused_vector_loops,
     gauge_inflate,
+    gauge_residual,
     operator_cut_ranks,
     operator_to_mps_regroup,
     schmidt_cut_ranks,
@@ -314,7 +314,7 @@ def test_svd_is_public_and_called_once_per_cut(monkeypatch):
 def test_canonicalize_is_idempotent_up_to_gauge():
     mps, weights = state_to_mps(random_state(5, 7))
     again, weights2 = canonicalize(mps)
-    assert bool(gauge_check(mps, weights, again, weights2, tol=1e-9))
+    assert gauge_residual(mps, weights, again, weights2) <= 1e-9
 
 
 def test_canonicalize_swap_network_ghz():
@@ -378,14 +378,12 @@ def test_check_canonical_single_site_zero_state():
 
 
 # ---------------------------------------------------------------------------
-# gauge_check
+# gauge relations between canonical forms (the gauge_residual oracle)
 
 
 def test_gauge_check_self():
     mps, weights = state_to_mps(random_state(4, 17))
-    verdict = gauge_check(mps, weights, mps, weights)
-    assert bool(verdict)
-    assert verdict.max_residual < 1e-12
+    assert gauge_residual(mps, weights, mps, weights) < 1e-12
 
 
 def test_gauge_check_two_canonicalization_paths():
@@ -399,7 +397,7 @@ def test_gauge_check_two_canonicalization_paths():
         np.max(np.abs(a - b)) for a, b in zip(w_direct.lambdas, w_recovered.lambdas)
     )
     assert spectra_gap < 1e-10
-    assert bool(gauge_check(direct, w_direct, recovered, w_recovered, tol=1e-8))
+    assert gauge_residual(direct, w_direct, recovered, w_recovered) <= 1e-8
 
 
 def test_gauge_check_orthogonal_states_differ():
@@ -410,9 +408,7 @@ def test_gauge_check_orthogonal_states_differ():
     phi /= np.linalg.norm(phi)
     a, wa = state_to_mps(psi)
     b, wb = state_to_mps(phi)
-    verdict = gauge_check(a, wa, b, wb)
-    assert not verdict
-    assert verdict.reason != ""
+    assert gauge_residual(a, wa, b, wb) > 1e-8
 
 
 def test_gauge_check_bond_mismatch_is_immediate():
@@ -420,9 +416,7 @@ def test_gauge_check_bond_mismatch_is_immediate():
     product = np.zeros(8, dtype=complex)
     product[0] = 1.0
     b, wb = state_to_mps(product)
-    verdict = gauge_check(a, wa, b, wb)
-    assert not verdict
-    assert "bond" in verdict.reason
+    assert gauge_residual(a, wa, b, wb) == math.inf
 
 
 def test_gauge_check_degenerate_weights_commutant_freedom():
@@ -440,4 +434,50 @@ def test_gauge_check_degenerate_weights_commutant_freedom():
     rotated = Mps(tuple(tensors), norm=mps.norm)
     report = check_canonical(rotated, weights)
     assert report.passed
-    assert bool(gauge_check(mps, weights, rotated, weights, tol=1e-9))
+    assert gauge_residual(mps, weights, rotated, weights) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# direct_sum
+
+
+def random_qubit_chain(rng, m_in, bonds):
+    """Site tensors of a qubit chain on ``len(bonds) - 1`` sites, the first
+    ``m_in`` carrying an input leg, each tensor scaled to unit norm."""
+    sites = []
+    for k, (lft, rgt) in enumerate(zip(bonds, bonds[1:])):
+        shape = (4 if k < m_in else 2, rgt, lft)
+        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        sites.append(t / np.linalg.norm(t))
+    return sites
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=1, m_in=0, interior=[], open_bonds=(1, 3), seed=0)  # one site: both rules
+@example(n=3, m_in=1, interior=[(2, 3), (1, 2)], open_bonds=(1, 4), seed=1)  # a difference chain's shape
+@given(
+    n=st.integers(1, 6),
+    m_in=st.integers(0, 6),
+    interior=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=5, max_size=5),
+    open_bonds=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_direct_sum_contracts_to_the_sum_of_its_chains(n, m_in, interior, open_bonds, seed):
+    # two chains on the same n sites, m_in of them fused, with their own
+    # interior bonds and open last bonds of sizes of their own
+    rng = np.random.default_rng(seed)
+    m_in = min(m_in, n)
+    a = random_qubit_chain(rng, m_in, [1, *(x for x, _ in interior[: n - 1]), open_bonds[0]])
+    b = random_qubit_chain(rng, m_in, [1, *(y for _, y in interior[: n - 1]), open_bonds[1]])
+    total = mps_module.direct_sum(a, b)
+    assert [t.shape[2] for t in total] == [1] + [x + y for x, y in interior[: n - 1]]
+    assert total[-1].shape[1] == max(open_bonds)
+
+    def contraction(sites):
+        # every row, the open bond padded to the sum's
+        block = next(mps_module._row_blocks(sites, 2**n))
+        return np.pad(block, [(0, 0), (0, 0), (0, max(open_bonds) - block.shape[2])])
+
+    assert np.max(np.abs(contraction(total) - contraction(a) - contraction(b))) <= 1e-13
+    with pytest.raises(ValueError):
+        mps_module.direct_sum(a, b[:-1])

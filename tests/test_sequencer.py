@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from seqdecomp import (
     ContractViolationError,
     Isometry,
+    Mps,
     NotImplementableError,
     SequentialPlan,
     build_plan,
@@ -19,8 +20,6 @@ from seqdecomp import (
     check_canonical,
     cnot,
     contract_operator,
-    direct_sum_operator_mps,
-    gauge_check,
     ghz_isometry,
     ghz_state,
     gisin_massar_cloner,
@@ -395,8 +394,11 @@ def test_verify_agrees_with_the_column_loop(make):
     plan, u = make()
     verification = verify_plan(plan, u)
     max_error, max_decouple = verify_plan_loops(plan, u)
-    assert abs(verification.max_error - max_error) <= 1e-15
-    assert abs(verification.max_decoupling_residual - max_decouple) <= 1e-15
+    # a target held as a chain is compared through the difference chain,
+    # whose sweep rounds apart from the column loop by up to 1.6e-15
+    tol = 1e-15 if u.chain is None else 1e-14
+    assert abs(verification.max_error - max_error) <= tol
+    assert abs(verification.max_decoupling_residual - max_decouple) <= tol
 
 
 @settings(max_examples=25, deadline=None)
@@ -472,6 +474,18 @@ def test_verify_rejects_mismatched_operator():
 # direct-sum construction
 
 
+def operator_from_images(u0, u1):
+    """The 1 -> N operator chain (image of |0>)<0| + (image of |1>)<1|: the
+    ``mps.direct_sum`` of the two image chains, each embedded at its input
+    value j of the fused first site (fused index 2 * output + j)."""
+    branches = []
+    for j, image in enumerate((u0, u1)):
+        first = np.zeros((4, *image.tensors[0].shape[1:]), dtype=complex)
+        first[j::2] = image.norm * image.tensors[0]
+        branches.append([first, *image.tensors[1:]])
+    return Mps(tuple(mps.direct_sum(*branches)), m_in=1)
+
+
 def test_direct_sum_trivial_product_branches():
     zero = np.zeros(4, dtype=complex)
     one = zero.copy()
@@ -479,7 +493,7 @@ def test_direct_sum_trivial_product_branches():
     one[0b11] = 1.0
     u0, _ = state_to_mps(zero)
     u1, _ = state_to_mps(one)
-    op = direct_sum_operator_mps(u0, u1)
+    op = operator_from_images(u0, u1)
     assert op.bond_dims == (1, 2, 1)
     expected = np.stack([zero, one], axis=1)
     assert np.allclose(contract_operator(op), expected, atol=1e-12)
@@ -490,7 +504,7 @@ def test_direct_sum_shor_matches_canonical_ancilla():
     u0, _ = state_to_mps(u.matrix[:, 0])
     u1, _ = state_to_mps(u.matrix[:, 1])
     assert u0.max_bond_dim == u1.max_bond_dim == 2
-    op = direct_sum_operator_mps(u0, u1)
+    op = operator_from_images(u0, u1)
     assert np.max(np.abs(contract_operator(op) - u.matrix)) < 1e-10
     assert max(op.bond_dims) == 4
     canonical, _ = canonicalize(op)
@@ -501,7 +515,7 @@ def test_direct_sum_ghz_bound_is_not_tight():
     u = ghz_isometry(3)
     u0, _ = state_to_mps(u.matrix[:, 0])
     u1, _ = state_to_mps(u.matrix[:, 1])
-    op = direct_sum_operator_mps(u0, u1)
+    op = operator_from_images(u0, u1)
     assert max(op.bond_dims) == 4
     canonical, _ = canonicalize(op)
     assert canonical.max_bond_dim == 2  # canonicalization halves it
@@ -511,8 +525,8 @@ def test_direct_sum_ghz_bound_is_not_tight():
 def test_direct_sum_rejects_mismatched_chains():
     a, _ = state_to_mps(ghz_state(3))
     b, _ = state_to_mps(ghz_state(4))
-    with pytest.raises(ContractViolationError):
-        direct_sum_operator_mps(a, b)
+    with pytest.raises(ValueError):
+        operator_from_images(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +655,4 @@ def test_scalar_types_keep_value_equality():
     op, weights = operator_to_mps(u)
     canonical = check_canonical(op, weights)
     assert canonical == check_canonical(op, weights)
-    verdict = gauge_check(op, weights, op, weights)
-    assert verdict == gauge_check(op, weights, op, weights)
-    assert len({canonical, verdict, check_canonical(op, weights)}) == 2
+    assert len({canonical, check_canonical(op, weights)}) == 1
