@@ -3,8 +3,9 @@
 The package decides whether an M -> N qubit isometry can be realized as a
 chain of unitaries, each acting once on (ancilla, site k) with no
 measurements, synthesizes the minimal-ancilla step unitaries from the
-canonical matrix-product form of the operator when possible, and verifies
-the synthesis by exact state-vector simulation.
+canonical matrix-product form of the operator when possible, and runs and
+verifies a plan as the chain it is: a matrix-product chain whose bond is
+the ancilla.
 
 Each public name is loaded from its submodule the first time it is used,
 so ``import seqdecomp`` itself imports neither numpy nor any submodule.

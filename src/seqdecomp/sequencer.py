@@ -32,20 +32,18 @@ operator Schmidt rank is 1 across every contiguous cut; see
 :func:`operator_schmidt_ranks`.
 
 A plan is a matrix-product chain whose bond is the ancilla (Schön,
-Solano, Verstraete, Cirac, Wolf, PRL 95, 110503 (2005)).
-:func:`verify_plan` reads it as an operator chain in the
-:mod:`~seqdecomp.mps` layout, from the input qubits to the chain and the
-final ancilla.  A target held as a chain, such as a ``product``, is
-compared chain to chain: the difference of the two is one chain, the
-:func:`~seqdecomp.mps.direct_sum` of the target and the negated plan,
+Solano, Verstraete, Cirac, Wolf, PRL 95, 110503 (2005)), run and verified
+as that chain: :func:`_plan_chain` alone reads its steps as site tensors,
+in the :mod:`~seqdecomp.mps` layout, from the input qubits to the chain
+and the final ancilla.  :func:`simulate` contracts the chain with one
+input state.  :func:`verify_plan` compares a target held as a chain, such
+as a ``product``, chain to chain: the difference of the two is one chain,
+the :func:`~seqdecomp.mps.direct_sum` of the target and the negated plan,
 whose column norms, the errors of all basis inputs, one sweep of R
-factors gives.  A dense target is compared a block of rows at a time:
-the plan is contracted by a depth-first walk over its row prefixes and
-each block is compared with the same rows of the target before the next,
-so the plan's operator is never held whole.
-:func:`simulate` runs one amplitude vector through the steps instead: the
-state grows by one emitted site per step, and a step after the inputs uses
-only the columns of its unitary that take the chain qubit in |0>.
+factors gives.  A dense target is compared a block of rows at a time: the
+plan is contracted by a depth-first walk over its row prefixes and each
+block is compared with the same rows of the target before the next, so
+the plan's operator is never held whole.
 """
 
 from __future__ import annotations
@@ -143,10 +141,10 @@ class SequentialPlan:
 
 @dataclass(frozen=True)
 class PlanVerification:
-    """Exact-simulation check of a plan against its target isometry.
+    """Check of a plan, contracted as its chain, against its target isometry.
 
     ``max_error`` is the worst 2-norm distance, over all computational basis
-    inputs, between the simulated joint state and (decoupled ancilla) x
+    inputs, between the plan's joint output state and (decoupled ancilla) x
     (target output); it subsumes the decoupling residual.  By linearity,
     ``operator_norm_bound = max_error * sqrt(2**m_in)`` bounds the error for
     every input state.
@@ -233,38 +231,6 @@ def build_plan(u: Isometry) -> SequentialPlan:
     return SequentialPlan(report.ancilla_dim_if_yes, u.m_in, tuple(steps), op.bond_dims, report)
 
 
-def _step(plan: SequentialPlan, k: int, state: np.ndarray) -> np.ndarray:
-    """Apply step ``k`` to a state indexed ``(sites emitted, rest, ancilla)``.
-
-    The step emits site ``k + 1`` as the last bit of the emitted index.  An
-    input step consumes the leading bit of the rest, which holds input
-    amplitudes.  A later step uses only the columns of its unitary that
-    take the chain qubit in |0>.
-
-    The unitary is read as its 2x2 blocks ``v[i, j]``, views that map the
-    ancilla from site value ``j`` to site value ``i``; each block is one
-    ``np.matmul`` written straight into its place in the new state, so no
-    reordered copy of the unitary or of the state is made.  A step after
-    the inputs batches over the rest through a transposed view: one product
-    per value of the rest, however many sites have been emitted.
-    """
-    d = plan.ancilla_dim
-    v = plan.steps[k].reshape(d, 2, d, 2).transpose(1, 3, 2, 0)  # (site', site, ancilla, ancilla')
-    emitted, rest = state.shape[:2]
-    if k >= plan.m_in:  # chain qubit in |0>: batch over the rest
-        out = np.empty((rest, emitted, 2, d), dtype=np.complex128)
-        for i in range(2):
-            np.matmul(state.transpose(1, 0, 2), v[i, 0], out=out[:, :, i])
-        return out.reshape(rest, 2 * emitted, d).transpose(1, 0, 2)
-    # consume input leg k, the leading bit of the rest
-    ins = state.transpose(1, 0, 2).reshape(2, rest // 2, emitted, d)
-    out = np.empty((rest // 2, emitted, 2, d), dtype=np.complex128)
-    for i in range(2):
-        np.matmul(ins[0], v[i, 0], out=out[:, :, i])
-        out[:, :, i] += ins[1] @ v[i, 1]
-    return out.reshape(rest // 2, 2 * emitted, d).transpose(1, 0, 2)
-
-
 def _squared_norms(x: np.ndarray) -> np.ndarray:
     """Squared 2-norm of each ``x[i]`` of an ``(input, row, ancilla)`` array."""
     if not x.size:  # einsum would still walk the empty slices one by one
@@ -272,16 +238,26 @@ def _squared_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ira,ira->i", x.real, x.real) + np.einsum("ira,ira->i", x.imag, x.imag)
 
 
+#: States of the last site's size that :func:`simulate`'s memory guard
+#: counts beside a copy of the input.  ``tracemalloc`` measured 1.9 on
+#: ``cloner:8``, 2.0 on a Haar 1 -> 12 and 2.7 on a 10-factor product, whose
+#: input steps hold the state before and after and one partial product.
+_SIMULATE_COPIES = 3
+
+
 def simulate(
     plan: SequentialPlan, input_state
 ) -> tuple[np.ndarray, float]:
     """Run the sequential factory on an input state of the first m_in qubits.
 
-    The chain starts as (input) x |0...0>, the ancilla in basis state 0; the
-    amplitude vector runs through the chain, which grows by one site per
-    step.  Returns the normalized chain state conditioned on the ancilla
-    having returned to 0, together with the norm of the ancilla components
-    that failed to decouple (below 1e-10 for any plan built here).
+    The plan is run as its chain (:func:`_plan_chain`) on a state indexed
+    (rest of the inputs, sites emitted, bond): an input site consumes the
+    leading bit of the rest, each site's output becomes the last emitted
+    bit, and each output value is one ``np.matmul`` by a transposed view
+    of the site's matrix.  Returns the normalized chain state conditioned
+    on the ancilla having returned to 0, together with the norm of the
+    ancilla components that failed to decouple (below 1e-10 for any plan
+    built here).  A state that would not fit in physical memory is refused.
     """
     amps = np.asarray(input_state, dtype=np.complex128).reshape(-1)
     if amps.size != 2**plan.m_in:
@@ -292,11 +268,24 @@ def simulate(
         raise ContractViolationError("input contains non-finite amplitudes")
     if abs(np.linalg.norm(amps) - 1.0) > ISOMETRY_TOL:
         raise ContractViolationError("input state is not normalized")
-    state = np.zeros((amps.size, 1, plan.ancilla_dim), dtype=np.complex128).transpose(1, 0, 2)
-    state[0, :, 0] = amps
-    for k in range(plan.n_out):
-        state = _step(plan, k, state)
-    final = state[:, 0, :]
+    n, d = plan.n_out, plan.ancilla_dim
+    need = 16 * (amps.size + _SIMULATE_COPIES * 2**n * d)
+    _require_fits("simulate", f"the state of {n} sites at ancilla {d}", need)
+    state = amps.reshape(-1, 1, 1)
+    for t in _plan_chain(plan):
+        fused = t.shape[0] == 4
+        if fused:  # consume the leading bit of the rest
+            state = state.reshape(2, -1, *state.shape[1:])
+        rest, emitted = state.shape[-3:-1]
+        out = np.empty((rest, emitted, 2, d), dtype=np.complex128)
+        for i in range(2):
+            if fused:
+                np.matmul(state[0], t[2 * i].T, out=out[:, :, i])
+                out[:, :, i] += state[1] @ t[2 * i + 1].T
+            else:
+                np.matmul(state, t[i].T, out=out[:, :, i])
+        state = out.reshape(rest, 2 * emitted, d)
+    final = state[0]
     residual = float(np.linalg.norm(final[:, 1:]))
     block = final[:, 0]
     block_norm = float(np.linalg.norm(block))

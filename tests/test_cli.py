@@ -218,6 +218,35 @@ def test_canonicalization_larger_than_memory_exits_2_before_the_peel(
     )
 
 
+def test_simulate_refuses_a_state_larger_than_memory(tmp_path, capsys, monkeypatch):
+    # sixteen 2 x 2 steps, a plan of a few kB, run a 1 MiB state at ancilla 1;
+    # the guard counts the input and three states of 2**16 amplitudes
+    identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(
+        {"ancilla_dim": 1, "m_in": 1, "steps": [identity] * 16, "bond_dims": [1] * 17}
+    ))
+    need = 16 * (2 + 3 * 2**16)
+    runs = []
+    chain = sequencer._plan_chain
+    monkeypatch.setattr(sequencer, "_plan_chain", lambda plan: runs.append(plan) or chain(plan))
+    memory = {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    argv = ["simulate", str(path), "--input-state", "1", "--reduce", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, runs) == (2, "", [])
+    assert err == (
+        f"error: simulate: the state of 16 sites at ancilla 1 needs {need} bytes, "
+        f"more than the {need - 1} bytes of physical memory\n"
+    )
+    memory["SC_PHYS_PAGES"] = need
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err, len(runs)) == (0, "", 1)
+    assert np.array(json.loads(out)["reduced_density_matrix"]).tolist() == [
+        [[0, 0], [0, 0]], [[0, 0], [1, 0]]
+    ]
+
+
 def test_simulate_shor_plus(tmp_path, capsys):
     path = tmp_path / "plan.json"
     run_cli(["decompose", "shor", "-o", str(path)], capsys)

@@ -14,6 +14,7 @@ from seqdecomp import (
     ContractViolationError,
     Isometry,
     Mps,
+    SequentialPlan,
     build_plan,
     canonicalize,
     check_canonical,
@@ -121,7 +122,9 @@ def test_simulation_matches_the_operator_within_the_verified_bound(kind, size, s
 def test_the_growing_chain_agrees_with_the_full_state_reference(kind, data, seed):
     # verify_plan contracts the chain with open input legs and simulate pushes
     # one amplitude vector through it; the reference runs every step on the
-    # full-size state, one identity column per basis input
+    # full-size state, one identity column per basis input.  A Haar unitary
+    # in place of one step, the first included, leaves a plan that does not
+    # decouple, and that reaches the ancilla states step 1 starts outside
     rng = np.random.default_rng(seed)
     if kind == "isometry":
         u = random_isometry(1, data.draw(st.integers(1, 8), label="n"), seed)
@@ -135,6 +138,11 @@ def test_the_growing_chain_agrees_with_the_full_state_reference(kind, data, seed
     else:
         u = gisin_massar_cloner(data.draw(st.integers(2, 4), label="n"))
     plan = build_plan(u)
+    k = data.draw(st.none() | st.integers(0, plan.n_out - 1), label="replaced step")
+    if k is not None:
+        steps = list(plan.steps)
+        steps[k] = haar_unitary(2 * plan.ancilla_dim, rng)
+        plan = SequentialPlan(plan.ancilla_dim, plan.m_in, tuple(steps), plan.bond_dims)
     verification = verify_plan(plan, u)
     max_error, max_decouple = verify_plan_loops(plan, u)
     assert abs(verification.max_error - max_error) <= 1e-14
