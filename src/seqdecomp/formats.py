@@ -17,6 +17,13 @@ Reading is the stdlib's JSON decoder, except that the elements of a
 top-level object's ``steps`` list come back as arrays, each converted
 before the next is scanned, so a plan file is never held as one tree of
 Python lists.
+
+A plan file's ``steps[k]`` is the plan's block ``k``
+(:class:`~seqdecomp.sequencer.SequentialPlan`): the defined columns of
+step ``k``, the only ones the chain reaches, in the shape that
+``bond_dims`` fixes, ``(2 * b[k + 1]) x (2 * b[k])`` at an input site and
+``(2 * b[k + 1]) x b[k]`` after the inputs.  Neither writing nor reading a
+plan completes a step.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .linalg import ISOMETRY_TOL, RANK_TOL
-from .sequencer import PlanVerification, SequentialityReport, SequentialPlan
+from .sequencer import PlanVerification, SequentialityReport, SequentialPlan, _block_shapes
 
 # oplib is imported only where an operator file is read, so that reading a
 # plan does not load it
@@ -189,10 +196,15 @@ def plan_to_doc(plan: SequentialPlan, verification: PlanVerification) -> dict:
     report = plan.report
     if report is None:
         raise ContractViolationError("plan carries no criterion report to write")
+    shapes = _block_shapes(plan.ancilla_dim, plan.m_in, plan.n_out, plan.bond_dims)
+    if [q.shape for q in plan.blocks] != shapes:  # a plan given steps, padded to the ancilla
+        raise ContractViolationError(
+            "plan holds columns beyond its bonds, which a plan file cannot carry"
+        )
     return {
         "ancilla_dim": plan.ancilla_dim,
         "m_in": plan.m_in,
-        "steps": list(plan.steps),
+        "steps": list(plan.blocks),
         "bond_dims": [int(d) for d in plan.bond_dims],
         "report": {
             "implementable": report.implementable,
@@ -205,6 +217,9 @@ def plan_to_doc(plan: SequentialPlan, verification: PlanVerification) -> dict:
 
 
 def doc_to_plan(doc: Any, where: str = "plan") -> SequentialPlan:
+    """The plan of a plan file's document, held as its blocks.  Its bonds
+    are checked before they fix the shape each block is read in, and each
+    block's columns are checked for orthonormality; errors name the field."""
     if not isinstance(doc, dict):
         raise ContractViolationError(f"{where}: expected a JSON object")
     ancilla_dim = _require(doc, "ancilla_dim", int, where)
@@ -213,12 +228,14 @@ def doc_to_plan(doc: Any, where: str = "plan") -> SequentialPlan:
     bond_dims = _require(doc, "bond_dims", list, where)
     if ancilla_dim < 1:
         raise ContractViolationError(f"{where}.ancilla_dim: must be positive")
-    side = 2 * ancilla_dim
-    steps = [
-        decode_matrix(step, side, side, f"{where}.steps[{k}]")
-        for k, step in enumerate(steps_doc)
+    shapes = _block_shapes(ancilla_dim, m_in, len(steps_doc), bond_dims)
+    blocks = [
+        decode_matrix(step, rows, cols, f"{where}.steps[{k}]")
+        for k, (step, (rows, cols)) in enumerate(zip(steps_doc, shapes))
     ]
-    return SequentialPlan(ancilla_dim, m_in, tuple(steps), tuple(bond_dims))
+    return SequentialPlan._from_blocks(
+        ancilla_dim, m_in, blocks, bond_dims, where=f"{where}.steps"
+    )
 
 
 def parse_document(text: str, where: str) -> Any:

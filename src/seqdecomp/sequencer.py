@@ -15,12 +15,13 @@ read directly off the site tensor, are orthonormal; the residual reported
 for input site ``k`` is ``||Q† Q - I||_2``.  The criterion is exact, so its
 tolerance is rounding slack only: it holds when every residual is below
 :data:`~seqdecomp.linalg.ISOMETRY_TOL`, the tolerance of every orthonormality
-check in the package, the completion of each step included.  When the
-criterion holds, the remaining columns of each step are the orthogonal
+check in the package, the check of each block of a plan included.  When the
+criterion holds, a plan holds each step as its defined columns, its block,
+the only columns the chain reaches; the remaining columns, the orthogonal
 complement of ``Q`` from one complete QR
-(:func:`~seqdecomp.linalg.complete_to_unitary`); the chain never reaches
-them.  The ancilla dimension equals the maximal canonical bond dimension,
-which is optimal.
+(:func:`~seqdecomp.linalg.complete_to_unitary`), are formed only when the
+plan's ``steps`` are read.  The ancilla dimension equals the maximal
+canonical bond dimension, which is optimal.
 
 :func:`sequentiality_test`, :func:`build_plan` and
 :func:`operator_schmidt_ranks` each read the one canonical chain that
@@ -33,23 +34,23 @@ operator Schmidt rank is 1 across every contiguous cut; see
 
 A plan is a matrix-product chain whose bond is the ancilla (Schön,
 Solano, Verstraete, Cirac, Wolf, PRL 95, 110503 (2005)), run and verified
-as that chain: :func:`_plan_chain` alone reads its steps as site tensors,
-in the :mod:`~seqdecomp.mps` layout, from the input qubits to the chain
-and the final ancilla.  :func:`simulate` contracts the chain with one
-input state.  :func:`verify_plan` compares a target held as a chain, such
-as a ``product``, chain to chain: the difference of the two is one chain,
-the :func:`~seqdecomp.mps.direct_sum` of the target and the negated plan,
-whose column norms, the errors of all basis inputs, one sweep of R
-factors gives.  A dense target is compared a block of rows at a time: the
-plan is contracted by a depth-first walk over its row prefixes and each
-block is compared with the same rows of the target before the next, so
-the plan's operator is never held whole.
+as that chain: :func:`_plan_chain` alone reads its blocks as site tensors,
+zero padded to the ancilla, in the :mod:`~seqdecomp.mps` layout, from the
+input qubits to the chain and the final ancilla.  :func:`simulate`
+contracts the chain with one input state.  :func:`verify_plan` compares
+a target held as a chain, such as a ``product``, chain to chain: the
+difference of the two is one chain, the :func:`~seqdecomp.mps.direct_sum`
+of the target and the negated plan, whose column norms, the errors of all
+basis inputs, one sweep of R factors gives.  A dense target is compared a
+block of rows at a time: the plan is contracted by a depth-first walk over
+its row prefixes and each block is compared with the same rows of the
+target before the next, so the plan's operator is never held whole.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -94,7 +95,20 @@ class SequentialPlan:
     the ``N + 1`` canonical bond dimensions: integers from 1 to
     ``ancilla_dim``, with both boundaries 1.  ``report`` is the criterion
     report a plan was built from; a plan read from a file has none.
-    Instances compare and hash by identity.
+
+    ``blocks[k]`` holds the columns of step ``k`` that the chain reaches,
+    the only part of a plan that :func:`simulate` and :func:`verify_plan`
+    read.  A plan built by :func:`build_plan` or read from a file is held
+    as its blocks, the defined columns of :func:`_criterion` before zero
+    padding: with ``b = bond_dims``, block ``k`` is ``(2 * b[k + 1]) x
+    (2 * b[k])`` at an input site, column ``2 * r + j`` taking left bond
+    ``r`` and input ``j``, and ``(2 * b[k + 1]) x b[k]`` after the inputs,
+    column ``r`` taking left bond ``r`` with the chain qubit in |0>.  Its
+    ``steps`` are completed from the blocks when first read.  A plan given
+    its steps takes as blocks the whole columns the chain reaches: the
+    first two columns of step 1, every column of a later input step, and
+    the even columns of a step after the inputs.  Instances compare and
+    hash by identity.
     """
 
     ancilla_dim: int
@@ -102,23 +116,12 @@ class SequentialPlan:
     steps: tuple[np.ndarray, ...]
     bond_dims: tuple[int, ...]
     report: SequentialityReport | None = None
+    blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 1 <= self.m_in <= len(self.steps):
-            raise ContractViolationError(
-                f"m_in={self.m_in} out of range for {len(self.steps)} steps"
-            )
-        bonds = self.bond_dims
-        if len(bonds) != len(self.steps) + 1 or bonds[0] != 1 or bonds[-1] != 1 or not all(
-            isinstance(d, (int, np.integer)) and not isinstance(d, bool) and 1 <= d <= self.ancilla_dim
-            for d in bonds
-        ):
-            raise ContractViolationError(
-                f"bond_dims must be {len(self.steps) + 1} integers from 1 to the ancilla "
-                f"dimension {self.ancilla_dim}, with both boundaries 1; got {list(bonds)}"
-            )
+        _block_shapes(self.ancilla_dim, self.m_in, len(self.steps), self.bond_dims)
         side = 2 * self.ancilla_dim
-        arrays = []
+        steps, blocks = [], []
         for k, step in enumerate(self.steps):
             a = np.array(step, dtype=np.complex128)
             if a.shape != (side, side):
@@ -131,12 +134,87 @@ class SequentialPlan:
                     f"step {k + 1} is not unitary: residual {residual:.3e}"
                 )
             a.setflags(write=False)
-            arrays.append(a)
-        object.__setattr__(self, "steps", tuple(arrays))
+            steps.append(a)
+            blocks.append(a[:, :2] if k == 0 else a if k < self.m_in else a[:, ::2])
+        object.__setattr__(self, "steps", tuple(steps))
+        object.__setattr__(self, "blocks", tuple(blocks))
+
+    @classmethod
+    def _from_blocks(cls, ancilla_dim: int, m_in: int, blocks, bond_dims,
+                     report: SequentialityReport | None = None,
+                     where: str = "blocks") -> SequentialPlan:
+        """A plan held as ``blocks``, owned ``complex128`` arrays of the
+        shapes that ``bond_dims`` fix (see the class docstring), each with
+        orthonormal columns; errors name block ``k`` as ``where[k]``.  Its
+        ``steps`` are formed when first read."""
+        shapes = _block_shapes(ancilla_dim, m_in, len(blocks), bond_dims)
+        for k, (q, shape) in enumerate(zip(blocks, shapes)):
+            if q.shape != shape:
+                raise ContractViolationError(f"{where}[{k}]: shape {q.shape}, expected {shape}")
+            residual = isometry_residual(q)
+            if residual > ISOMETRY_TOL:
+                raise ContractViolationError(
+                    f"{where}[{k}]: columns are not orthonormal: residual {residual:.3e}"
+                )
+            q.setflags(write=False)
+        plan = object.__new__(cls)
+        plan.__dict__.update(ancilla_dim=ancilla_dim, m_in=m_in, blocks=tuple(blocks),
+                             bond_dims=tuple(bond_dims), report=report)
+        return plan
+
+    def __getattr__(self, name: str):
+        # reached only for a missing attribute: the steps of a plan held as
+        # its blocks, before their first read
+        if name != "steps" or "blocks" not in self.__dict__:
+            raise AttributeError(name)
+        steps = _completed_steps(self.blocks, self.ancilla_dim, self.m_in)
+        object.__setattr__(self, "steps", steps)
+        return steps
 
     @property
     def n_out(self) -> int:
-        return len(self.steps)
+        return len(self.blocks)
+
+
+def _block_shapes(ancilla_dim: int, m_in: int, n_steps: int, bonds) -> list[tuple[int, int]]:
+    """The shape of each block of a plan of ``n_steps`` steps held as its
+    blocks (see :class:`SequentialPlan`), once its ``m_in`` and
+    ``bond_dims`` are checked: the bonds are validated before they are used
+    as shapes."""
+    if not 1 <= m_in <= n_steps:
+        raise ContractViolationError(f"m_in={m_in} out of range for {n_steps} steps")
+    if len(bonds) != n_steps + 1 or bonds[0] != 1 or bonds[-1] != 1 or not all(
+        isinstance(d, (int, np.integer)) and not isinstance(d, bool) and 1 <= d <= ancilla_dim
+        for d in bonds
+    ):
+        raise ContractViolationError(
+            f"bond_dims must be {n_steps + 1} integers from 1 to the ancilla "
+            f"dimension {ancilla_dim}, with both boundaries 1; got {list(bonds)}"
+        )
+    return [
+        (2 * int(bonds[k + 1]), (2 if k < m_in else 1) * int(bonds[k])) for k in range(n_steps)
+    ]
+
+
+def _completed_steps(blocks, ancilla_dim: int, m_in: int) -> tuple[np.ndarray, ...]:
+    """The step unitaries of a plan held as its blocks: each block, zero
+    padded to the ancilla, is completed by one
+    :func:`~seqdecomp.linalg.complete_to_unitary` call, its columns put
+    where they act and the orthogonal complement in the rest."""
+    side = 2 * ancilla_dim
+    steps = []
+    for k, q in enumerate(blocks):
+        cols = np.zeros((side, q.shape[1]), dtype=np.complex128)
+        cols[: q.shape[0]] = q
+        completed = complete_to_unitary(cols)
+        targets = np.arange(q.shape[1]) * (1 if k < m_in else 2)
+        spare = np.ones(side, dtype=bool)
+        spare[targets] = False
+        v = np.empty_like(completed)
+        v[:, np.concatenate([targets, np.flatnonzero(spare)])] = completed
+        v.setflags(write=False)
+        steps.append(v)
+    return tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -201,10 +279,11 @@ def build_plan(u: Isometry) -> SequentialPlan:
     The ancilla dimension is the maximal canonical bond dimension.  Each
     step's defined columns come straight from the canonical site tensors
     (input sites are rescaled by sqrt(2) per site to undo the unit-norm
-    gauge); bond spaces smaller than the ancilla are embedded by zero
-    padding, and one :func:`~seqdecomp.linalg.complete_to_unitary` call per
-    step fills the other columns with the orthogonal complement.  Only the
-    defined columns are ever reached by the chain.  The returned plan
+    gauge), and the plan is held as them, the only columns the chain ever
+    reaches.  Its ``steps`` are formed only when read: bond spaces smaller
+    than the ancilla are embedded by zero padding, and one
+    :func:`~seqdecomp.linalg.complete_to_unitary` call per step fills the
+    other columns with the orthogonal complement.  The returned plan
     carries the report the verdict was read from.
 
     Raises :class:`NotImplementableError` (carrying the report) when the
@@ -216,19 +295,9 @@ def build_plan(u: Isometry) -> SequentialPlan:
     blocks, report = _criterion(op)
     if not report.implementable:
         raise NotImplementableError(report)
-    side = 2 * report.ancilla_dim_if_yes
-    steps = []
-    for k, q in enumerate(blocks):
-        cols = np.zeros((side, q.shape[1]), dtype=np.complex128)
-        cols[: q.shape[0]] = q
-        completed = complete_to_unitary(cols)
-        targets = np.arange(q.shape[1]) * (1 if k < op.m_in else 2)
-        spare = np.ones(side, dtype=bool)
-        spare[targets] = False
-        v = np.empty_like(completed)
-        v[:, np.concatenate([targets, np.flatnonzero(spare)])] = completed
-        steps.append(v)
-    return SequentialPlan(report.ancilla_dim_if_yes, u.m_in, tuple(steps), op.bond_dims, report)
+    return SequentialPlan._from_blocks(
+        report.ancilla_dim_if_yes, u.m_in, blocks, op.bond_dims, report
+    )
 
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
@@ -239,8 +308,8 @@ def _squared_norms(x: np.ndarray) -> np.ndarray:
 
 
 #: States of the last site's size that :func:`simulate`'s memory guard
-#: counts beside a copy of the input.  ``tracemalloc`` measured 1.9 on
-#: ``cloner:8``, 2.0 on a Haar 1 -> 12 and 2.7 on a 10-factor product, whose
+#: counts beside a copy of the input.  ``tracemalloc`` measured 1.5 on
+#: ``cloner:8``, 1.5 on a Haar 1 -> 12 and 2.7 on a 10-factor product, whose
 #: input steps hold the state before and after and one partial product.
 _SIMULATE_COPIES = 3
 
@@ -256,8 +325,9 @@ def simulate(
     bit, and each output value is one ``np.matmul`` by a transposed view
     of the site's matrix.  Returns the normalized chain state conditioned
     on the ancilla having returned to 0, together with the norm of the
-    ancilla components that failed to decouple (below 1e-10 for any plan
-    built here).  A state that would not fit in physical memory is refused.
+    ancilla components that failed to decouple, read in place: 0 for any
+    plan built here, whose last block is zero padded.  A state that would
+    not fit in physical memory is refused.
     """
     amps = np.asarray(input_state, dtype=np.complex128).reshape(-1)
     if amps.size != 2**plan.m_in:
@@ -286,7 +356,7 @@ def simulate(
                 np.matmul(state, t[i].T, out=out[:, :, i])
         state = out.reshape(rest, 2 * emitted, d)
     final = state[0]
-    residual = float(np.linalg.norm(final[:, 1:]))
+    residual = math.sqrt(float(_squared_norms(final[None, :, 1:])[0]))
     block = final[:, 0]
     block_norm = float(np.linalg.norm(block))
     if block_norm > 0.0:
@@ -300,18 +370,23 @@ _VERIFY_ENTRIES = 2**16
 
 def _plan_chain(plan: SequentialPlan):
     """The plan's site tensors, one at a time, as an operator chain in the
-    :mod:`~seqdecomp.mps` layout whose bond is the ancilla: an input
-    step's is its whole unitary, as (2 * output + input, ancilla',
-    ancilla), a later step's the columns that take the chain qubit in |0>.
+    :mod:`~seqdecomp.mps` layout whose bond is the ancilla: each block,
+    zero padded to the ancilla, as (2 * output + input, ancilla', ancilla)
+    at an input site and (output, ancilla', ancilla) after the inputs.
     The first left bond is ancilla state 0; the last right bond, the whole
     ancilla, is left open."""
     d = plan.ancilla_dim
-    for k, step in enumerate(plan.steps):
-        v = step.reshape(d, 2, d, 2)[:, :, : 1 if k == 0 else d]  # (ancilla', site', ancilla, site)
+    for k, q in enumerate(plan.blocks):
+        rgt = q.shape[0] // 2
         if k < plan.m_in:
-            yield v.transpose(1, 3, 0, 2).reshape(4, d, -1)
+            lft = q.shape[1] // 2
+            t = np.zeros((4, d, d if k else 1), dtype=np.complex128)
+            fused = q.reshape(rgt, 2, lft, 2).transpose(1, 3, 0, 2)  # (output, input, ...)
+            t.reshape(2, 2, d, -1)[:, :, :rgt, :lft] = fused
         else:
-            yield v[..., 0].transpose(1, 0, 2)
+            t = np.zeros((2, d, d), dtype=np.complex128)
+            t[:, :rgt, : q.shape[1]] = q.reshape(rgt, 2, -1).transpose(1, 0, 2)
+        yield t
 
 
 def _difference_chain(plan: SequentialPlan, target: Mps) -> list[np.ndarray]:

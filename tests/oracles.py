@@ -404,6 +404,35 @@ def complete_to_unitary_loops(cols) -> np.ndarray:
     return w
 
 
+def eager_plan_steps(u: Isometry) -> tuple[np.ndarray, ...]:
+    """The step unitaries of ``u``'s plan, completed eagerly, as
+    ``build_plan`` formed them when a plan held its steps.
+
+    Each step's defined columns, as the criterion reads them off the
+    canonical chain, are zero padded to the ancilla and completed by one
+    ``complete_to_unitary`` call; the defined columns go back where they
+    act, and the orthogonal complement fills the rest in index order.
+    """
+    from seqdecomp.linalg import complete_to_unitary
+    from seqdecomp.mps import canonical_chain
+    from seqdecomp.sequencer import _criterion
+
+    op, _ = canonical_chain(u)
+    side = 2 * op.max_bond_dim
+    steps = []
+    for k, q in enumerate(_criterion(op)[0]):
+        cols = np.zeros((side, q.shape[1]), dtype=np.complex128)
+        cols[: q.shape[0]] = q
+        completed = complete_to_unitary(cols)
+        targets = np.arange(q.shape[1]) * (1 if k < op.m_in else 2)
+        spare = np.ones(side, dtype=bool)
+        spare[targets] = False
+        v = np.empty_like(completed)
+        v[:, np.concatenate([targets, np.flatnonzero(spare)])] = completed
+        steps.append(v)
+    return tuple(steps)
+
+
 def svd_loops(m):
     """Truncated SVD rephased row by row, as ``(s, vd)``.
 

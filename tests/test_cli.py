@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from seqdecomp import (
     ContractViolationError,
     Isometry,
+    SequentialPlan,
     build_plan,
     ghz_isometry,
     ghz_state,
@@ -23,6 +24,7 @@ from seqdecomp import (
     operator_schmidt_ranks,
     product_unitary,
     shor_encoder,
+    verify_plan,
 )
 from seqdecomp import cli, formats, sequencer
 from seqdecomp import mps as mps_module
@@ -73,8 +75,13 @@ def test_decompose_shor_writes_plan(tmp_path, capsys):
     assert summary["ancilla_dim"] == 4
     assert summary["verification_error"] < 1e-9
     doc = json.loads(path.read_text())
-    assert len(doc["steps"]) == 9
-    assert all(len(step) == 8 and len(step[0]) == 8 for step in doc["steps"])
+    # each step is its block, the columns the chain reaches, in the shape the
+    # bonds fix: (2 * b[k + 1]) x (2 * b[k]) at the input site, then
+    # (2 * b[k + 1]) x b[k]
+    bonds = doc["bond_dims"]
+    assert bonds == [1, 4, 4, 2, 4, 4, 2, 2, 2, 1]
+    shapes = [(len(step), len(step[0])) for step in doc["steps"]]
+    assert shapes == [(8, 2)] + [(2 * bonds[k + 1], bonds[k]) for k in range(1, 9)]
     assert doc["report"]["decoupling_residual"] < 1e-10
 
 
@@ -219,12 +226,14 @@ def test_canonicalization_larger_than_memory_exits_2_before_the_peel(
 
 
 def test_simulate_refuses_a_state_larger_than_memory(tmp_path, capsys, monkeypatch):
-    # sixteen 2 x 2 steps, a plan of a few kB, run a 1 MiB state at ancilla 1;
-    # the guard counts the input and three states of 2**16 amplitudes
+    # a 2 x 2 step and fifteen 2 x 1 blocks, a plan of a few kB, run a 1 MiB
+    # state at ancilla 1; the guard counts the input and three states of
+    # 2**16 amplitudes
     identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    keep = [[[1.0, 0.0]], [[0.0, 0.0]]]
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(
-        {"ancilla_dim": 1, "m_in": 1, "steps": [identity] * 16, "bond_dims": [1] * 17}
+        {"ancilla_dim": 1, "m_in": 1, "steps": [identity] + [keep] * 15, "bond_dims": [1] * 17}
     ))
     need = 16 * (2 + 3 * 2**16)
     runs = []
@@ -653,7 +662,7 @@ def test_operator_file_round_trip_is_bitwise():
 def test_plan_file_round_trip_is_bitwise(tmp_path):
     u = shor_encoder()
     plan = build_plan(u)
-    from seqdecomp import sequentiality_test, verify_plan
+    from seqdecomp import sequentiality_test
 
     doc = formats.plan_to_doc(plan, verify_plan(plan, u))
     assert doc["report"]["residuals"] == list(sequentiality_test(u).per_site_residuals)
@@ -666,12 +675,33 @@ def test_plan_file_round_trip_is_bitwise(tmp_path):
     # a plan read back carries no report, so it cannot be written again
     with pytest.raises(ContractViolationError, match="no criterion report"):
         formats.plan_to_doc(back, verify_plan(back, u))
+    # nor can a plan given its steps, whose blocks are padded to the ancilla
+    given = SequentialPlan(plan.ancilla_dim, plan.m_in, plan.steps, plan.bond_dims, plan.report)
+    with pytest.raises(ContractViolationError, match="columns beyond its bonds"):
+        formats.plan_to_doc(given, verify_plan(given, u))
 
 
 @pytest.mark.parametrize(
     "bond_dims",
-    [[True, True, True, True], [2, 2, 2, 1], [1, 2, 2, 2], [1, 3, 2, 1]],
-    ids=["booleans", "left-boundary-2", "right-boundary-2", "above-ancilla"],
+    [
+        [True, True, True, True],
+        [1, 2.0, 2, 1],
+        [1, "2", 2, 1],
+        [1, None, 2, 1],
+        [1, [2], 2, 1],
+        [2, 2, 2, 1],
+        [1, 2, 2, 2],
+        [1, 3, 2, 1],
+        [1, 0, 2, 1],
+        [1, -2, 2, 1],
+        [1, 2, 1],
+        [1, 2, 2, 2, 1],
+        [],
+    ],
+    ids=[
+        "booleans", "float", "string", "null", "list", "left-boundary-2", "right-boundary-2",
+        "above-ancilla", "zero", "negative", "too-short", "too-long", "empty",
+    ],
 )
 def test_simulate_rejects_invalid_plan_bond_dims(bond_dims, tmp_path, capsys):
     path = tmp_path / "plan.json"
@@ -683,6 +713,67 @@ def test_simulate_rejects_invalid_plan_bond_dims(bond_dims, tmp_path, capsys):
     code, out, err = run_cli(["simulate", str(path), "--input-state", "0"], capsys)
     assert (code, out) == (2, "")
     assert "bond_dims" in err
+
+
+@pytest.mark.parametrize("fault", ["short row", "missing row", "transposed", "not orthonormal", "completed"])
+def test_simulate_rejects_malformed_plan_blocks(fault, tmp_path, capsys):
+    # ghz:3 at ancilla 2, bonds (1, 2, 2, 1): blocks 4 x 2, 4 x 2 and 2 x 2
+    path = tmp_path / "plan.json"
+    assert run_cli(["decompose", "ghz:3", "-o", str(path)], capsys)[0] == 0
+    doc = json.loads(path.read_text())
+    steps = doc["steps"]
+    assert [(len(q), len(q[0])) for q in steps] == [(4, 2), (4, 2), (2, 2)]
+    if fault == "short row":
+        del steps[1][3][1]
+        expected = "steps[1]: expected 4x2 [re, im] pairs"
+    elif fault == "missing row":
+        del steps[2][1]
+        expected = "steps[2]: expected 2x2 [re, im] pairs"
+    elif fault == "transposed":
+        steps[0] = [list(column) for column in zip(*steps[0])]
+        expected = "steps[0]: expected 4x2 [re, im] pairs"
+    elif fault == "not orthonormal":
+        steps[2] = [[[2 * x for x in pair] for pair in row] for row in steps[2]]
+        expected = "steps[2]: columns are not orthonormal: residual 3.000e+00"
+    else:  # the completed 4 x 4 steps that plan files held before
+        plan = formats.doc_to_plan(formats.parse_document(path.read_text(), "plan"))
+        doc["steps"] = json.loads(formats.dumps(list(plan.steps)))
+        expected = "steps[0]: expected 4x2 [re, im] pairs"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["simulate", str(path), "--input-state", "0"], capsys)
+    assert (code, out, err) == (2, "", f"error: {path}.{expected}\n")
+
+
+def test_a_product_plan_file_holds_its_whole_steps(tmp_path, capsys):
+    # at ancilla 1 every step of a product is an input step, whose block is
+    # the whole 2 x 2 step, so its plan file is what it was when files held
+    # the completed steps
+    rng = np.random.default_rng(45)
+    factors = tmp_path / "factors.json"
+    factors.write_text(formats.dumps([haar_unitary(2, rng) for _ in range(5)]))
+    path = tmp_path / "plan.json"
+    assert run_cli(["decompose", "product", "--factors", str(factors), "-o", str(path)], capsys)[0] == 0
+    plan = formats.doc_to_plan(formats.parse_document(path.read_text(), "plan"))
+    assert (plan.ancilla_dim, plan.n_out) == (1, 5)
+    assert [q.tobytes() for q in plan.blocks] == [step.tobytes() for step in plan.steps]
+    assert all(q.shape == (2, 2) for q in plan.blocks)
+
+
+@pytest.mark.parametrize("operator", ["shor", "cloner:3", "random:1,6,0", "product"])
+def test_decompose_and_simulate_complete_no_step(operator, tmp_path, capsys, monkeypatch):
+    calls = []
+    complete = sequencer.complete_to_unitary
+    monkeypatch.setattr(sequencer, "complete_to_unitary", lambda cols: calls.append(1) or complete(cols))
+    path = tmp_path / "plan.json"
+    assert run_cli(["decompose", operator, "-o", str(path)], capsys)[0] == 0
+    plan = formats.doc_to_plan(formats.parse_document(path.read_text(), "plan"))
+    for extra in ([], ["--reduce", str(plan.n_out)]):
+        argv = ["simulate", str(path), f"--input-state={'+' * plan.m_in}", *extra]
+        assert run_cli(argv, capsys)[0] == 0
+    assert calls == []
+    # reading the steps completes each once
+    assert plan.steps is plan.steps
+    assert len(calls) == plan.n_out
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):
@@ -878,33 +969,32 @@ COMPLETION_OPERATORS = ["shor", "ghz:6", "cloner:3", "cloner:4", "product"] + [
 
 @pytest.mark.parametrize("operator", COMPLETION_OPERATORS)
 def test_chain_never_reaches_the_completed_columns(operator, tmp_path, capsys, monkeypatch):
-    # plans completed by Gram–Schmidt over the standard basis differ only in
-    # columns outside the defined targets, and no output can tell them apart
+    # a plan file holds no completed column: each of its steps is a block,
+    # the defined columns in the shape the bonds fix.  Steps completed by
+    # Gram–Schmidt over the standard basis, given to the public constructor,
+    # add columns that the chain reaches only with amplitude 0, so no
+    # output can tell that plan from the one held as its blocks
     factors = tmp_path / "factors.json"
     rng = np.random.default_rng(44)
     factors.write_text(formats.dumps([haar_unitary(2, rng) for _ in range(4)]))
-    decompose = ["decompose", operator, "--factors", str(factors), "-o", "plan.json"]
-    reference, library = tmp_path / "reference", tmp_path / "library"
-    outputs = {}
-    for where in (reference, library):
-        where.mkdir()
-        monkeypatch.chdir(where)
-        with monkeypatch.context() as patched:
-            if where == reference:
-                patched.setattr(sequencer, "complete_to_unitary", complete_to_unitary_loops)
-            outputs[where] = [run_cli(decompose, capsys)]
-        summary = json.loads(outputs[where][0][1])
-        m, n = summary["m_in"], summary["n_out"]
-        for t, label in enumerate(["0" * m, "+" * m, ("-1" * m)[:m]]):
-            for extra in ([], ["--reduce", str(1 + t % n)]):
-                args = ["simulate", "plan.json", f"--input-state={label}"] + extra
-                outputs[where].append(run_cli(args, capsys))
-    assert all(code == 0 for code, _, _ in outputs[library])
-    assert outputs[reference] == outputs[library]
-    docs = [json.loads((p / "plan.json").read_text()) for p in (reference, library)]
-    assert docs[0]["report"] == docs[1]["report"]
-    plans = [formats.doc_to_plan(doc) for doc in docs]
-    for k, (a, b) in enumerate(zip(plans[0].steps, plans[1].steps, strict=True)):
-        left = plans[1].bond_dims[k]
-        targets = np.arange(2 * left) if k < plans[1].m_in else 2 * np.arange(left)
-        assert a[:, targets].tobytes() == b[:, targets].tobytes()
+    path = tmp_path / "plan.json"
+    decompose = ["decompose", operator, "--factors", str(factors), "-o", str(path)]
+    assert run_cli(decompose, capsys)[0] == 0
+    plan = formats.doc_to_plan(formats.parse_document(path.read_text(), "plan"))
+    b, m = plan.bond_dims, plan.m_in
+    shapes = [(2 * b[k + 1], (2 if k < m else 1) * b[k]) for k in range(plan.n_out)]
+    assert [q.shape for q in plan.blocks] == shapes
+    with monkeypatch.context() as patched:
+        patched.setattr(sequencer, "complete_to_unitary", complete_to_unitary_loops)
+        steps = plan.steps
+    completed = SequentialPlan(plan.ancilla_dim, m, steps, b)
+    for a, q in zip(completed.blocks, plan.blocks, strict=True):
+        rows, cols = q.shape
+        assert a[:rows, :cols].tobytes() == q.tobytes()
+        assert not a[rows:, :cols].any()
+    u = cli.load_operator(operator, str(factors))
+    assert verify_plan(completed, u) == verify_plan(plan, u)
+    for t, label in enumerate(["0" * m, "+" * m, ("-1" * m)[:m]]):
+        psi = cli._parse_input_state(label, m)
+        runs = [sequencer.simulate(p, psi / np.linalg.norm(psi)) for p in (plan, completed)]
+        assert formats.dumps(list(runs[0])) == formats.dumps(list(runs[1]))

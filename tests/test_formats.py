@@ -324,7 +324,22 @@ def _plan_docs():
 
 
 _BAD_ENTRIES = ["1.0", None, math.nan, math.inf, True, False]
-_BAD_STEPS = [1.0, "step", None, {}, []]
+#: Replacements for a step of a plan file: no matrix, a matrix of another
+#: shape than the bonds fix, one whose columns are not orthonormal, and an
+#: identity of the step's height, which the bonds accept where they make
+#: the block square (an input site between equal bonds).
+_BAD_STEPS = [
+    lambda step: 1.0,
+    lambda step: "step",
+    lambda step: None,
+    lambda step: {},
+    lambda step: [],
+    lambda step: [list(column) for column in zip(*step)],
+    lambda step: [row + row[:1] for row in step],
+    lambda step: step[:-1],
+    lambda step: [[[2 * x for x in pair] for pair in row] for row in step],
+    lambda step: [[[float(r == c), 0.0] for c in range(len(step))] for r in range(len(step))],
+]
 _MUTATIONS = [
     "bad entry", "ragged row", "ragged pair", "bad step", "empty steps",
     "duplicate steps", "drop a member", "key not a string", "wrong delimiter", "trailing data",
@@ -351,8 +366,8 @@ def _read_plan(parse, text):
         plan = formats.doc_to_plan(parse(text, "plan"), "plan")
     except ContractViolationError as exc:
         return str(exc)
-    steps = [(s.shape, s.dtype.str, s.tobytes()) for s in plan.steps]
-    return plan.ancilla_dim, plan.m_in, plan.bond_dims, steps
+    blocks = [(q.shape, q.dtype.str, q.tobytes()) for q in plan.blocks]
+    return plan.ancilla_dim, plan.m_in, plan.bond_dims, blocks
 
 
 @settings(max_examples=300, deadline=None)
@@ -372,7 +387,7 @@ def test_plans_read_step_by_step_like_the_whole_tree(data):
     if "ragged pair" in mutations:
         del row[rng.randrange(len(row))][rng.randrange(2)]
     if "bad step" in mutations:
-        steps[k] = rng.choice(_BAD_STEPS)
+        steps[k] = rng.choice(_BAD_STEPS)(steps[k])
     if "empty steps" in mutations:
         doc["steps"] = []
     members = list(doc.items())

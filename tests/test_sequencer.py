@@ -34,10 +34,12 @@ from seqdecomp import (
     state_to_mps,
     verify_plan,
 )
-from seqdecomp import mps, sequencer
+from seqdecomp import formats, mps, sequencer
+from seqdecomp.mps import canonical_chain
 from seqdecomp.sequencer import _criterion
 
 from oracles import (
+    eager_plan_steps,
     gauge_inflate,
     operator_cut_ranks,
     reduced_rho_loops,
@@ -152,6 +154,69 @@ def test_plan_validation_rejects_non_unitary_step():
     plan = build_plan(identity_isometry())
     with pytest.raises(ContractViolationError, match="unitary"):
         SequentialPlan(1, 1, (np.ones((2, 2), dtype=complex),), plan.bond_dims)
+
+
+# ---------------------------------------------------------------------------
+# plans held as their blocks
+
+
+def plan_operator(kind, n, seed):
+    """shor, ghz:n, cloner:n, a Haar 1 -> n or a product of n Haar factors."""
+    if kind == "shor":
+        return shor_encoder()
+    if kind == "ghz":
+        return ghz_isometry(n)
+    if kind == "cloner":
+        return gisin_massar_cloner(n)
+    if kind == "random":
+        return random_isometry(1, n, seed)
+    return haar_product(n, seed)
+
+
+PLAN_OPERATORS = st.one_of(
+    st.tuples(st.just("shor"), st.just(9), st.just(0)),
+    st.tuples(st.just("ghz"), st.integers(1, 8), st.just(0)),
+    st.tuples(st.just("cloner"), st.integers(1, 5), st.just(0)),
+    st.tuples(st.just("random"), st.integers(1, 9), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("product"), st.integers(1, 8), st.integers(0, 2**32 - 1)),
+)
+
+
+def signless_zeros(arrays):
+    """The bytes of each array with -0.0 read as 0.0, as a plan file reads it
+    back: ``formats`` writes -0.0 as ``-0``, which JSON reads as 0."""
+    return [(a + 0.0).tobytes() for a in arrays]
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=("random", 9, 0))
+@given(case=PLAN_OPERATORS)
+def test_a_plan_is_held_as_its_blocks_and_completes_the_eager_steps(case):
+    u = plan_operator(*case)
+    plan = build_plan(u)
+    blocks = _criterion(canonical_chain(u)[0])[0]
+    assert [q.tobytes() for q in plan.blocks] == [q.tobytes() for q in blocks]
+    doc = formats.plan_to_doc(plan, verify_plan(plan, u))
+    back = formats.doc_to_plan(formats.parse_document(formats.dumps(doc), "plan"))
+    assert (back.ancilla_dim, back.m_in, back.bond_dims) == (plan.ancilla_dim, plan.m_in, plan.bond_dims)
+    assert signless_zeros(back.blocks) == signless_zeros(plan.blocks)
+    eager = eager_plan_steps(u)
+    assert [step.tobytes() for step in plan.steps] == [step.tobytes() for step in eager]
+    assert signless_zeros(back.steps) == signless_zeros(eager)
+    assert all(not step.flags.writeable for step in plan.steps + plan.blocks)
+
+
+def test_a_plan_given_its_steps_holds_the_columns_the_chain_reaches():
+    # step 1's first two columns, the whole of a later input step, and the
+    # even columns of a step after the inputs
+    plan = build_plan(ghz_isometry(4))  # one input site
+    given = SequentialPlan(plan.ancilla_dim, plan.m_in, plan.steps, plan.bond_dims)
+    assert given.steps[0][:, :2].tobytes() == given.blocks[0].tobytes()
+    for step, block in zip(given.steps[1:], given.blocks[1:], strict=True):
+        assert step[:, ::2].tobytes() == block.tobytes()
+    product = build_plan(haar_product(2, seed=3))  # two input sites at ancilla 1
+    given = SequentialPlan(1, 2, product.steps, product.bond_dims)
+    assert [q.tobytes() for q in given.blocks] == [q.tobytes() for q in product.steps]
 
 
 # ---------------------------------------------------------------------------
