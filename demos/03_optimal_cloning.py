@@ -34,8 +34,7 @@ for n in (2, 3):
     print("verification error:", f"{verify_plan(plan, cloner).max_error:.3e}")
 
     # Clone |0> and inspect each clone's reduced state.
-    output, residual = simulate(plan, np.array([1.0, 0.0]))
-    print("decoupling residual:", f"{residual:.3e}")
+    output = simulate(plan, np.array([1.0, 0.0]))
     for site in range(n):
         rho = reduced_density_matrix(output, [2] * n_out, site)
         fidelity = rho[0, 0].real

@@ -61,13 +61,13 @@ An operator held as a chain needs no matrix at all.  A ``product`` is
 held as its bond-1 chain, one fused 4-vector per factor, and
 :func:`canonical_chain`, the one canonicalization of each request, takes
 it through :func:`canonicalize`; a dense operator goes through
-:func:`operator_to_mps`.  An operator chain, or a qubit chain whose last
-bond is left open such as a plan, is contracted a block of rows at a time
-by one depth-first walk that contracts each row prefix once
-(:func:`_row_blocks`), and the norms of its columns come from one sweep
-of R factors that forms no row (:func:`_column_norms`).  The sum of two
-chains is one chain, their :func:`direct_sum`; the difference chain that
-compares a plan with a target held as a chain is built by it.
+:func:`operator_to_mps`.  An operator chain, such as a plan, is
+contracted a block of rows at a time by one depth-first walk that
+contracts each row prefix once (:func:`_row_blocks`), and the norms of its
+columns come from one sweep of R factors that forms no row
+(:func:`_column_norms`).  The sum of two chains is one chain, their
+:func:`direct_sum`; the difference chain that compares a plan with a
+target held as a chain is built by it.
 """
 
 from __future__ import annotations
@@ -298,26 +298,24 @@ def _row_blocks(tensors, rows: int, norm: float = 1.0):
     return walk(np.full((1, 1, 1), norm, dtype=np.complex128), 0)
 
 
-def _column_norms(tensors, heads: np.ndarray) -> np.ndarray:
-    """The 2-norm of every input column of a qubit chain whose last bond is
-    left open, seen through each of ``heads``.
+def _column_norms(tensors) -> np.ndarray:
+    """The 2-norm of every input column of a qubit chain whose bonds at
+    both ends are 1.
 
-    ``tensors`` are as for :func:`_row_blocks`, and ``heads`` is a stack of
-    matrices applied to the open bond, ``(head, rows, last right bond)``.
-    Returns ``(head, input)`` norms, the inputs ordered as
-    :func:`_row_blocks` orders them.
+    ``tensors`` are as for :func:`_row_blocks`.  Returns one norm per
+    input, the inputs ordered as :func:`_row_blocks` orders them.
 
     One right-to-left sweep.  The sites right of a bond act on it as a
     matrix X, of which only an R factor is kept, with X's Gram matrix.
     Each site stacks R times its tensor over its output values and takes
     the R factor of that, an LQ step on the conjugate transpose, batched
-    over the heads and the input values passed so far by one
+    over the input values passed so far by one
     ``np.linalg.qr(..., mode="r")``; the first site leaves one column,
     whose norm is the answer.  Only orthogonal transforms act on the
     values, so a norm near rounding is resolved as well as any other,
     where a Gram or overlap formula stops near the square root of it.
     """
-    x = heads.astype(np.complex128)  # (batch, rows, right bond)
+    x = np.ones((1, 1, 1), dtype=np.complex128)  # (batch, rows, right bond)
     for k in reversed(range(len(tensors))):
         d, rgt, lft = tensors[k].shape
         site = tensors[k].reshape(2, d // 2, rgt, lft).transpose(2, 1, 0, 3)  # (right, input, output, left)
@@ -327,7 +325,7 @@ def _column_norms(tensors, heads: np.ndarray) -> np.ndarray:
         x = x.transpose(0, 2, 3, 1, 4).reshape(-1, 2 * rows, lft)
         if k:
             x = np.linalg.qr(x, mode="r")
-    return np.linalg.norm(x[..., 0], axis=1).reshape(len(heads), -1)
+    return np.linalg.norm(x[..., 0], axis=1)
 
 
 def canonical_chain(u: Isometry) -> tuple[Mps, CanonicalWeights]:

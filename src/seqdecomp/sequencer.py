@@ -34,9 +34,10 @@ operator Schmidt rank is 1 across every contiguous cut; see
 
 A plan is a matrix-product chain whose bond is the ancilla (Schön,
 Solano, Verstraete, Cirac, Wolf, PRL 95, 110503 (2005)), run and verified
-as that chain: :func:`_plan_chain` alone reads its blocks as site tensors,
-zero padded to the ancilla, in the :mod:`~seqdecomp.mps` layout, from the
-input qubits to the chain and the final ancilla.  :func:`simulate`
+as that chain: :func:`_plan_chain` alone reads its blocks as site tensors
+at the plan's own bonds, in the :mod:`~seqdecomp.mps` layout, from the
+input qubits to the chain.  The last bond is 1, so the ancilla returns to
+|0> by construction and no decoupling is left to measure.  :func:`simulate`
 contracts the chain with one input state.  :func:`verify_plan` compares
 a target held as a chain, such as a ``product``, chain to chain: the
 difference of the two is one chain, the :func:`~seqdecomp.mps.direct_sum`
@@ -49,6 +50,7 @@ target before the next, so the plan's operator is never held whole.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -86,90 +88,52 @@ class SequentialityReport:
 
 @dataclass(frozen=True, eq=False)
 class SequentialPlan:
-    """Synthesized sequential decomposition.
-
-    ``steps[k]`` acts on ancilla (x) site ``k + 1``; the composite index is
-    ``ancilla_index * 2 + site_index``.  The ancilla starts and ends in
-    basis state 0.  The first ``m_in`` steps consume one input qubit each;
-    later steps expect their chain qubit in state |0>.  ``bond_dims`` lists
-    the ``N + 1`` canonical bond dimensions: integers from 1 to
-    ``ancilla_dim``, with both boundaries 1.  ``report`` is the criterion
-    report a plan was built from; a plan read from a file has none.
+    """Synthesized sequential decomposition, held as its blocks.
 
     ``blocks[k]`` holds the columns of step ``k`` that the chain reaches,
     the only part of a plan that :func:`simulate` and :func:`verify_plan`
-    read.  A plan built by :func:`build_plan` or read from a file is held
-    as its blocks, the defined columns of :func:`_criterion` before zero
-    padding: with ``b = bond_dims``, block ``k`` is ``(2 * b[k + 1]) x
-    (2 * b[k])`` at an input site, column ``2 * r + j`` taking left bond
-    ``r`` and input ``j``, and ``(2 * b[k + 1]) x b[k]`` after the inputs,
-    column ``r`` taking left bond ``r`` with the chain qubit in |0>.  Its
-    ``steps`` are completed from the blocks when first read.  A plan given
-    its steps takes as blocks the whole columns the chain reaches: the
-    first two columns of step 1, every column of a later input step, and
-    the even columns of a step after the inputs.  Instances compare and
-    hash by identity.
+    read.  ``bond_dims`` lists the ``N + 1`` canonical bond dimensions:
+    integers from 1 to ``ancilla_dim``, with both boundaries 1.  With
+    ``b = bond_dims``, block ``k`` is ``(2 * b[k + 1]) x (2 * b[k])`` at an
+    input site, column ``2 * r + j`` taking left bond ``r`` and input
+    ``j``, and ``(2 * b[k + 1]) x b[k]`` after the inputs, column ``r``
+    taking left bond ``r`` with the chain qubit in |0>; row ``2 * a + i``
+    pairs right bond ``a`` with output ``i``.  The first ``m_in`` steps
+    consume one input qubit each.  Each block must have orthonormal
+    columns; the blocks are held, not copied, and made read-only.
+    ``report`` is the criterion report a plan was built from; a plan read
+    from a file has none.
+
+    ``steps[k]``, formed from block ``k`` when first read, is the whole
+    unitary on ancilla (x) site ``k + 1``; the composite index is
+    ``ancilla_index * 2 + site_index``.  The ancilla starts and ends in
+    basis state 0.  Instances compare and hash by identity.
     """
 
     ancilla_dim: int
     m_in: int
-    steps: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...] = field(repr=False)
     bond_dims: tuple[int, ...]
     report: SequentialityReport | None = None
-    blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        _block_shapes(self.ancilla_dim, self.m_in, len(self.steps), self.bond_dims)
-        side = 2 * self.ancilla_dim
-        steps, blocks = [], []
-        for k, step in enumerate(self.steps):
-            a = np.array(step, dtype=np.complex128)
-            if a.shape != (side, side):
-                raise ContractViolationError(
-                    f"step {k + 1}: shape {a.shape}, expected {(side, side)}"
-                )
-            residual = isometry_residual(a)
-            if residual > ISOMETRY_TOL:
-                raise ContractViolationError(
-                    f"step {k + 1} is not unitary: residual {residual:.3e}"
-                )
-            a.setflags(write=False)
-            steps.append(a)
-            blocks.append(a[:, :2] if k == 0 else a if k < self.m_in else a[:, ::2])
-        object.__setattr__(self, "steps", tuple(steps))
-        object.__setattr__(self, "blocks", tuple(blocks))
-
-    @classmethod
-    def _from_blocks(cls, ancilla_dim: int, m_in: int, blocks, bond_dims,
-                     report: SequentialityReport | None = None,
-                     where: str = "blocks") -> SequentialPlan:
-        """A plan held as ``blocks``, owned ``complex128`` arrays of the
-        shapes that ``bond_dims`` fix (see the class docstring), each with
-        orthonormal columns; errors name block ``k`` as ``where[k]``.  Its
-        ``steps`` are formed when first read."""
-        shapes = _block_shapes(ancilla_dim, m_in, len(blocks), bond_dims)
+        shapes = _block_shapes(self.ancilla_dim, self.m_in, len(self.blocks), self.bond_dims)
+        blocks = tuple(np.asarray(q, dtype=np.complex128) for q in self.blocks)
         for k, (q, shape) in enumerate(zip(blocks, shapes)):
             if q.shape != shape:
-                raise ContractViolationError(f"{where}[{k}]: shape {q.shape}, expected {shape}")
+                raise ContractViolationError(f"blocks[{k}]: shape {q.shape}, expected {shape}")
             residual = isometry_residual(q)
-            if residual > ISOMETRY_TOL:
+            if not residual <= ISOMETRY_TOL:  # a non-finite block too
                 raise ContractViolationError(
-                    f"{where}[{k}]: columns are not orthonormal: residual {residual:.3e}"
+                    f"blocks[{k}]: columns are not orthonormal: residual {residual:.3e}"
                 )
             q.setflags(write=False)
-        plan = object.__new__(cls)
-        plan.__dict__.update(ancilla_dim=ancilla_dim, m_in=m_in, blocks=tuple(blocks),
-                             bond_dims=tuple(bond_dims), report=report)
-        return plan
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "bond_dims", tuple(self.bond_dims))
 
-    def __getattr__(self, name: str):
-        # reached only for a missing attribute: the steps of a plan held as
-        # its blocks, before their first read
-        if name != "steps" or "blocks" not in self.__dict__:
-            raise AttributeError(name)
-        steps = _completed_steps(self.blocks, self.ancilla_dim, self.m_in)
-        object.__setattr__(self, "steps", steps)
-        return steps
+    @functools.cached_property
+    def steps(self) -> tuple[np.ndarray, ...]:
+        return _completed_steps(self.blocks, self.ancilla_dim, self.m_in)
 
     @property
     def n_out(self) -> int:
@@ -177,10 +141,9 @@ class SequentialPlan:
 
 
 def _block_shapes(ancilla_dim: int, m_in: int, n_steps: int, bonds) -> list[tuple[int, int]]:
-    """The shape of each block of a plan of ``n_steps`` steps held as its
-    blocks (see :class:`SequentialPlan`), once its ``m_in`` and
-    ``bond_dims`` are checked: the bonds are validated before they are used
-    as shapes."""
+    """The shape of each block of a plan of ``n_steps`` steps (see
+    :class:`SequentialPlan`), once its ``m_in`` and ``bond_dims`` are
+    checked: the bonds are validated before they are used as shapes."""
     if not 1 <= m_in <= n_steps:
         raise ContractViolationError(f"m_in={m_in} out of range for {n_steps} steps")
     if len(bonds) != n_steps + 1 or bonds[0] != 1 or bonds[-1] != 1 or not all(
@@ -197,8 +160,8 @@ def _block_shapes(ancilla_dim: int, m_in: int, n_steps: int, bonds) -> list[tupl
 
 
 def _completed_steps(blocks, ancilla_dim: int, m_in: int) -> tuple[np.ndarray, ...]:
-    """The step unitaries of a plan held as its blocks: each block, zero
-    padded to the ancilla, is completed by one
+    """The step unitaries of a plan: each block, zero padded to the
+    ancilla, is completed by one
     :func:`~seqdecomp.linalg.complete_to_unitary` call, its columns put
     where they act and the orthogonal complement in the rest."""
     side = 2 * ancilla_dim
@@ -222,14 +185,14 @@ class PlanVerification:
     """Check of a plan, contracted as its chain, against its target isometry.
 
     ``max_error`` is the worst 2-norm distance, over all computational basis
-    inputs, between the plan's joint output state and (decoupled ancilla) x
-    (target output); it subsumes the decoupling residual.  By linearity,
-    ``operator_norm_bound = max_error * sqrt(2**m_in)`` bounds the error for
-    every input state.
+    inputs, between the plan's output state and the target output.  The
+    plan's chain closes at bond 1, so its ancilla returns to |0> by
+    construction and no decoupling residual is left to measure.  By
+    linearity, ``operator_norm_bound = max_error * sqrt(2**m_in)`` bounds
+    the error for every input state.
     """
 
     max_error: float
-    max_decoupling_residual: float
     operator_norm_bound: float
 
 
@@ -295,39 +258,27 @@ def build_plan(u: Isometry) -> SequentialPlan:
     blocks, report = _criterion(op)
     if not report.implementable:
         raise NotImplementableError(report)
-    return SequentialPlan._from_blocks(
-        report.ancilla_dim_if_yes, u.m_in, blocks, op.bond_dims, report
-    )
+    return SequentialPlan(report.ancilla_dim_if_yes, u.m_in, blocks, op.bond_dims, report)
 
 
-def _squared_norms(x: np.ndarray) -> np.ndarray:
-    """Squared 2-norm of each ``x[i]`` of an ``(input, row, ancilla)`` array."""
-    if not x.size:  # einsum would still walk the empty slices one by one
-        return np.zeros(x.shape[0])
-    return np.einsum("ira,ira->i", x.real, x.real) + np.einsum("ira,ira->i", x.imag, x.imag)
-
-
-#: States of the last site's size that :func:`simulate`'s memory guard
-#: counts beside a copy of the input.  ``tracemalloc`` measured 1.5 on
-#: ``cloner:8``, 1.5 on a Haar 1 -> 12 and 2.7 on a 10-factor product, whose
-#: input steps hold the state before and after and one partial product.
+#: States of the largest size the chain passes through that
+#: :func:`simulate`'s memory guard counts beside a copy of the input.
+#: ``tracemalloc`` measured 2.0 on ``cloner:8``, 2.0 on a Haar 1 -> 12 and
+#: 1.7 on a 10-factor product, whose input steps hold the state before and
+#: after and one partial product.
 _SIMULATE_COPIES = 3
 
 
-def simulate(
-    plan: SequentialPlan, input_state
-) -> tuple[np.ndarray, float]:
+def simulate(plan: SequentialPlan, input_state) -> np.ndarray:
     """Run the sequential factory on an input state of the first m_in qubits.
 
     The plan is run as its chain (:func:`_plan_chain`) on a state indexed
     (rest of the inputs, sites emitted, bond): an input site consumes the
     leading bit of the rest, each site's output becomes the last emitted
     bit, and each output value is one ``np.matmul`` by a transposed view
-    of the site's matrix.  Returns the normalized chain state conditioned
-    on the ancilla having returned to 0, together with the norm of the
-    ancilla components that failed to decouple, read in place: 0 for any
-    plan built here, whose last block is zero padded.  A state that would
-    not fit in physical memory is refused.
+    of the site's matrix.  The chain's last bond is 1, so the ancilla
+    returns to |0> by construction; the normalized chain state is
+    returned.  A state that would not fit in physical memory is refused.
     """
     amps = np.asarray(input_state, dtype=np.complex128).reshape(-1)
     if amps.size != 2**plan.m_in:
@@ -338,63 +289,53 @@ def simulate(
         raise ContractViolationError("input contains non-finite amplitudes")
     if abs(np.linalg.norm(amps) - 1.0) > ISOMETRY_TOL:
         raise ContractViolationError("input state is not normalized")
-    n, d = plan.n_out, plan.ancilla_dim
-    need = 16 * (amps.size + _SIMULATE_COPIES * 2**n * d)
-    _require_fits("simulate", f"the state of {n} sites at ancilla {d}", need)
+    # the state at bond k holds 2**max(k, m_in) amplitudes per bond state
+    largest = max(2 ** max(k, plan.m_in) * b for k, b in enumerate(plan.bond_dims))
+    need = 16 * (amps.size + _SIMULATE_COPIES * largest)
+    what = f"the state of {plan.n_out} sites at ancilla {plan.ancilla_dim}"
+    _require_fits("simulate", what, need)
     state = amps.reshape(-1, 1, 1)
     for t in _plan_chain(plan):
         fused = t.shape[0] == 4
         if fused:  # consume the leading bit of the rest
             state = state.reshape(2, -1, *state.shape[1:])
         rest, emitted = state.shape[-3:-1]
-        out = np.empty((rest, emitted, 2, d), dtype=np.complex128)
+        out = np.empty((rest, emitted, 2, t.shape[1]), dtype=np.complex128)
         for i in range(2):
             if fused:
                 np.matmul(state[0], t[2 * i].T, out=out[:, :, i])
                 out[:, :, i] += state[1] @ t[2 * i + 1].T
             else:
                 np.matmul(state, t[i].T, out=out[:, :, i])
-        state = out.reshape(rest, 2 * emitted, d)
-    final = state[0]
-    residual = math.sqrt(float(_squared_norms(final[None, :, 1:])[0]))
-    block = final[:, 0]
-    block_norm = float(np.linalg.norm(block))
-    if block_norm > 0.0:
-        block = block / block_norm
-    return block, residual
+        state = out.reshape(rest, 2 * emitted, -1)
+    state = state.reshape(-1)
+    return state / np.linalg.norm(state)
 
 
-#: Most entries of the blocks of rows that :func:`verify_plan` holds at once.
+#: Most entries that :func:`verify_plan` holds at once in a block of rows
+#: and the input of the product that finishes it.
 _VERIFY_ENTRIES = 2**16
 
 
 def _plan_chain(plan: SequentialPlan):
     """The plan's site tensors, one at a time, as an operator chain in the
-    :mod:`~seqdecomp.mps` layout whose bond is the ancilla: each block,
-    zero padded to the ancilla, as (2 * output + input, ancilla', ancilla)
-    at an input site and (output, ancilla', ancilla) after the inputs.
-    The first left bond is ancilla state 0; the last right bond, the whole
-    ancilla, is left open."""
-    d = plan.ancilla_dim
+    :mod:`~seqdecomp.mps` layout at the plan's own bonds: each block as
+    (2 * output + input, right bond, left bond) at an input site and
+    (output, right bond, left bond) after the inputs.  The first left bond
+    and the last right bond are both 1."""
+    b = plan.bond_dims
     for k, q in enumerate(plan.blocks):
-        rgt = q.shape[0] // 2
-        if k < plan.m_in:
-            lft = q.shape[1] // 2
-            t = np.zeros((4, d, d if k else 1), dtype=np.complex128)
-            fused = q.reshape(rgt, 2, lft, 2).transpose(1, 3, 0, 2)  # (output, input, ...)
-            t.reshape(2, 2, d, -1)[:, :, :rgt, :lft] = fused
+        if k < plan.m_in:  # (output, input, right, left)
+            yield q.reshape(b[k + 1], 2, b[k], 2).transpose(1, 3, 0, 2).reshape(4, b[k + 1], b[k])
         else:
-            t = np.zeros((2, d, d), dtype=np.complex128)
-            t[:, :rgt, : q.shape[1]] = q.reshape(rgt, 2, -1).transpose(1, 0, 2)
-        yield t
+            yield q.reshape(b[k + 1], 2, b[k]).transpose(1, 0, 2)
 
 
 def _difference_chain(plan: SequentialPlan, target: Mps) -> list[np.ndarray]:
-    """The chain of ``(|0>_ancilla (x) U) - P`` in the :mod:`~seqdecomp.mps`
-    layout: the :func:`~seqdecomp.mps.direct_sum` of the target's chain U
-    and the plan's chain P (:func:`_plan_chain`), with P negated at its
-    first site.  The bond is U's plus the ancilla.  The last right bond is
-    P's, the open ancilla, and U's last bond sits on its state 0.
+    """The chain of ``U - P`` in the :mod:`~seqdecomp.mps` layout: the
+    :func:`~seqdecomp.mps.direct_sum` of the target's chain U and the
+    plan's chain P (:func:`_plan_chain`), with P negated at its first site.
+    Each interior bond is U's plus P's; both boundary bonds are 1.
 
     U's ``norm`` is shared evenly by its sites.  That gives each factor of
     a ``product`` back its own scale, so the errors follow the rounding of
@@ -413,57 +354,54 @@ def _difference_chain(plan: SequentialPlan, target: Mps) -> list[np.ndarray]:
 #: Arrays of one site's products that the memory guard of
 #: :func:`_sweep_errors` counts: the products, their reordered copy and
 #: LAPACK's copy of that (``tracemalloc`` measured 1.7 of them on a
-#: 10-factor product, and 3.2 with the chain itself on ``cloner:8``).
+#: 10-factor product, and 3.1 with the chain itself on ``cloner:8``).
 _SWEEP_COPIES = 3
 
 
-def _sweep_errors(plan: SequentialPlan, target: Mps) -> tuple[float, float]:
-    """Worst error and decoupling residual over the basis inputs, from one
-    :func:`~seqdecomp.mps._column_norms` sweep of the difference chain: the
-    error of an input is the norm of its column, the residual the norm of
-    the part of it on ancilla states other than 0."""
+def _sweep_errors(plan: SequentialPlan, target: Mps) -> float:
+    """Worst error over the basis inputs, the largest column norm of the
+    difference chain, from one :func:`~seqdecomp.mps._column_norms` sweep."""
     from . import mps
 
-    d, m = plan.ancilla_dim, plan.m_in
     sites = _difference_chain(plan, target)
     bond = max(t.shape[1] for t in sites)
-    # the chain, and for both heads and every input one site's products,
-    # at most 2 * bond x bond entries each
-    need = 16 * (sum(t.size for t in sites) + _SWEEP_COPIES * 2 ** (m + 1) * 2 * bond**2)
-    _require_fits("plan verification", f"the sweep of {2**m} inputs at bond {bond}", need)
-    heads = np.stack([np.eye(d), np.diag(np.arange(d) > 0)])  # the whole ancilla; states 1..
-    errors, decoupling = mps._column_norms(sites, heads)
-    return float(errors.max()), float(decoupling.max())
+    # the chain, and for every input one site's products, at most
+    # 2 * bond x bond entries each
+    need = 16 * (sum(t.size for t in sites) + _SWEEP_COPIES * 2**plan.m_in * 2 * bond**2)
+    _require_fits("plan verification", f"the sweep of {2**plan.m_in} inputs at bond {bond}", need)
+    return float(mps._column_norms(sites).max())
 
 
-def _walk_errors(plan: SequentialPlan, u: Isometry) -> tuple[float, float]:
-    """Worst error and decoupling residual over the basis inputs, from the
-    plan's rows walked beside the same rows of the dense target."""
+def _walk_errors(plan: SequentialPlan, u: Isometry) -> float:
+    """Worst error over the basis inputs, from the plan's rows walked beside
+    the same rows of the dense target."""
     from . import mps
 
-    d, m, n = plan.ancilla_dim, u.m_in, u.n_out
-    width = 2**m * d  # entries of one row of a block
-    rows = 2 ** min(n, max(0, (_VERIFY_ENTRIES // width).bit_length() - 1))
-    # the target, and in its matrices, rounded up, the blocks held at once,
-    # each with the input of the product that finishes it, and the sites
-    # that the walk arranges, about half of each step after the inputs
-    arranged = sum(4 * d * d if k < m else 2 * d * d for k in range(1, n)) + 4 * d
-    held = 3 * rows * width // 2 + arranged
+    m, n = u.m_in, u.n_out
+    # entries of two rows of a block, whose last bond is 1, and of the row
+    # of the input of the product that finishes them, at bond b[n - 1]; no
+    # other product of the walk holds more
+    pair = 2 * 2**m + 2 ** min(m, n - 1) * plan.bond_dims[-2]
+    rows = 2 ** min(n, max(0, (2 * _VERIFY_ENTRIES // pair).bit_length() - 1))
+    # the target, and in its matrices, rounded up, a block with the input of
+    # the product that finishes it, and the sites that the walk arranges, as
+    # many entries as the blocks of the plan
+    held = rows * pair // 2 + sum(q.size for q in plan.blocks)
     _require_dense_fits("plan verification", m, n, 1 + -(-held // 2 ** (n + m)))
     inputs = [2] * m
     walk = u.matrix.reshape(-1, *inputs).T  # (last input .. first input, row)
     targets = (walk[..., r : r + rows] for r in range(0, 2**n, rows))
-    # per basis input, in the walk's order, the squared error of the chain
-    # state and the squared norm of the ancilla components that failed to
-    # decouple
-    state_sq, decouple_sq = np.zeros(2**m), np.zeros(2**m)
+    # per basis input, in the walk's order, the squared error of the chain state
+    error_sq = np.zeros(2**m)
     for block in mps._row_blocks(_plan_chain(plan), rows):
-        error = block.reshape(*inputs, -1, d)[..., 0]
-        np.subtract(error, next(targets).reshape(error.shape), out=error)
-        state_sq += _squared_norms(block[:, :, :1])
-        decouple_sq += _squared_norms(block[:, :, 1:])
+        error = block.reshape(*inputs, -1)
+        error -= next(targets)
+        error = error.reshape(len(error_sq), -1)
+        error_sq += np.einsum("ir,ir->i", error.real, error.real) + np.einsum(
+            "ir,ir->i", error.imag, error.imag
+        )
         del block, error  # so that the next blocks are contracted without these
-    return math.sqrt(float((state_sq + decouple_sq).max())), math.sqrt(float(decouple_sq.max()))
+    return math.sqrt(float(error_sq.max()))
 
 
 def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
@@ -477,9 +415,9 @@ def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
     a chain by :func:`_plan_chain`, is contracted by
     :func:`~seqdecomp.mps._row_blocks`, and each block is compared with
     the same rows of ``u.matrix`` before the next is contracted.  A block
-    has as many rows as fit in :data:`_VERIFY_ENTRIES` entries, and at
-    least one, so the blocks held beside the target stay near 1.5 budgets
-    however large the ancilla.  Linearity makes basis coverage sufficient:
+    has as many rows as fit, twice over, in :data:`_VERIFY_ENTRIES`
+    entries, and at least one, so the states held beside the target stay
+    within one budget however large the ancilla.  Linearity makes basis coverage sufficient:
     the reported ``operator_norm_bound`` scales the worst basis error by
     ``sqrt(2**m_in)`` to bound the error over all inputs.  A verification
     that would not fit in physical memory is refused before it starts.
@@ -489,14 +427,9 @@ def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
             f"plan is {plan.m_in}->{plan.n_out} but operator is "
             f"{u.m_in}->{u.n_out}"
         )
-    if u.chain is None:
-        max_error, max_decoupling = _walk_errors(plan, u)
-    else:
-        max_error, max_decoupling = _sweep_errors(plan, u.chain)
+    max_error = _walk_errors(plan, u) if u.chain is None else _sweep_errors(plan, u.chain)
     return PlanVerification(
-        max_error=max_error,
-        max_decoupling_residual=max_decoupling,
-        operator_norm_bound=max_error * math.sqrt(2**u.m_in),
+        max_error=max_error, operator_norm_bound=max_error * math.sqrt(2**u.m_in)
     )
 
 

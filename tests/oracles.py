@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from seqdecomp import ContractViolationError, Isometry, Mps, NumericFailureError
+from seqdecomp import ContractViolationError, Isometry, Mps, NumericFailureError, SequentialPlan
 from seqdecomp.linalg import ISOMETRY_TOL, as_matrix, dagger, isometry_residual, svd
 
 
@@ -485,6 +485,15 @@ def simulate_full_state(plan, amps) -> tuple[np.ndarray, float]:
     block = final[0]
     block_norm = float(np.linalg.norm(block))
     return (block / block_norm if block_norm > 0.0 else block), float(np.linalg.norm(final[1:]))
+
+
+def corrupted(plan, k: int, rng) -> SequentialPlan:
+    """``plan`` with block ``k`` replaced by the first columns of a Haar
+    unitary, in the block's shape (:func:`haar_columns_full`): a plan whose
+    chain still closes at bond 1 but no longer reproduces its operator."""
+    blocks = list(plan.blocks)
+    blocks[k] = haar_columns_full(*blocks[k].shape, rng)
+    return SequentialPlan(plan.ancilla_dim, plan.m_in, tuple(blocks), plan.bond_dims)
 
 
 def open_chain_rows_loops(tensors, norm=1.0) -> np.ndarray:

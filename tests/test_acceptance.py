@@ -77,8 +77,7 @@ def test_criterion_2_shor_encoder():
         for j in range(2):
             amps = np.zeros(2, dtype=complex)
             amps[j] = 1.0
-            _, residual = simulate(plan, amps)
-            assert residual < 1e-10
+            assert np.linalg.norm(simulate(plan, amps) - u.matrix[:, j]) < 1e-10
         assert time.monotonic() - start < 5.0
 
 
@@ -93,8 +92,7 @@ def test_criterion_3_cloners():
                 if source == "constructed":
                     psi = u.matrix[:, 0]
                 else:
-                    psi, residual = simulate(plan, np.array([1.0, 0.0]))
-                    assert residual < 1e-10
+                    psi = simulate(plan, np.array([1.0, 0.0]))
                 rhos = [reduced_rho_loops(psi, 2 * n - 1, s) for s in range(n)]
                 for rho in rhos[1:]:
                     assert np.max(np.abs(rho - rhos[0])) < 1e-10

@@ -14,7 +14,6 @@ from seqdecomp import (
     ContractViolationError,
     Isometry,
     Mps,
-    SequentialPlan,
     build_plan,
     canonicalize,
     check_canonical,
@@ -30,11 +29,12 @@ from seqdecomp import (
     state_to_mps,
     verify_plan,
 )
-from seqdecomp import cli, mps
+from seqdecomp import cli, formats, mps
 from seqdecomp.linalg import ISOMETRY_TOL
 
 from oracles import (
     contract_state,
+    corrupted,
     gauge_inflate,
     gauge_residual,
     open_chain_rows_loops,
@@ -108,7 +108,7 @@ def test_simulation_matches_the_operator_within_the_verified_bound(kind, size, s
     plan = build_plan(u)
     z = rng.standard_normal(2**u.m_in) + 1j * rng.standard_normal(2**u.m_in)
     psi = z / np.linalg.norm(z)
-    state, _ = simulate(plan, psi)
+    state = simulate(plan, psi)
     bound = verify_plan(plan, u).operator_norm_bound
     assert np.linalg.norm(state - u.matrix @ psi) <= bound + 1e-12
 
@@ -121,10 +121,10 @@ def test_simulation_matches_the_operator_within_the_verified_bound(kind, size, s
 )
 def test_the_growing_chain_agrees_with_the_full_state_reference(kind, data, seed):
     # verify_plan contracts the chain with open input legs and simulate pushes
-    # one amplitude vector through it; the reference runs every step on the
-    # full-size state, one identity column per basis input.  A Haar unitary
-    # in place of one step, the first included, leaves a plan that does not
-    # decouple, and that reaches the ancilla states step 1 starts outside
+    # one amplitude vector through it; the reference runs every completed
+    # step on the full-size state, one identity column per basis input.
+    # Haar columns in place of one block, the first included, leave a plan
+    # that does not reproduce its operator
     rng = np.random.default_rng(seed)
     if kind == "isometry":
         u = random_isometry(1, data.draw(st.integers(1, 8), label="n"), seed)
@@ -138,21 +138,46 @@ def test_the_growing_chain_agrees_with_the_full_state_reference(kind, data, seed
     else:
         u = gisin_massar_cloner(data.draw(st.integers(2, 4), label="n"))
     plan = build_plan(u)
-    k = data.draw(st.none() | st.integers(0, plan.n_out - 1), label="replaced step")
+    k = data.draw(st.none() | st.integers(0, plan.n_out - 1), label="replaced block")
     if k is not None:
-        steps = list(plan.steps)
-        steps[k] = haar_unitary(2 * plan.ancilla_dim, rng)
-        plan = SequentialPlan(plan.ancilla_dim, plan.m_in, tuple(steps), plan.bond_dims)
+        plan = corrupted(plan, k, rng)
     verification = verify_plan(plan, u)
-    max_error, max_decouple = verify_plan_loops(plan, u)
-    assert abs(verification.max_error - max_error) <= 1e-14
-    assert abs(verification.max_decoupling_residual - max_decouple) <= 1e-14
+    assert abs(verification.max_error - verify_plan_loops(plan, u)[0]) <= 1e-14
     z = rng.standard_normal(2**u.m_in) + 1j * rng.standard_normal(2**u.m_in)
     psi = z / np.linalg.norm(z)
-    state, residual = simulate(plan, psi)
-    want_state, want_residual = simulate_full_state(plan, psi)
-    assert np.max(np.abs(state - want_state)) <= 1e-14
-    assert abs(residual - want_residual) <= 1e-14
+    assert np.max(np.abs(simulate(plan, psi) - simulate_full_state(plan, psi)[0])) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["shor", "ghz", "cloner", "random", "product"]),
+    source=st.sampled_from(["built", "file", "corrupted"]),
+    data=st.data(),
+    seed=SEEDS,
+)
+def test_every_plan_decouples_in_the_full_state_reference(kind, source, data, seed):
+    # a plan's chain closes at bond 1, so the ancilla returns to |0> on every
+    # basis input, which the reference sees on the completed steps; no
+    # library call measures that any more
+    rng = np.random.default_rng(seed)
+    if kind == "shor":
+        u = shor_encoder()
+    elif kind == "ghz":
+        u = ghz_isometry(data.draw(st.integers(1, 8), label="n"))
+    elif kind == "cloner":
+        u = gisin_massar_cloner(data.draw(st.integers(1, 4), label="n"))
+    elif kind == "random":
+        u = random_isometry(1, data.draw(st.integers(1, 8), label="n"), seed)
+    else:
+        n = data.draw(st.integers(1, 6), label="factors")
+        u = product_unitary([haar_unitary(2, rng) for _ in range(n)])
+    plan = build_plan(u)
+    if source == "file":
+        doc = formats.plan_to_doc(plan, verify_plan(plan, u))
+        plan = formats.doc_to_plan(formats.parse_document(formats.dumps(doc), "plan"))
+    elif source == "corrupted":
+        plan = corrupted(plan, data.draw(st.integers(0, plan.n_out - 1), label="block"), rng)
+    assert verify_plan_loops(plan, u)[1] <= 1e-14
 
 
 def _state_on_sites(dims, max_bond, rng):

@@ -39,6 +39,7 @@ from seqdecomp.mps import canonical_chain
 from seqdecomp.sequencer import _criterion
 
 from oracles import (
+    corrupted,
     eager_plan_steps,
     gauge_inflate,
     operator_cut_ranks,
@@ -151,9 +152,14 @@ def test_plan_steps_are_unitary():
 
 
 def test_plan_validation_rejects_non_unitary_step():
+    # at ancilla 1 the block of a one-qubit plan is its whole step
     plan = build_plan(identity_isometry())
-    with pytest.raises(ContractViolationError, match="unitary"):
+    with pytest.raises(ContractViolationError, match=r"blocks\[0\]: columns are not orthonormal"):
         SequentialPlan(1, 1, (np.ones((2, 2), dtype=complex),), plan.bond_dims)
+    with pytest.raises(ContractViolationError, match=r"blocks\[0\]: shape \(2, 1\), expected \(2, 2\)"):
+        SequentialPlan(1, 1, (np.eye(2, 1, dtype=complex),), plan.bond_dims)
+    with pytest.raises(ContractViolationError, match="not orthonormal: residual nan"):
+        SequentialPlan(1, 1, (np.full((2, 2), np.nan, dtype=complex),), plan.bond_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -206,45 +212,29 @@ def test_a_plan_is_held_as_its_blocks_and_completes_the_eager_steps(case):
     assert all(not step.flags.writeable for step in plan.steps + plan.blocks)
 
 
-def test_a_plan_given_its_steps_holds_the_columns_the_chain_reaches():
-    # step 1's first two columns, the whole of a later input step, and the
-    # even columns of a step after the inputs
-    plan = build_plan(ghz_isometry(4))  # one input site
-    given = SequentialPlan(plan.ancilla_dim, plan.m_in, plan.steps, plan.bond_dims)
-    assert given.steps[0][:, :2].tobytes() == given.blocks[0].tobytes()
-    for step, block in zip(given.steps[1:], given.blocks[1:], strict=True):
-        assert step[:, ::2].tobytes() == block.tobytes()
-    product = build_plan(haar_product(2, seed=3))  # two input sites at ancilla 1
-    given = SequentialPlan(1, 2, product.steps, product.bond_dims)
-    assert [q.tobytes() for q in given.blocks] == [q.tobytes() for q in product.steps]
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
 
 def test_identity_plan_simulation():
     plan = build_plan(identity_isometry())
-    state, residual = simulate(plan, np.array([0.0, 1.0]))
+    state = simulate(plan, np.array([0.0, 1.0]))
     assert np.allclose(state, [0.0, 1.0])
-    assert residual == 0.0
 
 
 def test_shor_plan_on_plus_state():
     plan = build_plan(shor_encoder())
-    state, residual = simulate(plan, np.array([1.0, 1.0]) / math.sqrt(2.0))
+    state = simulate(plan, np.array([1.0, 1.0]) / math.sqrt(2.0))
     gp, gm = ghz_state(3, +1), ghz_state(3, -1)
     target = (
         np.kron(np.kron(gp, gp), gp) + np.kron(np.kron(gm, gm), gm)
     ) / math.sqrt(2.0)
-    assert residual < 1e-10
     assert np.linalg.norm(state - target) < 1e-10
 
 
 def test_cloner_plan_reduced_state():
     plan = build_plan(gisin_massar_cloner(2))
-    state, residual = simulate(plan, np.array([1.0, 0.0]))
-    assert residual < 1e-10
+    state = simulate(plan, np.array([1.0, 0.0]))
     for site in range(2):  # both clones
         rho = reduced_rho_loops(state, 3, site)
         assert np.allclose(rho, np.diag([5.0 / 6.0, 1.0 / 6.0]), atol=1e-10)
@@ -266,17 +256,13 @@ def test_verify_shor_plan():
     u = shor_encoder()
     verification = verify_plan(build_plan(u), u)
     assert verification.max_error < 1e-10
-    assert verification.max_decoupling_residual < 1e-10
     assert verification.operator_norm_bound < 1e-9
 
 
 def test_verify_detects_corrupted_step():
     u = shor_encoder()
-    plan = build_plan(u)
-    steps = list(plan.steps)
-    steps[4] = np.eye(8, dtype=complex)
-    corrupted = SequentialPlan(plan.ancilla_dim, plan.m_in, tuple(steps), plan.bond_dims)
-    assert verify_plan(corrupted, u).max_error >= 0.5
+    plan = corrupted(build_plan(u), 4, np.random.default_rng(4))
+    assert verify_plan(plan, u).max_error >= 0.5
 
 
 def test_verify_identity_plan_is_exact():
@@ -314,10 +300,11 @@ def test_verify_blocks_tile_the_target_exactly_once(make, budget, monkeypatch):
     # one walk, the plan's, beside views of the dense target
     [shapes] = walks
     inputs, rows, bond = shapes[0]
-    assert inputs == 2**u.m_in and bond == plan.ancilla_dim
+    assert inputs == 2**u.m_in and bond == 1
     assert shapes == [shapes[0]] * (2**u.n_out // rows)
-    # the blocks held at once fit the budget, or are one row each
-    width = inputs * bond
+    # a block and the input of the product that finishes it, half as many
+    # rows at the last bond but one, fit the budget, or the block is one row
+    width = inputs + 2 ** min(u.m_in, u.n_out - 1) * plan.bond_dims[-2] // 2
     assert rows * width <= max(budget, width)
     assert rows == 2**u.n_out or 2 * rows * width > budget
 
@@ -331,7 +318,7 @@ def held_as_chain(u):
 
 def test_verify_of_a_chain_target_walks_no_rows(monkeypatch):
     # a 10-factor product under 1 MiB of memory, a sixteenth of its dense
-    # matrix: the sweep needs 0.79 MB, and forms no row of either operator
+    # matrix: the sweep needs 0.40 MB, and forms no row of either operator
     u = haar_product(10, seed=18)
     plan = build_plan(u)
 
@@ -346,19 +333,19 @@ def test_verify_of_a_chain_target_walks_no_rows(monkeypatch):
     assert "matrix" not in vars(u)
 
 
-@pytest.mark.parametrize("memory, refused", [(6655, True), (6656, False)])
+@pytest.mark.parametrize("memory, refused", [(3583, True), (3584, False)])
 def test_verify_of_a_chain_operator_counts_its_sweep(memory, refused, monkeypatch):
     # a 3-factor product and its ancilla-1 plan make a difference chain of
     # bond 2 whose sites hold 8 + 16 + 8 entries; the sweep counts 3 arrays
-    # of 2 * 2 x 2 entries for each of 2 heads x 8 inputs: 416 entries of
-    # 16 bytes, where the dense matrix would be 1024 bytes
+    # of 2 * 2 x 2 entries for each of 8 inputs: 224 entries of 16 bytes,
+    # where the dense matrix would be 1024 bytes
     rng = np.random.default_rng(19)
     u = product_unitary([haar_unitary(2, rng) for _ in range(3)])
     plan = build_plan(u)
     sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
     if refused:
-        with pytest.raises(ContractViolationError, match="sweep of 8 inputs at bond 2 needs 6656 bytes"):
+        with pytest.raises(ContractViolationError, match="sweep of 8 inputs at bond 2 needs 3584 bytes"):
             verify_plan(plan, u)
     else:
         assert verify_plan(plan, u).max_error < 1e-12
@@ -368,7 +355,7 @@ def test_verify_of_a_chain_operator_counts_its_sweep(memory, refused, monkeypatc
 def test_verify_refuses_a_working_set_larger_than_memory(memory, refused, monkeypatch):
     # a 3 -> 3 matrix is 1024 bytes; at ancilla 1 the whole operator is one
     # block, so verification holds the target and, rounded up to 2 matrices,
-    # the block, the input of the product that finishes it (1.5) and the
+    # the block, the input of the product that finishes it (1.25) and the
     # walk's arranged sites (0.19): 3 matrices
     rng = np.random.default_rng(19)
     u = Isometry(3, 3, product_unitary([haar_unitary(2, rng) for _ in range(3)]).matrix)
@@ -389,10 +376,11 @@ def test_verify_refuses_a_working_set_larger_than_memory(memory, refused, monkey
 
 @pytest.mark.parametrize("spare", [-1, 0])
 def test_verify_counts_its_blocks_not_the_ancilla(spare, monkeypatch):
-    # cloner:8 is 1 -> 15, 2**20 bytes, with ancilla 16; a block of 2**11
-    # rows, 2**16 entries, is one matrix, so verification counts the target
-    # and, rounded up, 1.5 blocks and the walk's arranged sites (0.11): 3
-    # matrices, where the whole operator made 25
+    # cloner:8 is 1 -> 15, 2**20 bytes, with ancilla 16; a block of 2**14
+    # rows and the input of the product that finishes it, 2**16 entries, are
+    # one matrix, so verification counts the target and, rounded up, those
+    # and the walk's arranged sites (0.09): 3 matrices, where the whole
+    # operator made 25
     u = gisin_massar_cloner(8)
     plan = build_plan(u)
     need = 3 * 2**20
@@ -412,8 +400,7 @@ def test_verify_keeps_the_open_input_legs_in_order():
     u = product_unitary([haar_unitary(2, rng) for _ in range(3)])
     plan = build_plan(u)
     assert verify_plan(plan, u).max_error <= 1e-14
-    steps = (plan.steps[2], plan.steps[1], plan.steps[0])
-    swapped = SequentialPlan(plan.ancilla_dim, plan.m_in, steps, plan.bond_dims)
+    swapped = SequentialPlan(plan.ancilla_dim, plan.m_in, plan.blocks[::-1], plan.bond_dims)
     max_error = verify_plan(swapped, u).max_error
     assert max_error >= 0.5
     assert max_error == pytest.approx(verify_plan_loops(swapped, u)[0], abs=1e-14)
@@ -423,14 +410,10 @@ def test_verify_detects_a_corrupted_middle_step_of_a_one_to_n_plan():
     u = random_isometry(1, 6, seed=12)
     plan = build_plan(u)
     assert verify_plan(plan, u).max_error <= 1e-14
-    steps = list(plan.steps)
-    steps[3] = haar_unitary(len(steps[3]), np.random.default_rng(12))
-    corrupted = SequentialPlan(plan.ancilla_dim, plan.m_in, tuple(steps), plan.bond_dims)
-    verification = verify_plan(corrupted, u)
+    plan = corrupted(plan, 3, np.random.default_rng(12))
+    verification = verify_plan(plan, u)
     assert verification.max_error >= 0.5
-    max_error, max_decouple = verify_plan_loops(corrupted, u)
-    assert verification.max_error == pytest.approx(max_error, abs=1e-14)
-    assert verification.max_decoupling_residual == pytest.approx(max_decouple, abs=1e-14)
+    assert verification.max_error == pytest.approx(verify_plan_loops(plan, u)[0], abs=1e-14)
 
 
 def planned(u):
@@ -438,10 +421,9 @@ def planned(u):
 
 
 def corrupted_shor_plan():
-    # a last step that neither decouples the ancilla nor reproduces the state
+    # a last block that does not reproduce the state
     plan, u = planned(shor_encoder())
-    steps = plan.steps[:-1] + (haar_unitary(8, np.random.default_rng(8)),)
-    return SequentialPlan(plan.ancilla_dim, plan.m_in, steps, plan.bond_dims), u
+    return corrupted(plan, 8, np.random.default_rng(8)), u
 
 
 @pytest.mark.parametrize(
@@ -458,12 +440,10 @@ def corrupted_shor_plan():
 def test_verify_agrees_with_the_column_loop(make):
     plan, u = make()
     verification = verify_plan(plan, u)
-    max_error, max_decouple = verify_plan_loops(plan, u)
     # a target held as a chain is compared through the difference chain,
     # whose sweep rounds apart from the column loop by up to 1.6e-15
     tol = 1e-15 if u.chain is None else 1e-14
-    assert abs(verification.max_error - max_error) <= tol
-    assert abs(verification.max_decoupling_residual - max_decouple) <= tol
+    assert abs(verification.max_error - verify_plan_loops(plan, u)[0]) <= tol
 
 
 @settings(max_examples=25, deadline=None)
@@ -478,26 +458,16 @@ def test_verify_agrees_with_the_column_loop(make):
 )
 def test_verify_matches_the_whole_operator_oracle(n, product, corrupt, budget, seed):
     # m = n for a product of Haar factors, m = 1 for a Haar isometry; a draw
-    # of corrupt < n replaces that step by a Haar unitary
+    # of corrupt < n replaces that block by Haar columns
     u = haar_product(n, seed) if product else random_isometry(1, n, seed)
     plan = build_plan(u)
     if corrupt < n:
-        steps = list(plan.steps)
-        steps[corrupt] = haar_unitary(len(steps[corrupt]), np.random.default_rng(seed))
-        plan = SequentialPlan(plan.ancilla_dim, plan.m_in, tuple(steps), plan.bond_dims)
+        plan = corrupted(plan, corrupt, np.random.default_rng(seed))
     with mock.patch.object(sequencer, "_VERIFY_ENTRIES", budget):
         verification = verify_plan(plan, u)
-    max_error, max_decouple = verify_plan_one_shot(plan, u)
+    max_error = verify_plan_one_shot(plan, u)[0]
     assert abs(verification.max_error - max_error) <= 1e-14
-    assert abs(verification.max_decoupling_residual - max_decouple) <= 1e-14
     assert verification.operator_norm_bound == verification.max_error * math.sqrt(2**u.m_in)
-
-
-def corrupted(plan, k, seed):
-    """``plan`` with step ``k`` replaced by a Haar unitary."""
-    steps = list(plan.steps)
-    steps[k] = haar_unitary(len(steps[k]), np.random.default_rng(seed))
-    return SequentialPlan(plan.ancilla_dim, plan.m_in, tuple(steps), plan.bond_dims)
 
 
 @settings(max_examples=40, deadline=None)
@@ -511,18 +481,17 @@ def corrupted(plan, k, seed):
 )
 def test_the_sweep_matches_the_dense_oracle(n, chain, corrupt, seed):
     # a product of n Haar factors (ancilla 1), or a Haar 1 -> n isometry held
-    # as its canonical chain (ancilla up to 2**(n // 2), so the decoupling
-    # residual is measured too); a draw of corrupt < n replaces that step
+    # as its canonical chain (ancilla up to 2**(n // 2)); a draw of
+    # corrupt < n replaces that block
     u = held_as_chain(random_isometry(1, n, seed)) if chain else haar_product(n, seed)
     plan = build_plan(u)
     if corrupt < n:
-        plan = corrupted(plan, corrupt, seed)
+        plan = corrupted(plan, corrupt, np.random.default_rng(seed))
     verification = verify_plan(plan, u)
-    max_error, max_decouple = verify_plan_one_shot(plan, u)
+    max_error = verify_plan_one_shot(plan, u)[0]
     bound = max_error * math.sqrt(2**u.m_in)
-    swept = (verification.max_error, verification.max_decoupling_residual,
-             verification.operator_norm_bound)
-    for got, want in zip(swept, (max_error, max_decouple, bound)):
+    swept = (verification.max_error, verification.operator_norm_bound)
+    for got, want in zip(swept, (max_error, bound)):
         if corrupt < n:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
         else:
@@ -646,7 +615,6 @@ def test_soundness_plans_reproduce_their_operators():
         plan = build_plan(u)
         verification = verify_plan(plan, u)
         assert verification.max_error < 1e-9
-        assert verification.max_decoupling_residual < 1e-10
 
 
 def test_verdict_equals_rank_one_witness_on_square_unitaries():
