@@ -20,7 +20,7 @@ from .errors import ContractViolationError, NumericFailureError
 RANK_TOL = 1e-10
 
 #: Gram residual ``||q† q - I||`` above which columns no longer count as
-#: orthonormal: operator matrices, loaded step unitaries, completion inputs,
+#: orthonormal: operator matrices, the blocks of a plan, completion inputs,
 #: the canonical form's conditions and the sequentiality criterion.  Also the
 #: 2-norm slack of a state that must be normalized.
 ISOMETRY_TOL = 1e-10
@@ -36,12 +36,13 @@ def _require_fits(name: str, what: str, need: int) -> None:
         )
 
 
-def _require_dense_fits(name: str, m_in: int, n_out: int, copies: int = 1) -> None:
+def _require_dense_fits(name: str, m_in: int, n_out: int, copies: int = 1, spare: int = 0) -> None:
     """:func:`_require_fits` for ``copies`` dense ``m_in -> n_out`` matrices
-    of ``16 * 2**(n_out + m_in)`` bytes each."""
+    of ``16 * 2**(n_out + m_in)`` bytes each, and ``spare`` bytes more."""
     times = f" x {copies}" if copies > 1 else ""
-    what = f"the dense {m_in} -> {n_out} matrix{times}"
-    _require_fits(name, what, copies * 16 * 2 ** (n_out + m_in))
+    more = f" and {spare} bytes" if spare else ""
+    what = f"the dense {m_in} -> {n_out} matrix{times}{more}"
+    _require_fits(name, what, copies * 16 * 2 ** (n_out + m_in) + spare)
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:

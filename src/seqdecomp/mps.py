@@ -62,10 +62,9 @@ held as its bond-1 chain, one fused 4-vector per factor, and
 :func:`canonical_chain`, the one canonicalization of each request, takes
 it through :func:`canonicalize`; a dense operator goes through
 :func:`operator_to_mps`.  An operator chain, such as a plan, is
-contracted a block of rows at a time by one depth-first walk that
-contracts each row prefix once (:func:`_row_blocks`), and the norms of its
-columns come from one sweep of R factors that forms no row
-(:func:`_column_norms`).  The sum of two chains is one chain, their
+contracted to all its rows at once, one product a site (:func:`_rows`),
+and the norms of its columns come from one sweep of R factors that forms
+no row (:func:`_column_norms`).  The sum of two chains is one chain, their
 :func:`direct_sum`; the difference chain that compares a plan with a
 target held as a chain is built by it.
 """
@@ -250,60 +249,37 @@ def direct_sum(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> list[np.ndar
 
 def contract_operator(op: Mps) -> np.ndarray:
     """Dense ``(2**n_sites, 2**m_in)`` matrix represented by an operator
-    chain: all its rows as one block of :func:`_row_blocks`."""
-    block = next(_row_blocks(op.tensors, 2**op.n_sites, op.norm))
-    # the block's inputs run from the last input site to the first
-    return block.reshape([2] * (len(block).bit_length() - 1) + [-1]).T.reshape(2**op.n_sites, -1)
+    chain: its rows (:func:`_rows`), with the inputs put in site order."""
+    rows = _rows(op.tensors, op.norm)
+    return rows.reshape([2] * op.m_in + [-1]).T.reshape(2**op.n_sites, -1)
 
 
-def _grow(x: np.ndarray, legs: np.ndarray) -> np.ndarray:
-    """States ``x``, indexed (input, row prefix, left bond), one site on, in
-    one product with the site's ``legs`` as :func:`_row_blocks` arranges
-    them: its input becomes the most significant, its output the least
-    significant bit of each prefix."""
-    out = np.matmul(x.reshape(1, -1, x.shape[2]), legs)  # (input', input x prefix, output x right)
-    return out.reshape(-1, 2 * x.shape[1], legs.shape[2] // 2)
-
-
-def _row_blocks(tensors, rows: int, norm: float = 1.0):
-    """The rows of a qubit chain whose last bond is left open, ``rows`` at a time.
+def _rows(tensors, norm: float = 1.0) -> np.ndarray:
+    """Every row of a qubit chain whose last bond is left open, indexed
+    (input, row, right bond).
 
     ``tensors`` are in the module's layout with a first left bond of 1; a
     site of physical dimension 4 carries an input leg (fused index 2 *
-    output + input).  The returned generator yields the consecutive blocks
-    of ``rows`` rows, a power of two, each indexed (input, row, right
-    bond), with the inputs running from the last input site, the most
-    significant, to the first.  The prefixes above the blocks are walked
-    depth first, one :func:`_grow` making both children of each; below, a
-    block's prefixes grow together, one :func:`_grow` a site.  So each
-    prefix is contracted once.  Each site is arranged once per walk.
+    output + input).  One product a site, with the site arranged only for
+    it: its input becomes the most significant, so the inputs run from the
+    last input site to the first, and its output the least significant bit
+    of each row.
     """
-    legs = []
+    x = np.full((1, 1, 1), norm, dtype=np.complex128)  # (input, row prefix, bond)
     for t in tensors:
         d, rgt, lft = t.shape
-        site = t.reshape(2, d // 2, rgt, lft).transpose(1, 3, 0, 2)
-        legs.append(site.reshape(d // 2, lft, 2 * rgt))  # (input, left, output x right)
-    split = len(legs) - rows.bit_length() + 1  # the sites walked one prefix at a time
-
-    def walk(x, k):
-        if k < split:
-            both = _grow(x, legs[k])
-            for output in range(2):
-                yield from walk(both[:, output : output + 1], k + 1)
-        else:
-            for site in legs[k:]:
-                x = _grow(x, site)
-            yield x
-
-    return walk(np.full((1, 1, 1), norm, dtype=np.complex128), 0)
+        legs = t.reshape(2, d // 2, rgt, lft).transpose(1, 3, 0, 2)  # (input, left, output, right)
+        out = np.matmul(x.reshape(1, -1, lft), legs.reshape(d // 2, lft, 2 * rgt))
+        x = out.reshape(-1, 2 * x.shape[1], rgt)
+    return x
 
 
 def _column_norms(tensors) -> np.ndarray:
     """The 2-norm of every input column of a qubit chain whose bonds at
     both ends are 1.
 
-    ``tensors`` are as for :func:`_row_blocks`.  Returns one norm per
-    input, the inputs ordered as :func:`_row_blocks` orders them.
+    ``tensors`` are as for :func:`_rows`.  Returns one norm per input, the
+    inputs ordered as :func:`_rows` orders them.
 
     One right-to-left sweep.  The sites right of a bond act on it as a
     matrix X, of which only an R factor is kept, with X's Gram matrix.

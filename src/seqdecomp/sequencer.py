@@ -42,10 +42,9 @@ contracts the chain with one input state.  :func:`verify_plan` compares
 a target held as a chain, such as a ``product``, chain to chain: the
 difference of the two is one chain, the :func:`~seqdecomp.mps.direct_sum`
 of the target and the negated plan, whose column norms, the errors of all
-basis inputs, one sweep of R factors gives.  A dense target is compared a
-block of rows at a time: the plan is contracted by a depth-first walk over
-its row prefixes and each block is compared with the same rows of the
-target before the next, so the plan's operator is never held whole.
+basis inputs, one sweep of R factors gives.  A dense target is compared
+with all the plan's rows at once, from one contraction of the chain: no
+state of the chain is larger than the target.
 """
 
 from __future__ import annotations
@@ -312,11 +311,6 @@ def simulate(plan: SequentialPlan, input_state) -> np.ndarray:
     return state / np.linalg.norm(state)
 
 
-#: Most entries that :func:`verify_plan` holds at once in a block of rows
-#: and the input of the product that finishes it.
-_VERIFY_ENTRIES = 2**16
-
-
 def _plan_chain(plan: SequentialPlan):
     """The plan's site tensors, one at a time, as an operator chain in the
     :mod:`~seqdecomp.mps` layout at the plan's own bonds: each block as
@@ -372,35 +366,34 @@ def _sweep_errors(plan: SequentialPlan, target: Mps) -> float:
     return float(mps._column_norms(sites).max())
 
 
-def _walk_errors(plan: SequentialPlan, u: Isometry) -> float:
-    """Worst error over the basis inputs, from the plan's rows walked beside
-    the same rows of the dense target."""
+#: Dense matrices that :func:`verify_plan` holds for a dense target: the
+#: target and the two states of one site's product.  Orthonormal blocks have
+#: ``b[k] <= b[k + 1]`` at an input site and ``b[k] <= 2 * b[k + 1]`` after,
+#: so no state, ``2**min(k, m_in) * 2**k * b[k]`` entries, outgrows the target.
+_VERIFY_COPIES = 3
+
+#: Bytes that :func:`verify_plan` holds beside its matrices and blocks, for
+#: a dense target: array headers and buffers, which ``tracemalloc``
+#: measured at up to 1.8 kB on targets of 64 bytes to 16 MiB.
+_VERIFY_SPARE = 2**12
+
+
+def _dense_errors(plan: SequentialPlan, u: Isometry) -> float:
+    """Worst error over the basis inputs, from all the plan's rows
+    (:func:`~seqdecomp.mps._rows`) less the dense target's."""
     from . import mps
 
     m, n = u.m_in, u.n_out
-    # entries of two rows of a block, whose last bond is 1, and of the row
-    # of the input of the product that finishes them, at bond b[n - 1]; no
-    # other product of the walk holds more
-    pair = 2 * 2**m + 2 ** min(m, n - 1) * plan.bond_dims[-2]
-    rows = 2 ** min(n, max(0, (2 * _VERIFY_ENTRIES // pair).bit_length() - 1))
-    # the target, and in its matrices, rounded up, a block with the input of
-    # the product that finishes it, and the sites that the walk arranges, as
-    # many entries as the blocks of the plan
-    held = rows * pair // 2 + sum(q.size for q in plan.blocks)
-    _require_dense_fits("plan verification", m, n, 1 + -(-held // 2 ** (n + m)))
+    # beside the states, a site as _plan_chain copies it and as _rows arranges it
+    blocks = 2 * 16 * max(q.size for q in plan.blocks)
+    _require_dense_fits("plan verification", m, n, _VERIFY_COPIES, blocks + _VERIFY_SPARE)
     inputs = [2] * m
-    walk = u.matrix.reshape(-1, *inputs).T  # (last input .. first input, row)
-    targets = (walk[..., r : r + rows] for r in range(0, 2**n, rows))
-    # per basis input, in the walk's order, the squared error of the chain state
-    error_sq = np.zeros(2**m)
-    for block in mps._row_blocks(_plan_chain(plan), rows):
-        error = block.reshape(*inputs, -1)
-        error -= next(targets)
-        error = error.reshape(len(error_sq), -1)
-        error_sq += np.einsum("ir,ir->i", error.real, error.real) + np.einsum(
-            "ir,ir->i", error.imag, error.imag
-        )
-        del block, error  # so that the next blocks are contracted without these
+    error = mps._rows(_plan_chain(plan)).reshape(*inputs, -1)
+    error -= u.matrix.reshape(-1, *inputs).T  # (last input .. first input, row)
+    error = error.reshape(2**m, -1)
+    # per basis input, the squared error of the chain state
+    error_sq = np.einsum("ir,ir->i", error.real, error.real)
+    error_sq += np.einsum("ir,ir->i", error.imag, error.imag)
     return math.sqrt(float(error_sq.max()))
 
 
@@ -411,13 +404,10 @@ def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
     difference chain (:func:`_difference_chain`) is reduced by one sweep
     that yields every input's error together, batched over the inputs
     (:func:`_sweep_errors`), so no row of either operator is formed.  A
-    dense target is compared a block of rows at a time: the plan, read as
-    a chain by :func:`_plan_chain`, is contracted by
-    :func:`~seqdecomp.mps._row_blocks`, and each block is compared with
-    the same rows of ``u.matrix`` before the next is contracted.  A block
-    has as many rows as fit, twice over, in :data:`_VERIFY_ENTRIES`
-    entries, and at least one, so the states held beside the target stay
-    within one budget however large the ancilla.  Linearity makes basis coverage sufficient:
+    dense target is compared with all the plan's rows at once: the plan,
+    read as a chain by :func:`_plan_chain`, is contracted by
+    :func:`~seqdecomp.mps._rows` and ``u.matrix`` is subtracted from the
+    rows (:func:`_dense_errors`).  Linearity makes basis coverage sufficient:
     the reported ``operator_norm_bound`` scales the worst basis error by
     ``sqrt(2**m_in)`` to bound the error over all inputs.  A verification
     that would not fit in physical memory is refused before it starts.
@@ -427,7 +417,7 @@ def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
             f"plan is {plan.m_in}->{plan.n_out} but operator is "
             f"{u.m_in}->{u.n_out}"
         )
-    max_error = _walk_errors(plan, u) if u.chain is None else _sweep_errors(plan, u.chain)
+    max_error = _dense_errors(plan, u) if u.chain is None else _sweep_errors(plan, u.chain)
     return PlanVerification(
         max_error=max_error, operator_norm_bound=max_error * math.sqrt(2**u.m_in)
     )

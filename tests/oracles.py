@@ -503,7 +503,7 @@ def open_chain_rows_loops(tensors, norm=1.0) -> np.ndarray:
     ``tensors`` are in the library's ``(phys, right, left)`` layout; a
     site of physical dimension 4 carries an input (fused index
     2 * output + input), and inputs are numbered in site order, the first
-    most significant.  The reference for ``mps._row_blocks``.
+    most significant.  The reference for ``mps._rows``.
     """
     fused = [t.shape[0] == 4 for t in tensors]
     out = np.zeros((2 ** len(tensors), 2 ** sum(fused), tensors[-1].shape[1]), dtype=complex)

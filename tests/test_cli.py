@@ -169,27 +169,28 @@ def test_decompose_product_refuses_factors_whose_slack_compounds(tmp_path, capsy
 
 
 def test_decompose_refuses_a_verification_larger_than_memory(tmp_path, capsys, monkeypatch):
-    # cloner:3 is 1024 bytes; its whole operator fits one verification block,
-    # so verifying holds the target and, rounded up, the block and its last
-    # product's input (2 matrices) and the walk's arranged sites (1.8): 5 x
-    # 1024.  That is below canonicalization's 7 matrices, whose count is cut
-    # to the operator alone so that the request reaches verification
+    # cloner:3 is 1024 bytes; verifying holds the target and the two states
+    # of one product (3 matrices), its largest block, 12 x 4 entries, twice,
+    # and 4096 bytes more: 8704 bytes.  That is below canonicalization's 7
+    # matrices, whose count is cut to the operator alone so that the request
+    # reaches verification
     monkeypatch.setattr(mps_module, "_PEEL_COPIES", 1)
-    memory = {"SC_PHYS_PAGES": 5119, "SC_PAGE_SIZE": 1}
+    memory = {"SC_PHYS_PAGES": 8703, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     path = tmp_path / "plan.json"
     code, out, err = run_cli(["decompose", "cloner:3", "-o", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err == (
-        "error: plan verification: the dense 1 -> 5 matrix x 5 needs 5120 bytes, "
-        "more than the 5119 bytes of physical memory\n"
+        "error: plan verification: the dense 1 -> 5 matrix x 3 and 5632 bytes needs 8704 bytes, "
+        "more than the 8703 bytes of physical memory\n"
     )
     assert not path.exists()
 
 
 def test_decompose_verifies_a_large_plan_within_the_peel_memory(tmp_path, capsys, monkeypatch):
     # cloner:8 is 2**20 bytes with ancilla 16: the peel counts 7 matrices and
-    # verification, by blocks of one matrix, 3 where the whole operator made 25
+    # verification 3 and its largest block, where the whole padded operator
+    # made 25
     memory = {"SC_PHYS_PAGES": 7 * 2**20, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     code, out, err = run_cli(["decompose", "cloner:8"], capsys)

@@ -337,7 +337,8 @@ _BAD_STEPS = [
     lambda step: [list(column) for column in zip(*step)],
     lambda step: [row + row[:1] for row in step],
     lambda step: step[:-1],
-    lambda step: [[[2 * x for x in pair] for pair in row] for row in step],
+    # an entry that "bad entry" made None stays None
+    lambda step: [[[x if x is None else 2 * x for x in pair] for pair in row] for row in step],
     lambda step: [[[float(r == c), 0.0] for c in range(len(step))] for r in range(len(step))],
 ]
 _MUTATIONS = [

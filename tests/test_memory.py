@@ -4,11 +4,11 @@ Each figure is the ``tracemalloc`` peak of one call above what was held
 before it, in units of the operator's dense matrix; numpy reports its
 array allocations to ``tracemalloc``.  The bounds sit above the measured
 peaks: the peel of a 10-factor product's dense matrix 0.38 matrices and
-the product's verification 0.03 (0.07 by the row walk it no longer
-takes), ``cloner:8``'s verification 1.04, and the
-peels of a Haar 1 -> 16, a Haar 8 -> 9 and ``cloner:8`` 4.7, 3.6 and 2.0,
-against 5.8, 5.3 and 3.0 when the peel regrouped the matrix into one fused
-vector first.  A product held as its chain is planned and verified within
+the product's verification 0.03, ``cloner:8``'s verification 2.00, two
+states of its chain, none larger than the target, and the peels of a
+Haar 1 -> 16, a Haar 8 -> 9 and ``cloner:8`` 4.7, 3.6 and 2.0, against
+5.8, 5.3 and 3.0 when the peel regrouped the matrix into one fused vector
+first.  A product held as its chain is planned and verified within
 1.2 MiB, in bytes, where its dense matrix alone is 16 MiB.  A plan file
 holds each step's block, and is read one block at a time, within 5.5
 times its blocks' bytes (one block's JSON lists are about 8 times its
@@ -19,12 +19,17 @@ largest size its chain passes through, which its guard counts.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqdecomp import (
+    ContractViolationError,
     Isometry,
+    SequentialPlan,
     build_plan,
     check_canonical,
     formats,
@@ -32,6 +37,7 @@ from seqdecomp import (
     haar_unitary,
     operator_to_mps,
     product_unitary,
+    random_isometry,
     sequentiality_test,
     simulate,
     verify_plan,
@@ -39,6 +45,8 @@ from seqdecomp import (
 from seqdecomp import sequencer
 from seqdecomp.cli import main
 from seqdecomp.mps import canonical_chain
+
+from oracles import haar_columns_full
 
 
 def haar_isometry(m, n, seed):
@@ -64,6 +72,14 @@ def peak_bytes(call):
     finally:
         tracemalloc.stop()
     return peak - held
+
+
+def dense_guard(counted):
+    """A stand-in for ``sequencer._require_dense_fits`` that records, in
+    bytes, what it counts beside the dense target held before the call."""
+    return lambda name, m, n, copies=1, spare=0: counted.append(
+        (copies - 1) * 16 * 2 ** (m + n) + spare
+    )
 
 
 def peak_matrices(call, u):
@@ -107,7 +123,8 @@ def test_the_peel_holds_no_more_than_the_fused_vector_peel(make, bound):
     ids=["product:10", "cloner:8"],
 )
 def test_verification_holds_a_few_blocks_whatever_the_ancilla(make, bound):
-    # the whole operator of the cloner:8 plan is 16 matrices, ancilla 16
+    # the cloner:8 plan has ancilla 16, but no state of its chain is larger
+    # than the target: its one contraction holds two of them at a time
     u = make()
     plan = build_plan(u)
     assert peak_matrices(lambda: verify_plan(plan, u), u) <= bound
@@ -122,22 +139,56 @@ def held_as_chain(u):
     [
         lambda: haar_isometry(1, 12, 6),
         lambda: gisin_massar_cloner(8),
+        lambda: gisin_massar_cloner(2),
+        lambda: gisin_massar_cloner(3),
         lambda: haar_product(10, seed=6),
         lambda: held_as_chain(haar_isometry(1, 10, 6)),
     ],
-    ids=["haar 1->12", "cloner:8", "product:10", "haar 1->10 as a chain"],
+    ids=["haar 1->12", "cloner:8", "cloner:2", "cloner:3", "product:10", "haar 1->10 as a chain"],
 )
 def test_the_verification_guard_covers_the_measured_peak(make, monkeypatch):
     # the guard's count in bytes, beside the dense target that is held before
-    # the call; the row walk's sites are 11 of haar 1->12's 25 matrices
+    # the call; on a small target the fixed costs, not the matrices, set the
+    # peak: 2.3 kB on cloner:2, whose matrix is 256 bytes
     u = make()
     plan = build_plan(u)
     counted = []
     monkeypatch.setattr(sequencer, "_require_fits",
                         lambda name, what, need: counted.append(need))
-    monkeypatch.setattr(sequencer, "_require_dense_fits",
-                        lambda name, m, n, copies=1: counted.append((copies - 1) * 16 * 2 ** (m + n)))
+    monkeypatch.setattr(sequencer, "_require_dense_fits", dense_guard(counted))
     verify_plan(plan, u)
+    assert peak_bytes(lambda: verify_plan(plan, u)) <= counted[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 7), m=st.integers(1, 7), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_no_state_of_an_accepted_plan_outgrows_its_target(n, m, data, seed):
+    # bonds drawn from the last to the first, each up to one more than
+    # orthonormal columns allow (b[k] <= b[k + 1] at an input site, 2 * b[k + 1]
+    # after the inputs), so that some blocks have more columns than rows;
+    # every block is filled with Haar columns where it can be
+    m = min(m, n)
+    bonds = [1]
+    for k in reversed(range(1, n)):
+        most = min(16, bonds[0] if k < m else 2 * bonds[0])
+        bonds.insert(0, data.draw(st.integers(1, most + 1), label=f"b[{k}]"))
+    bonds.insert(0, 1)
+    rng = np.random.default_rng(seed)
+    shapes = [(2 * bonds[k + 1], (2 if k < m else 1) * bonds[k]) for k in range(n)]
+    blocks = [haar_columns_full(max(r, c), c, rng)[:r] for r, c in shapes]
+    try:
+        plan = SequentialPlan(max(bonds), m, blocks, bonds)
+    except ContractViolationError as exc:
+        assert "not orthonormal" in str(exc)
+        assert any(c > r for r, c in shapes)
+        return
+    for k, b in enumerate(bonds):
+        assert 2 ** min(k, m) * 2**k * b <= 2 ** (n + m)
+    # and its verification against a dense target stays within the guard
+    u = random_isometry(m, n, seed)
+    counted = []
+    with mock.patch.object(sequencer, "_require_dense_fits", dense_guard(counted)):
+        verify_plan(plan, u)
     assert peak_bytes(lambda: verify_plan(plan, u)) <= counted[-1]
 
 

@@ -276,39 +276,24 @@ def test_canonicalize_recovers_the_schmidt_spectra_of_a_hidden_chain(
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 6), m=st.integers(0, 3), b=st.integers(0, 6), seed=SEEDS)
-@example(n=6, m=3, b=0, seed=0)  # one row a block
-@example(n=5, m=3, b=5, seed=1)  # one block of all rows
-def test_the_row_block_walk_contracts_each_prefix_once(n, m, b, seed):
+@given(n=st.integers(1, 6), m=st.integers(0, 3), seed=SEEDS)
+@example(n=6, m=3, seed=0)
+def test_the_chain_rows_match_the_dense_oracle(n, m, seed):
     # a chain with its first m sites carrying inputs, bonds of 2 or 3 and
-    # an open last bond, read 2**b rows at a time
-    m, b = min(m, n), min(b, n)
+    # an open last bond
+    m = min(m, n)
     rng = np.random.default_rng(seed)
     bonds = [1] + [int(rng.integers(2, 4)) for _ in range(n)]
     shapes = [(4 if k < m else 2, bonds[k + 1], bonds[k]) for k in range(n)]
     tensors = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
     norm = float(rng.uniform(0.5, 2.0))
-    prefixes = []  # how many row prefixes each site product makes
-    grow = mps._grow
-
-    def counted(x, legs):
-        out = grow(x, legs)
-        prefixes.append(out.shape[1])
-        return out
-
-    with mock.patch.object(mps, "_grow", counted):
-        blocks = list(mps._row_blocks(tensors, 2**b, norm))
-    # the blocks tile the rows once, in order
-    assert [block.shape for block in blocks] == [(2**m, 2**b, bonds[-1])] * 2 ** (n - b)
-    # and match the dense contraction once the inputs are put in site order
-    walk = np.concatenate(blocks, axis=1).reshape([2] * m + [2**n, bonds[-1]])
-    rows = walk.transpose([*range(m - 1, -1, -1), m, m + 1]).reshape(2**m, 2**n, -1)
+    rows = mps._rows(tensors, norm)
+    assert rows.shape == (2**m, 2**n, bonds[-1])
+    # the rows match the dense contraction once the inputs are put in site order
+    rows = rows.reshape([2] * m + [2**n, bonds[-1]])
+    rows = rows.transpose([*range(m - 1, -1, -1), m, m + 1]).reshape(2**m, 2**n, -1)
     want = open_chain_rows_loops(tensors, norm).transpose(1, 0, 2)
     assert np.max(np.abs(rows - want)) <= 1e-12 * np.max(np.abs(want))
-    # one product for each node walked depth first and for each site of
-    # each block, and together they make each prefix of the tree once
-    assert len(prefixes) == 2 ** (n - b) - 1 + 2 ** (n - b) * b
-    assert sum(prefixes) == 2 ** (n + 1) - 2
 
 
 def _cli_doc(command, u):

@@ -2,7 +2,6 @@
 
 import math
 import os
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from seqdecomp import (
     state_to_mps,
     verify_plan,
 )
-from seqdecomp import formats, mps, sequencer
+from seqdecomp import formats, mps
 from seqdecomp.mps import canonical_chain
 from seqdecomp.sequencer import _criterion
 
@@ -270,45 +269,6 @@ def test_verify_identity_plan_is_exact():
     assert verify_plan(build_plan(u), u).max_error == 0.0
 
 
-@pytest.mark.parametrize(
-    "make, budget",
-    [
-        (lambda: gisin_massar_cloner(8), sequencer._VERIFY_ENTRIES),
-        # one row is more than the budget
-        (lambda: random_isometry(1, 6, seed=18), 2**3),
-        # the whole operator fits the budget
-        (shor_encoder, sequencer._VERIFY_ENTRIES),
-    ],
-    ids=["cloner:8", "random:1,6, small budget", "shor"],
-)
-def test_verify_blocks_tile_the_target_exactly_once(make, budget, monkeypatch):
-    u = make()
-    plan = build_plan(u)
-    monkeypatch.setattr(sequencer, "_VERIFY_ENTRIES", budget)
-    row_blocks = mps._row_blocks
-    walks = []  # the shapes of each walk's blocks, in order
-
-    def recorded(tensors, rows, norm=1.0):
-        shapes = []
-        walks.append(shapes)
-        for block in row_blocks(tensors, rows, norm):
-            shapes.append(block.shape)
-            yield block
-
-    monkeypatch.setattr(mps, "_row_blocks", recorded)
-    assert verify_plan(plan, u).max_error <= 1e-13
-    # one walk, the plan's, beside views of the dense target
-    [shapes] = walks
-    inputs, rows, bond = shapes[0]
-    assert inputs == 2**u.m_in and bond == 1
-    assert shapes == [shapes[0]] * (2**u.n_out // rows)
-    # a block and the input of the product that finishes it, half as many
-    # rows at the last bond but one, fit the budget, or the block is one row
-    width = inputs + 2 ** min(u.m_in, u.n_out - 1) * plan.bond_dims[-2] // 2
-    assert rows * width <= max(budget, width)
-    assert rows == 2**u.n_out or 2 * rows * width > budget
-
-
 def held_as_chain(u):
     """``u`` held as its canonical chain, like a ``product``: verification
     then takes the sweep of the difference chain."""
@@ -325,8 +285,7 @@ def test_verify_of_a_chain_target_walks_no_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError("a row of the operator was contracted")
 
-    monkeypatch.setattr(mps, "_grow", refuse)
-    monkeypatch.setattr(mps, "_row_blocks", refuse)
+    monkeypatch.setattr(mps, "_rows", refuse)
     sizes = {"SC_PHYS_PAGES": 2**20, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
     assert verify_plan(plan, u).max_error <= 1e-14
@@ -351,22 +310,21 @@ def test_verify_of_a_chain_operator_counts_its_sweep(memory, refused, monkeypatc
         assert verify_plan(plan, u).max_error < 1e-12
 
 
-@pytest.mark.parametrize("memory, refused", [(3071, True), (3072, False)])
+@pytest.mark.parametrize("memory, refused", [(7295, True), (7296, False)])
 def test_verify_refuses_a_working_set_larger_than_memory(memory, refused, monkeypatch):
-    # a 3 -> 3 matrix is 1024 bytes; at ancilla 1 the whole operator is one
-    # block, so verification holds the target and, rounded up to 2 matrices,
-    # the block, the input of the product that finishes it (1.25) and the
-    # walk's arranged sites (0.19): 3 matrices
+    # a 3 -> 3 matrix is 1024 bytes and its ancilla-1 plan's blocks 2 x 2;
+    # verification counts the target and the two states of one product, 3
+    # matrices, the largest block twice, 128 bytes, and 4096 bytes more
     rng = np.random.default_rng(19)
     u = Isometry(3, 3, product_unitary([haar_unitary(2, rng) for _ in range(3)]).matrix)
     plan = build_plan(u)
     calls = []
-    grow = mps._grow
-    monkeypatch.setattr(mps, "_grow", lambda *a: calls.append(a) or grow(*a))
+    rows = mps._rows
+    monkeypatch.setattr(mps, "_rows", lambda *a: calls.append(a) or rows(*a))
     sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
     if refused:
-        with pytest.raises(ContractViolationError, match="needs 3072 bytes"):
+        with pytest.raises(ContractViolationError, match="x 3 and 4224 bytes needs 7296 bytes"):
             verify_plan(plan, u)
         assert calls == []
     else:
@@ -376,18 +334,18 @@ def test_verify_refuses_a_working_set_larger_than_memory(memory, refused, monkey
 
 @pytest.mark.parametrize("spare", [-1, 0])
 def test_verify_counts_its_blocks_not_the_ancilla(spare, monkeypatch):
-    # cloner:8 is 1 -> 15, 2**20 bytes, with ancilla 16; a block of 2**14
-    # rows and the input of the product that finishes it, 2**16 entries, are
-    # one matrix, so verification counts the target and, rounded up, those
-    # and the walk's arranged sites (0.09): 3 matrices, where the whole
-    # operator made 25
+    # cloner:8 is 1 -> 15, 2**20 bytes, with ancilla 16, and no state of its
+    # chain is larger than the target; verification counts the target and
+    # the two states of one product, 3 matrices, its largest block, 32 x 14
+    # entries, twice, and 4096 bytes more, where the whole padded operator
+    # made 25 matrices
     u = gisin_massar_cloner(8)
     plan = build_plan(u)
-    need = 3 * 2**20
+    need = 3 * 2**20 + 2 * 16 * 32 * 14 + 4096
     sizes = {"SC_PHYS_PAGES": need + spare, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
     if spare < 0:
-        with pytest.raises(ContractViolationError, match=f"x 3 needs {need} bytes"):
+        with pytest.raises(ContractViolationError, match=f"x 3 and 18432 bytes needs {need} bytes"):
             verify_plan(plan, u)
     else:
         assert verify_plan(plan, u).max_error < 1e-12
@@ -434,8 +392,12 @@ def corrupted_shor_plan():
         lambda: planned(random_isometry(1, 8, 0)),
         lambda: planned(haar_product(8, seed=8)),
         corrupted_shor_plan,
+        # targets that verification once split into blocks of rows
+        lambda: planned(gisin_massar_cloner(8)),
+        lambda: planned(Isometry(8, 8, haar_product(8, seed=8).matrix)),
     ],
-    ids=["shor", "cloner:4", "random:1,8", "product:8", "shor, corrupted"],
+    ids=["shor", "cloner:4", "random:1,8", "product:8", "shor, corrupted", "cloner:8",
+         "dense product:8"],
 )
 def test_verify_agrees_with_the_column_loop(make):
     plan, u = make()
@@ -447,24 +409,22 @@ def test_verify_agrees_with_the_column_loop(make):
 
 
 @settings(max_examples=25, deadline=None)
-@example(n=10, product=True, corrupt=3, budget=2**3, seed=1)
-@example(n=10, product=False, corrupt=12, budget=2**8, seed=2)
+@example(n=10, product=True, corrupt=3, seed=1)
+@example(n=10, product=False, corrupt=12, seed=2)
 @given(
     n=st.integers(1, 10),
     product=st.booleans(),
     corrupt=st.integers(0, 12),
-    budget=st.sampled_from([2**3, 2**8, sequencer._VERIFY_ENTRIES]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_verify_matches_the_whole_operator_oracle(n, product, corrupt, budget, seed):
+def test_verify_matches_the_whole_operator_oracle(n, product, corrupt, seed):
     # m = n for a product of Haar factors, m = 1 for a Haar isometry; a draw
     # of corrupt < n replaces that block by Haar columns
     u = haar_product(n, seed) if product else random_isometry(1, n, seed)
     plan = build_plan(u)
     if corrupt < n:
         plan = corrupted(plan, corrupt, np.random.default_rng(seed))
-    with mock.patch.object(sequencer, "_VERIFY_ENTRIES", budget):
-        verification = verify_plan(plan, u)
+    verification = verify_plan(plan, u)
     max_error = verify_plan_one_shot(plan, u)[0]
     assert abs(verification.max_error - max_error) <= 1e-14
     assert verification.operator_norm_bound == verification.max_error * math.sqrt(2**u.m_in)
