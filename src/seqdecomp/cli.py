@@ -151,7 +151,7 @@ def _cmd_decompose(args) -> int:
         doc = formats.plan_to_doc(plan, verification)
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                formats.write(doc, fh)
+                fh.write(formats.dumps(doc) + "\n")
         except OSError as exc:
             raise ContractViolationError(
                 f"cannot write plan file '{args.output}': {exc}"

@@ -8,29 +8,22 @@ themselves; they are written as those ``[re, im]`` pairs, one row per
 float is printed with 17 significant digits, which round-trips a double
 exactly, except that -0.0 is written as ``-0`` and reads back as 0.
 
-Writing makes a document's text in consecutive pieces, one matrix row
-each: :func:`write` feeds them to an open file, so a plan file is never
-held as one string, and :func:`dumps` returns their join, so both make
-the same bytes.
-
-Reading is the stdlib's JSON decoder, except that the elements of a
-top-level object's ``steps`` list come back as arrays, each converted
-before the next is scanned, so a plan file is never held as one tree of
-Python lists.
-
 A plan file's ``steps[k]`` is the plan's block ``k``
 (:class:`~seqdecomp.sequencer.SequentialPlan`): the defined columns of
 step ``k``, the only ones the chain reaches, in the shape that
 ``bond_dims`` fixes, ``(2 * b[k + 1]) x (2 * b[k])`` at an input site and
-``(2 * b[k + 1]) x b[k]`` after the inputs.  Neither writing nor reading a
-plan completes a step.
+``(2 * b[k + 1]) x b[k]`` after the inputs.  It is one string, the RFC 4648
+base64 (padded, no whitespace) of the block's row-major little-endian
+``complex128`` bytes, so a block is written and read bit for bit, the sign
+of zero included, without formatting or scanning a number per entry.
+Neither writing nor reading a plan completes a step.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Any, Iterator, TextIO
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
@@ -46,10 +39,6 @@ if TYPE_CHECKING:
 
 #: What ``json.dumps`` applies to a string, without its per-call set-up.
 _quote = json.encoder.encode_basestring_ascii
-#: The stdlib decoder's own value scanner and whitespace rule, which
-#: ``json.loads`` applies to the whole text.
-_scan = json.JSONDecoder().scan_once
-_skip = json.decoder.WHITESPACE.match
 
 
 def dumps(obj: Any) -> str:
@@ -57,18 +46,10 @@ def dumps(obj: Any) -> str:
     return "".join(_pieces(obj))
 
 
-def write(obj: Any, fh: TextIO) -> None:
-    """Write :func:`dumps` of ``obj`` and a newline to the text file ``fh``,
-    one piece at a time: a matrix goes one row per piece, so the text of a
-    document is never held whole."""
-    fh.writelines(_pieces(obj))
-    fh.write("\n")
-
-
 def _pieces(obj: Any) -> Iterator[str]:
-    """The text of ``obj`` in consecutive pieces, the one definition of the
-    bytes of both :func:`dumps` and :func:`write`.  A scalar is joined to
-    the piece before it, so a small document costs few pieces."""
+    """The text of ``obj`` in consecutive pieces, a matrix one row each.  A
+    scalar is joined to the piece before it, so a small document costs few
+    pieces."""
     # Recurse here, not through ``dumps``: wrapping the public name must see
     # one call per document.
     if isinstance(obj, np.ndarray):
@@ -140,7 +121,7 @@ def decode_matrix(data: Any, rows: int, cols: int, where: str) -> np.ndarray:
     """
     expected = f"{where}: expected {rows}x{cols} [re, im] pairs"
     try:
-        a = np.asarray(data)  # no copy of a step that parse_document converted
+        a = np.asarray(data)  # one conversion of the whole nested list
     except ValueError:  # ragged nesting
         raise ContractViolationError(expected) from None
     if a.shape != (rows, cols, 2) or a.dtype.kind not in "biuf":
@@ -149,6 +130,35 @@ def decode_matrix(data: Any, rows: int, cols: int, where: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ContractViolationError(f"{where}: non-finite entry")
     return a.view(np.complex128).reshape(rows, cols)
+
+
+def encode_block(q: np.ndarray) -> str:
+    """A plan block as base64 of its row-major little-endian complex128 bytes."""
+    import base64  # here, so that a command that reads or writes no plan skips its import
+
+    return base64.b64encode(np.ascontiguousarray(q, dtype="<c16")).decode("ascii")
+
+
+def decode_block(data: Any, rows: int, cols: int, where: str) -> np.ndarray:
+    """The ``rows x cols`` block that :func:`encode_block` wrote as ``data``,
+    reporting the offending field on error.  The array is a read-only view
+    of the decoded bytes."""
+    import base64
+
+    size = 16 * rows * cols
+    expected = f"{where}: expected a {rows}x{cols} complex128 block as base64 of {size} bytes"
+    if not isinstance(data, str):
+        raise ContractViolationError(expected)
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        raise ContractViolationError(expected) from None
+    if len(raw) != size:
+        raise ContractViolationError(expected)
+    q = np.frombuffer(raw, dtype="<c16").reshape(rows, cols)
+    if not np.isfinite(q).all():
+        raise ContractViolationError(f"{where}: non-finite entry in the {rows}x{cols} block")
+    return q
 
 
 def _require(doc: dict, key: str, kind, where: str):
@@ -199,7 +209,7 @@ def plan_to_doc(plan: SequentialPlan, verification: PlanVerification) -> dict:
     return {
         "ancilla_dim": plan.ancilla_dim,
         "m_in": plan.m_in,
-        "steps": list(plan.blocks),
+        "steps": [encode_block(q) for q in plan.blocks],
         "bond_dims": [int(d) for d in plan.bond_dims],
         "report": {
             "implementable": report.implementable,
@@ -214,7 +224,7 @@ def plan_to_doc(plan: SequentialPlan, verification: PlanVerification) -> dict:
 
 def doc_to_plan(doc: Any, where: str = "plan") -> SequentialPlan:
     """The plan of a plan file's document, held as its blocks.  Its bonds
-    are checked before they fix the shape each block is read in, and each
+    are checked before they fix the shape each block is decoded in, and each
     block's columns are checked for orthonormality; errors name the field."""
     if not isinstance(doc, dict):
         raise ContractViolationError(f"{where}: expected a JSON object")
@@ -226,7 +236,7 @@ def doc_to_plan(doc: Any, where: str = "plan") -> SequentialPlan:
         raise ContractViolationError(f"{where}.ancilla_dim: must be positive")
     shapes = _block_shapes(ancilla_dim, m_in, len(steps_doc), bond_dims)
     blocks = [
-        decode_matrix(step, rows, cols, f"{where}.steps[{k}]")
+        decode_block(step, rows, cols, f"{where}.steps[{k}]")
         for k, (step, (rows, cols)) in enumerate(zip(steps_doc, shapes))
     ]
     try:
@@ -236,16 +246,8 @@ def doc_to_plan(doc: Any, where: str = "plan") -> SequentialPlan:
 
 
 def parse_document(text: str, where: str) -> Any:
-    """The JSON document in ``text``, as ``json.loads`` reads it, except that
-    each element of a top-level object's ``steps`` list is ``np.array`` of
-    its value; an element that ``np.array`` refuses stays as read, so that
-    :func:`decode_matrix` reports it.  Errors name ``where``."""
-    try:
-        return _walk_object(text)
-    except (ValueError, StopIteration, RecursionError):
-        pass
-    # whatever the walk does not take, json.loads reads or refuses, so errors
-    # and every other document read exactly as before
+    """The JSON document in ``text``, as ``json.loads`` reads it; errors name
+    ``where``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -254,60 +256,3 @@ def parse_document(text: str, where: str) -> Any:
         ) from None
     except ValueError as exc:  # e.g. an integer over the int-to-string digit limit
         raise ContractViolationError(f"{where}: invalid JSON: {exc}") from None
-
-
-def _walk_object(text: str) -> dict:
-    """The top-level JSON object of ``text``, scanned one member at a time.
-
-    Raises ``StopIteration``, as the scanner does, where the text is not
-    one object between whitespace.
-    """
-    at = _skip(text, 0).end()
-    if not text.startswith("{", at):
-        raise StopIteration(at)
-    doc = {}
-    at = _skip(text, at + 1).end()
-    if not text.startswith("}", at):
-        while True:
-            if not text.startswith('"', at):
-                raise StopIteration(at)
-            key, at = _scan(text, at)
-            at = _skip(text, at).end()
-            if not text.startswith(":", at):
-                raise StopIteration(at)
-            at = _skip(text, at + 1).end()
-            if key == "steps" and text.startswith("[", at):
-                doc[key], at = _walk_steps(text, at)
-            else:
-                doc[key], at = _scan(text, at)
-            at = _skip(text, at).end()
-            if not text.startswith(",", at):
-                break
-            at = _skip(text, at + 1).end()
-        if not text.startswith("}", at):
-            raise StopIteration(at)
-    if _skip(text, at + 1).end() != len(text):
-        raise StopIteration(at + 1)
-    return doc
-
-
-def _walk_steps(text: str, at: int) -> tuple[list, int]:
-    """The list that opens at ``text[at]``, each element converted by the
-    same ``np.array`` call :func:`decode_matrix` makes, and where it ends."""
-    steps = []
-    at = _skip(text, at + 1).end()
-    if not text.startswith("]", at):
-        while True:
-            step, at = _scan(text, at)
-            try:
-                step = np.array(step)
-            except ValueError:  # ragged nesting, which decode_matrix reports
-                pass
-            steps.append(step)
-            at = _skip(text, at).end()
-            if not text.startswith(",", at):
-                break
-            at = _skip(text, at + 1).end()
-        if not text.startswith("]", at):
-            raise StopIteration(at)
-    return steps, at + 1

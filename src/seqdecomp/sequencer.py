@@ -124,7 +124,8 @@ class SequentialPlan:
             residual = isometry_residual(q)
             if not residual <= ISOMETRY_TOL:  # a non-finite block too
                 raise ContractViolationError(
-                    f"blocks[{k}]: columns are not orthonormal: residual {residual:.3e}"
+                    f"blocks[{k}]: columns are not orthonormal: residual {residual:.3e} "
+                    f"in the {shape[0]}x{shape[1]} block"
                 )
             q.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)

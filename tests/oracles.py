@@ -8,9 +8,11 @@ meaningful.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import math
+import struct
 
 import numpy as np
 
@@ -319,17 +321,11 @@ def amplitudes_loops(doc, m_in) -> np.ndarray:
     return amps
 
 
-def parse_document_tree(text, where):
-    """A JSON document read whole by ``json.loads``, with the library's
-    error messages: the reader that streams plan steps must agree with it."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ContractViolationError(
-            f"{where}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    except ValueError as exc:
-        raise ContractViolationError(f"{where}: invalid JSON: {exc}") from None
+def encode_block_entries(rows) -> str:
+    """A plan file's step: base64 of each entry of the matrix ``rows``, row
+    by row, packed as a little-endian (re, im) pair of doubles."""
+    entries = [complex(z) for row in rows for z in row]
+    return base64.b64encode(b"".join(struct.pack("<dd", z.real, z.imag) for z in entries)).decode()
 
 
 def haar_columns_full(dim, cols, rng) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the file formats."""
 
+import base64
 import io
 import json
 import math
@@ -28,11 +29,13 @@ from seqdecomp import (
 from seqdecomp import cli, formats, sequencer
 from seqdecomp import mps as mps_module
 from seqdecomp.cli import main
-from seqdecomp.linalg import ISOMETRY_TOL
+from seqdecomp.linalg import ISOMETRY_TOL, isometry_residual
 
 from oracles import (
     complete_to_unitary_loops,
     corrupted,
+    encode_block_entries,
+    encode_matrix,
     operator_cut_ranks,
     simulate_full_state,
     verify_plan_loops,
@@ -82,11 +85,14 @@ def test_decompose_shor_writes_plan(tmp_path, capsys):
     doc = json.loads(path.read_text())
     # each step is its block, the columns the chain reaches, in the shape the
     # bonds fix: (2 * b[k + 1]) x (2 * b[k]) at the input site, then
-    # (2 * b[k + 1]) x b[k]
+    # (2 * b[k + 1]) x b[k]; each is base64 of 16 bytes an entry
     bonds = doc["bond_dims"]
     assert bonds == [1, 4, 4, 2, 4, 4, 2, 2, 2, 1]
-    shapes = [(len(step), len(step[0])) for step in doc["steps"]]
-    assert shapes == [(8, 2)] + [(2 * bonds[k + 1], bonds[k]) for k in range(1, 9)]
+    shapes = [(8, 2)] + [(2 * bonds[k + 1], bonds[k]) for k in range(1, 9)]
+    assert [len(base64.b64decode(step, validate=True)) for step in doc["steps"]] == [
+        16 * rows * cols for rows, cols in shapes
+    ]
+    assert [q.shape for q in formats.doc_to_plan(doc).blocks] == shapes
     assert doc["report"]["decoupling_residual"] == 0
 
 
@@ -148,13 +154,25 @@ def test_a_plan_file_that_fails_while_written_exits_2(capsys):
 
 
 def test_the_plan_file_is_the_document_and_a_newline(tmp_path, capsys):
-    # written a row at a time, byte for byte what dumps makes of it
+    # byte for byte what dumps makes of the document, and a newline
     path = tmp_path / "plan.json"
     assert run_cli(["decompose", "random:1,6,4", "-o", str(path)], capsys)[0] == 0
     u = cli.load_operator("random:1,6,4")
     plan = build_plan(u)
     text = formats.dumps(formats.plan_to_doc(plan, sequencer.verify_plan(plan, u))) + "\n"
     assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_decompose_writes_its_plan_through_the_public_dumps(tmp_path, capsys, monkeypatch):
+    # a tracer that wraps formats.dumps by name sees the plan file and the
+    # summary, each one call
+    calls = []
+    public = formats.dumps
+    monkeypatch.setattr(formats, "dumps", lambda obj: calls.append(obj) or public(obj))
+    path = tmp_path / "plan.json"
+    code, out, _ = run_cli(["decompose", "ghz:3", "-o", str(path)], capsys)
+    assert code == 0
+    assert [sorted(doc) for doc in calls] == [sorted(json.loads(path.read_text())), sorted(json.loads(out))]
 
 
 def test_decompose_product_refuses_factors_whose_slack_compounds(tmp_path, capsys):
@@ -237,8 +255,8 @@ def test_simulate_refuses_a_state_larger_than_memory(tmp_path, capsys, monkeypat
     # a 2 x 2 step and fifteen 2 x 1 blocks, a plan of a few kB, run a 1 MiB
     # state at ancilla 1; the guard counts the input and three states of
     # 2**16 amplitudes
-    identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
-    keep = [[[1.0, 0.0]], [[0.0, 0.0]]]
+    identity = encode_block_entries([[1, 0], [0, 1]])
+    keep = encode_block_entries([[1], [0]])
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(
         {"ancilla_dim": 1, "m_in": 1, "steps": [identity] + [keep] * 15, "bond_dims": [1] * 17}
@@ -719,33 +737,61 @@ def test_simulate_rejects_invalid_plan_bond_dims(bond_dims, tmp_path, capsys):
     assert "bond_dims" in err
 
 
-@pytest.mark.parametrize("fault", ["short row", "missing row", "transposed", "not orthonormal", "completed"])
+def _step_bytes(step):
+    return base64.b64decode(step, validate=True)
+
+
+def _encoded(raw):
+    return base64.b64encode(raw).decode()
+
+
+#: faults in block k of the random:1,3,0 plan, whose blocks are 8 x 2, 4 x 4
+#: and 2 x 2, and what each makes of its step and its block q
+_BLOCK_FAULTS = {
+    # a plan file as written before its steps were base64: [re, im] pairs
+    "nested list": (1, lambda step, q: encode_matrix(q)),
+    "number": (0, lambda step, q: 1.0),
+    "null": (2, lambda step, q: None),
+    "outside the alphabet": (1, lambda step, q: step[:4] + "-" + step[5:]),
+    "whitespace": (0, lambda step, q: step[:8] + "\n" + step[8:]),
+    "bad padding": (2, lambda step, q: step.rstrip("=") + "A"),
+    "short row": (1, lambda step, q: _encoded(_step_bytes(step)[:-16])),
+    "missing row": (2, lambda step, q: _encoded(_step_bytes(step)[: -16 * q.shape[1]])),
+    "long row": (0, lambda step, q: _encoded(_step_bytes(step) + bytes(16))),
+    # the bytes of the 2 x 8 transpose, as many as the block's
+    "transposed": (0, lambda step, q: encode_block_entries(q.T)),
+    "nan": (1, lambda step, q: encode_block_entries([[math.nan, *q[0, 1:]], *q[1:]])),
+    "not orthonormal": (2, lambda step, q: encode_block_entries(2 * q)),
+}
+
+
+@pytest.mark.parametrize("fault", [*_BLOCK_FAULTS, "completed"])
 def test_simulate_rejects_malformed_plan_blocks(fault, tmp_path, capsys):
-    # ghz:3 at ancilla 2, bonds (1, 2, 2, 1): blocks 4 x 2, 4 x 2 and 2 x 2
     path = tmp_path / "plan.json"
-    assert run_cli(["decompose", "ghz:3", "-o", str(path)], capsys)[0] == 0
+    assert run_cli(["decompose", "random:1,3,0", "-o", str(path)], capsys)[0] == 0
     doc = json.loads(path.read_text())
-    steps = doc["steps"]
-    assert [(len(q), len(q[0])) for q in steps] == [(4, 2), (4, 2), (2, 2)]
-    if fault == "short row":
-        del steps[1][3][1]
-        expected = "steps[1]: expected 4x2 [re, im] pairs"
-    elif fault == "missing row":
-        del steps[2][1]
-        expected = "steps[2]: expected 2x2 [re, im] pairs"
-    elif fault == "transposed":
-        steps[0] = [list(column) for column in zip(*steps[0])]
-        expected = "steps[0]: expected 4x2 [re, im] pairs"
-    elif fault == "not orthonormal":
-        steps[2] = [[[2 * x for x in pair] for pair in row] for row in steps[2]]
-        expected = "steps[2]: columns are not orthonormal: residual 3.000e+00"
-    else:  # the completed 4 x 4 steps that plan files held before
-        plan = formats.doc_to_plan(formats.parse_document(path.read_text(), "plan"))
-        doc["steps"] = json.loads(formats.dumps(list(plan.steps)))
-        expected = "steps[0]: expected 4x2 [re, im] pairs"
+    plan = formats.doc_to_plan(doc)
+    assert [q.shape for q in plan.blocks] == [(8, 2), (4, 4), (2, 2)]
+    if fault == "completed":  # the 8 x 8 steps that plan files held before their blocks
+        doc["steps"] = [encode_block_entries(step) for step in plan.steps]
+        k = 0
+    else:
+        k, corrupt = _BLOCK_FAULTS[fault]
+        doc["steps"][k] = corrupt(doc["steps"][k], plan.blocks[k])
+    q = plan.blocks[k]
+    rows, cols = q.shape
+    if fault == "nan":
+        expected = f"non-finite entry in the {rows}x{cols} block"
+    elif fault in ("transposed", "not orthonormal"):
+        read = np.ascontiguousarray(q.T).reshape(q.shape) if fault == "transposed" else 2 * q
+        residual = isometry_residual(read)
+        assert residual > 0.1
+        expected = f"columns are not orthonormal: residual {residual:.3e} in the {rows}x{cols} block"
+    else:
+        expected = f"expected a {rows}x{cols} complex128 block as base64 of {16 * rows * cols} bytes"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(["simulate", str(path), "--input-state", "0"], capsys)
-    assert (code, out, err) == (2, "", f"error: {path}.{expected}\n")
+    assert (code, out, err) == (2, "", f"error: {path}.steps[{k}]: {expected}\n")
 
 
 def test_a_product_plan_file_holds_its_whole_steps(tmp_path, capsys):

@@ -1,10 +1,8 @@
-"""The [re, im] codec and the JSON emitter, against entry-by-entry references."""
+"""The [re, im] codec, the plan-block codec and the JSON emitter, against
+entry-by-entry references."""
 
-import copy
-import functools
 import json
 import math
-import random
 
 import numpy as np
 import pytest
@@ -12,16 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from seqdecomp import ContractViolationError, build_plan, shor_encoder, verify_plan
-from seqdecomp import cli, formats, sequencer
+from seqdecomp import ContractViolationError, SequentialPlan, build_plan, shor_encoder, verify_plan
+from seqdecomp import formats, sequencer
 from seqdecomp.cli import main
 
 from oracles import (
     amplitudes_loops,
     decode_matrix_loops,
     dumps_tokens,
+    encode_block_entries,
     encode_matrix,
-    parse_document_tree,
+    haar_columns_full,
 )
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 2.0**53, 1e16]
@@ -289,137 +288,50 @@ def test_input_state_lists_match_reference(text, two_qubit_plan, capsys):
     assert out == dumps_tokens(expected) + "\n"
 
 
-class _Members(tuple):
-    """A JSON object as its (key, value) pairs, in writing order; keys may repeat."""
+def _signed_zeros_and_subnormals(q, rng):
+    """``q`` with each of its exact zeros, real or imaginary part, turned at
+    random into -0.0, a subnormal or itself; the columns stay orthonormal."""
+    parts = q.copy().view(np.float64)
+    zeros = np.flatnonzero(parts == 0.0)
+    tiny = rng.choice([-0.0, 5e-324, -5e-324, 2.2e-310, -1e-320, 0.0], size=zeros.size)
+    parts.reshape(-1)[zeros] = tiny
+    return parts.view(np.complex128)
 
 
-_GAPS = ["", "", " ", "\n", "\t", "\r\n", "  \n\t "]
-
-
-def _write(value, rng) -> str:
-    """JSON text of ``value`` with whitespace drawn from ``rng`` in every gap."""
-    if isinstance(value, dict):
-        value = _Members(value.items())
-    if isinstance(value, _Members):
-        items = [_write(k, rng) + ":" + _write(v, rng) for k, v in value]
-        return _join("{", items, "}", rng)
-    if isinstance(value, list):
-        return _join("[", [_write(v, rng) for v in value], "]", rng)
-    return rng.choice(_GAPS) + json.dumps(value) + rng.choice(_GAPS)
-
-
-def _join(opening, items, closing, rng):
-    gap = rng.choice(_GAPS)
-    return gap + opening + (",".join(items) or rng.choice(_GAPS)) + closing + gap
-
-
-@functools.cache
-def _plan_docs():
-    docs = []
-    for operator in ("shor", "ghz:3", "product"):
-        u = cli.load_operator(operator)
-        plan = build_plan(u)
-        docs.append(json.loads(formats.dumps(formats.plan_to_doc(plan, verify_plan(plan, u)))))
-    return docs
-
-
-_BAD_ENTRIES = ["1.0", None, math.nan, math.inf, True, False]
-#: Replacements for a step of a plan file: no matrix, a matrix of another
-#: shape than the bonds fix, one whose columns are not orthonormal, and an
-#: identity of the step's height, which the bonds accept where they make
-#: the block square (an input site between equal bonds).
-_BAD_STEPS = [
-    lambda step: 1.0,
-    lambda step: "step",
-    lambda step: None,
-    lambda step: {},
-    lambda step: [],
-    lambda step: [list(column) for column in zip(*step)],
-    lambda step: [row + row[:1] for row in step],
-    lambda step: step[:-1],
-    # an entry that "bad entry" made None stays None
-    lambda step: [[[x if x is None else 2 * x for x in pair] for pair in row] for row in step],
-    lambda step: [[[float(r == c), 0.0] for c in range(len(step))] for r in range(len(step))],
-]
-_MUTATIONS = [
-    "bad entry", "ragged row", "ragged pair", "bad step", "empty steps",
-    "duplicate steps", "drop a member", "key not a string", "wrong delimiter", "trailing data",
-    "top-level list", "truncated",
-]
-
-
-def _outer_delimiters(text):
-    """Where ``text`` has a delimiter at most one bracket deep; no string
-    in these documents holds one."""
-    depth, found = 0, []
-    for at, c in enumerate(text):
-        depth -= c in "]}"
-        if c in ",:[]{}" and depth <= 1:
-            found.append(at)
-        depth += c in "[{"
-    return found
-
-
-def _read_plan(parse, text):
-    """The plan that ``parse`` and ``doc_to_plan`` read from ``text``, as
-    comparable bytes, or the message they refuse it with."""
-    try:
-        plan = formats.doc_to_plan(parse(text, "plan"), "plan")
-    except ContractViolationError as exc:
-        return str(exc)
-    blocks = [(q.shape, q.dtype.str, q.tobytes()) for q in plan.blocks]
-    return plan.ancilla_dim, plan.m_in, plan.bond_dims, blocks
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_plans_read_step_by_step_like_the_whole_tree(data):
-    doc = copy.deepcopy(data.draw(st.sampled_from(_plan_docs())))
-    # a seeded generator, not st.randoms: it draws thousands of gaps per text
-    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    mutations = data.draw(st.lists(st.sampled_from(_MUTATIONS), max_size=2, unique=True))
-    steps = doc["steps"]
-    k = rng.randrange(len(steps))
-    row = steps[k][rng.randrange(len(steps[k]))]
-    if "bad entry" in mutations:
-        row[rng.randrange(len(row))][rng.randrange(2)] = rng.choice(_BAD_ENTRIES)
-    if "ragged row" in mutations:
-        del row[rng.randrange(len(row))]
-    if "ragged pair" in mutations:
-        del row[rng.randrange(len(row))][rng.randrange(2)]
-    if "bad step" in mutations:
-        steps[k] = rng.choice(_BAD_STEPS)(steps[k])
-    if "empty steps" in mutations:
-        doc["steps"] = []
-    members = list(doc.items())
-    rng.shuffle(members)
-    if data.draw(st.booleans()):  # steps first
-        members.sort(key=lambda item: item[0] != "steps")
-    if "duplicate steps" in mutations:
-        other = rng.choice([[], steps[:1], steps[::-1], "steps"])
-        members.insert(rng.randrange(len(members) + 1), ("steps", other))
-    if "drop a member" in mutations:
-        del members[rng.randrange(len(members))]
-    if "key not a string" in mutations:
-        at = rng.randrange(len(members))
-        members[at] = (rng.choice([1, None, True]), members[at][1])
-    text = _write(_Members(members), rng)
-    if "wrong delimiter" in mutations:  # of the object or of a list in it
-        at = rng.choice(_outer_delimiters(text))
-        text = text[:at] + rng.choice(",:[]{}x") + text[at + 1 :]
-    if "trailing data" in mutations:
-        text += rng.choice(["x", "{}", "}", "]", ",", " 1", "\ufeff"])
-    if "top-level list" in mutations:
-        text = "[" + text + "]"
-    if "truncated" in mutations:
-        text = text[: rng.randrange(len(text))]
-    assert _read_plan(formats.parse_document, text) == _read_plan(parse_document_tree, text)
-    try:
-        tree = json.loads(text)
-    except ValueError:
-        return
-    if isinstance(tree, dict):  # the walk takes every object, never falling back to the tree
-        formats._walk_object(text)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_plan_blocks_round_trip_bit_for_bit(data, seed):
+    # bonds drawn from the last cut back, within what orthonormal columns
+    # allow; each block is Haar columns on some of its rows and zero on the
+    # others, whose zeros become -0.0 and subnormals
+    n = data.draw(st.integers(1, 6), label="n")
+    m = data.draw(st.integers(1, n), label="m")
+    bonds = [1]
+    for k in reversed(range(1, n)):
+        most = min(8, bonds[0] if k < m else 2 * bonds[0])
+        bonds.insert(0, data.draw(st.integers(1, most), label=f"b[{k}]"))
+    bonds.insert(0, 1)
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for k in range(n):
+        rows, cols = 2 * bonds[k + 1], (2 if k < m else 1) * bonds[k]
+        kept = np.sort(rng.choice(rows, size=rng.integers(cols, rows + 1), replace=False))
+        q = np.zeros((rows, cols), dtype=np.complex128)
+        q[kept] = haar_columns_full(kept.size, cols, rng)
+        blocks.append(_signed_zeros_and_subnormals(q, rng))
+    report = sequencer.SequentialityReport(True, (0.0,) * m, tuple(bonds), max(bonds))
+    plan = SequentialPlan(max(bonds), m, blocks, bonds, report)
+    doc = formats.plan_to_doc(plan, sequencer.PlanVerification(0.0, 0.0))
+    back = formats.doc_to_plan(formats.parse_document(formats.dumps(doc), "plan"))
+    assert (back.ancilla_dim, back.m_in, back.bond_dims) == (plan.ancilla_dim, m, plan.bond_dims)
+    for q, b in zip(plan.blocks, back.blocks, strict=True):
+        assert q.shape == b.shape
+        assert np.array_equal(q.view(np.uint64), b.view(np.uint64))
+    assert doc["steps"] == [encode_block_entries(q) for q in plan.blocks]
+    psi = rng.standard_normal(2**m) + 1j * rng.standard_normal(2**m)
+    psi /= np.linalg.norm(psi)
+    state = sequencer.simulate(plan, psi)
+    assert np.array_equal(sequencer.simulate(back, psi).view(np.uint64), state.view(np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -427,11 +339,16 @@ def test_plans_read_step_by_step_like_the_whole_tree(data):
     ["[1, 2]", '"steps"', "3", "null", "\ufeff{}", '{"steps": [[1]]} x', '{"a": 1' + "0" * 5000 + "}"],
 )
 def test_documents_other_than_a_plan_read_as_before(text):
+    # a document is what json.loads reads, and a refusal names the document
     try:
-        expected = parse_document_tree(text, "doc")
-    except ContractViolationError as exc:
-        with pytest.raises(ContractViolationError) as new:
-            formats.parse_document(text, "doc")
-        assert str(new.value) == str(exc)
+        expected = json.loads(text)
+    except json.JSONDecodeError as exc:
+        message = f"doc: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+    except ValueError as exc:
+        message = f"doc: invalid JSON: {exc}"
+    else:
+        assert formats.parse_document(text, "doc") == expected
         return
-    assert formats.parse_document(text, "doc") == expected
+    with pytest.raises(ContractViolationError) as new:
+        formats.parse_document(text, "doc")
+    assert str(new.value) == message

@@ -10,12 +10,11 @@ Haar 1 -> 16, a Haar 8 -> 9 and ``cloner:8`` 4.7, 3.6 and 2.0, against
 5.8, 5.3 and 3.0 when the peel regrouped the matrix into one fused vector
 first.  A product held as its chain is planned and verified within
 1.2 MiB, in bytes, where its dense matrix alone is 16 MiB.  A plan file
-holds each step's block, and is read one block at a time, within 5.5
-times its blocks' bytes (one block's JSON lists are about 8 times its
-array), against 10.8 when its whole JSON tree was built first; it is
-written one row at a time, within 20 kB, where ``dumps`` of its 213 kB of
-text peaks at 0.44 MB.  ``simulate`` holds 1.7 to 2.0 states of the
-largest size its chain passes through, which its guard counts.
+holds each step's block as base64 of its bytes, and is read within 3.1
+times its blocks' bytes: the document's strings, about 4/3 of the blocks,
+and the decoded blocks themselves, against 5.5 when each block was read
+from JSON lists one at a time.  ``simulate`` holds 1.7 to 2.0 states of
+the largest size its chain passes through, which its guard counts.
 """
 
 import tracemalloc
@@ -214,22 +213,13 @@ def test_the_simulation_guard_covers_the_measured_peak(make, monkeypatch):
 
 
 def test_a_plan_file_is_read_one_step_at_a_time(tmp_path, capsys):
-    # ten blocks, 76 kB as arrays and the largest 64 x 32; the text itself
-    # is held before the read
+    # ten blocks, 76 kB as arrays and the largest 64 x 32, in 102 kB of text;
+    # the text itself is held before the read, and each block is one string
+    # until it is decoded
     path = tmp_path / "plan.json"
     assert main(["decompose", "random:1,10,3", "-o", str(path)]) == 0
     capsys.readouterr()
     text = path.read_text()
     blocks = formats.doc_to_plan(formats.parse_document(text, "plan")).blocks
     held = sum(q.nbytes for q in blocks)
-    assert peak_bytes(lambda: formats.doc_to_plan(formats.parse_document(text, "plan"))) < 7 * held
-
-
-def test_a_plan_file_is_written_one_row_at_a_time(tmp_path):
-    # ten blocks, 213 kB of text; dumps holds the text and its pieces
-    u = haar_isometry(1, 10, 3)
-    plan = build_plan(u)
-    doc = formats.plan_to_doc(plan, verify_plan(plan, u))
-    assert len(formats.dumps(doc)) > 200_000
-    with open(tmp_path / "plan.json", "w", encoding="utf-8") as fh:
-        assert peak_bytes(lambda: formats.write(doc, fh)) < 2**15
+    assert peak_bytes(lambda: formats.doc_to_plan(formats.parse_document(text, "plan"))) < 4 * held
