@@ -2,10 +2,10 @@
 
 The package decides whether an M -> N qubit isometry can be realized as a
 chain of unitaries, each acting once on (ancilla, site k) with no
-measurements, synthesizes the minimal-ancilla step unitaries from the
-canonical matrix-product form of the operator when possible, and runs and
-verifies a plan as the chain it is: a matrix-product chain whose bond is
-the ancilla.
+measurements, synthesizes the step unitaries with the smallest ancilla
+for this visiting order, inputs first, from the canonical matrix-product
+form of the operator when possible, and runs and verifies a plan as the
+chain it is: a matrix-product chain whose bond is the ancilla.
 
 Each public name is loaded from its submodule the first time it is used,
 so ``import seqdecomp`` itself imports neither numpy nor any submodule.
@@ -30,7 +30,6 @@ _HOMES = {
     "Mps": "mps",
     "canonicalize": "mps",
     "check_canonical": "mps",
-    "contract_operator": "mps",
     "operator_to_mps": "mps",
     "state_to_mps": "mps",
     "Isometry": "oplib",
@@ -47,6 +46,7 @@ _HOMES = {
     "SequentialPlan": "sequencer",
     "SequentialityReport": "sequencer",
     "build_plan": "sequencer",
+    "contract_operator": "sequencer",
     "operator_schmidt_ranks": "sequencer",
     "sequentiality_test": "sequencer",
     "simulate": "sequencer",

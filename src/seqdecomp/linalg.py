@@ -135,7 +135,8 @@ def isometry_defect(q: np.ndarray) -> float:
     """
     rows, cols = q.shape
     g = dagger(q) @ q if rows >= cols else q @ dagger(q)
-    defect = float(np.max(np.abs(np.linalg.eigvalsh(g - np.eye(g.shape[0])))))
+    g.flat[:: len(g) + 1] -= 1  # g - I bit for bit, without forming I
+    defect = float(np.max(np.abs(np.linalg.eigvalsh(g))))
     return defect if rows >= cols else max(defect, 1.0)
 
 
@@ -148,7 +149,7 @@ def isometry_residual(q: np.ndarray) -> float:
     :func:`isometry_defect` computes it for the sequentiality criterion.
     """
     g = dagger(q) @ q
-    g -= np.eye(g.shape[0])
+    g.flat[:: len(g) + 1] -= 1  # g - I bit for bit, without forming I
     frobenius = float(np.linalg.norm(g))
     if frobenius < ISOMETRY_TOL:
         return frobenius

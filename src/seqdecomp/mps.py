@@ -61,12 +61,11 @@ An operator held as a chain needs no matrix at all.  A ``product`` is
 held as its bond-1 chain, one fused 4-vector per factor, and
 :func:`canonical_chain`, the one canonicalization of each request, takes
 it through :func:`canonicalize`; a dense operator goes through
-:func:`operator_to_mps`.  An operator chain, such as a plan, is
-contracted to all its rows at once, one product a site (:func:`_rows`),
-and the norms of its columns come from one sweep of R factors that forms
-no row (:func:`_column_norms`).  The sum of two chains is one chain, their
-:func:`direct_sum`; the difference chain that compares a plan with a
-target held as a chain is built by it.
+:func:`operator_to_mps`.  The norms of an operator chain's columns come
+from one sweep of R factors that forms no row (:func:`_column_norms`).
+The sum of two chains is one chain, their :func:`direct_sum`; the
+difference chain that compares a plan with a target held as a chain is
+built by it.
 """
 
 from __future__ import annotations
@@ -247,39 +246,13 @@ def direct_sum(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> list[np.ndar
     return sites
 
 
-def contract_operator(op: Mps) -> np.ndarray:
-    """Dense ``(2**n_sites, 2**m_in)`` matrix represented by an operator
-    chain: its rows (:func:`_rows`), with the inputs put in site order."""
-    rows = _rows(op.tensors, op.norm)
-    return rows.reshape([2] * op.m_in + [-1]).T.reshape(2**op.n_sites, -1)
-
-
-def _rows(tensors, norm: float = 1.0) -> np.ndarray:
-    """Every row of a qubit chain whose last bond is left open, indexed
-    (input, row, right bond).
-
-    ``tensors`` are in the module's layout with a first left bond of 1; a
-    site of physical dimension 4 carries an input leg (fused index 2 *
-    output + input).  One product a site, with the site arranged only for
-    it: its input becomes the most significant, so the inputs run from the
-    last input site to the first, and its output the least significant bit
-    of each row.
-    """
-    x = np.full((1, 1, 1), norm, dtype=np.complex128)  # (input, row prefix, bond)
-    for t in tensors:
-        d, rgt, lft = t.shape
-        legs = t.reshape(2, d // 2, rgt, lft).transpose(1, 3, 0, 2)  # (input, left, output, right)
-        out = np.matmul(x.reshape(1, -1, lft), legs.reshape(d // 2, lft, 2 * rgt))
-        x = out.reshape(-1, 2 * x.shape[1], rgt)
-    return x
-
-
 def _column_norms(tensors) -> np.ndarray:
     """The 2-norm of every input column of a qubit chain whose bonds at
     both ends are 1.
 
-    ``tensors`` are as for :func:`_rows`.  Returns one norm per input, the
-    inputs ordered as :func:`_rows` orders them.
+    ``tensors`` are in the module's layout, an input leg at a site of
+    physical dimension 4.  Returns one norm per input, the last input
+    site's input the most significant.
 
     One right-to-left sweep.  The sites right of a bond act on it as a
     matrix X, of which only an R factor is kept, with X's Gram matrix.

@@ -21,7 +21,8 @@ the only columns the chain reaches; the remaining columns, the orthogonal
 complement of ``Q`` from one complete QR
 (:func:`~seqdecomp.linalg.complete_to_unitary`), are formed only when the
 plan's ``steps`` are read.  The ancilla dimension equals the maximal
-canonical bond dimension, which is optimal.
+canonical bond dimension, the smallest for this visiting order, inputs
+first; an order that interleaves inputs and outputs can need less.
 
 :func:`sequentiality_test`, :func:`build_plan` and
 :func:`operator_schmidt_ranks` each read the one canonical chain that
@@ -37,14 +38,14 @@ Solano, Verstraete, Cirac, Wolf, PRL 95, 110503 (2005)), run and verified
 as that chain: :func:`_plan_chain` alone reads its blocks as site tensors
 at the plan's own bonds, in the :mod:`~seqdecomp.mps` layout, from the
 input qubits to the chain.  The last bond is 1, so the ancilla returns to
-|0> by construction and no decoupling is left to measure.  :func:`simulate`
-contracts the chain with one input state.  :func:`verify_plan` compares
-a target held as a chain, such as a ``product``, chain to chain: the
-difference of the two is one chain, the :func:`~seqdecomp.mps.direct_sum`
-of the target and the negated plan, whose column norms, the errors of all
-basis inputs, one sweep of R factors gives.  A dense target is compared
-with all the plan's rows at once, from one contraction of the chain: no
-state of the chain is larger than the target.
+|0> by construction and no decoupling is left to measure.  One runner,
+:func:`_rows`, contracts the chain on one input state for :func:`simulate`
+and on all basis inputs against a dense target, no state of the chain
+larger than the target.  :func:`verify_plan` compares a target held as a
+chain, such as a ``product``, chain to chain: the difference is one chain,
+the :func:`~seqdecomp.mps.direct_sum` of the target and the negated plan,
+whose column norms, the errors of all basis inputs, one sweep of R
+factors gives.
 """
 
 from __future__ import annotations
@@ -237,7 +238,8 @@ def sequentiality_test(u: Isometry) -> SequentialityReport:
 
 
 def build_plan(u: Isometry) -> SequentialPlan:
-    """Synthesize the minimal-ancilla sequential decomposition.
+    """Synthesize the sequential decomposition with the smallest ancilla
+    for this visiting order, inputs first.
 
     The ancilla dimension is the maximal canonical bond dimension.  Each
     step's defined columns come straight from the canonical site tensors
@@ -261,24 +263,19 @@ def build_plan(u: Isometry) -> SequentialPlan:
     return SequentialPlan(report.ancilla_dim_if_yes, u.m_in, blocks, op.bond_dims, report)
 
 
-#: States of the largest size the chain passes through that
-#: :func:`simulate`'s memory guard counts beside a copy of the input.
-#: ``tracemalloc`` measured 2.0 on ``cloner:8``, 2.0 on a Haar 1 -> 12 and
-#: 1.7 on a 10-factor product, whose input steps hold the state before and
-#: after and one partial product.
+#: States of the largest size that :func:`simulate`'s memory guard counts
+#: beside a copy of the input and :func:`_chain_spare`: an input site holds
+#: the state before and after and one partial product.
 _SIMULATE_COPIES = 3
 
 
 def simulate(plan: SequentialPlan, input_state) -> np.ndarray:
     """Run the sequential factory on an input state of the first m_in qubits.
 
-    The plan is run as its chain (:func:`_plan_chain`) on a state indexed
-    (rest of the inputs, sites emitted, bond): an input site consumes the
-    leading bit of the rest, each site's output becomes the last emitted
-    bit, and each output value is one ``np.matmul`` by a transposed view
-    of the site's matrix.  The chain's last bond is 1, so the ancilla
-    returns to |0> by construction; the normalized chain state is
-    returned.  A state that would not fit in physical memory is refused.
+    The plan's chain (:func:`_plan_chain`) is run on the state by
+    :func:`_rows`.  Its last bond is 1, so the ancilla returns to |0> by
+    construction; the normalized chain state is returned.  A state that
+    would not fit in physical memory is refused.
     """
     amps = np.asarray(input_state, dtype=np.complex128).reshape(-1)
     if amps.size != 2**plan.m_in:
@@ -291,24 +288,10 @@ def simulate(plan: SequentialPlan, input_state) -> np.ndarray:
         raise ContractViolationError("input state is not normalized")
     # the state at bond k holds 2**max(k, m_in) amplitudes per bond state
     largest = max(2 ** max(k, plan.m_in) * b for k, b in enumerate(plan.bond_dims))
-    need = 16 * (amps.size + _SIMULATE_COPIES * largest)
+    need = 16 * (amps.size + _SIMULATE_COPIES * largest) + _chain_spare(plan)
     what = f"the state of {plan.n_out} sites at ancilla {plan.ancilla_dim}"
     _require_fits("simulate", what, need)
-    state = amps.reshape(-1, 1, 1)
-    for t in _plan_chain(plan):
-        fused = t.shape[0] == 4
-        if fused:  # consume the leading bit of the rest
-            state = state.reshape(2, -1, *state.shape[1:])
-        rest, emitted = state.shape[-3:-1]
-        out = np.empty((rest, emitted, 2, t.shape[1]), dtype=np.complex128)
-        for i in range(2):
-            if fused:
-                np.matmul(state[0], t[2 * i].T, out=out[:, :, i])
-                out[:, :, i] += state[1] @ t[2 * i + 1].T
-            else:
-                np.matmul(state, t[i].T, out=out[:, :, i])
-        state = out.reshape(rest, 2 * emitted, -1)
-    state = state.reshape(-1)
+    state = _rows(_plan_chain(plan), state=amps).reshape(-1)
     return state / np.linalg.norm(state)
 
 
@@ -324,6 +307,54 @@ def _plan_chain(plan: SequentialPlan):
             yield q.reshape(b[k + 1], 2, b[k], 2).transpose(1, 3, 0, 2).reshape(4, b[k + 1], b[k])
         else:
             yield q.reshape(b[k + 1], 2, b[k]).transpose(1, 0, 2)
+
+
+def _rows(tensors, norm: float = 1.0, state=None) -> np.ndarray:
+    """Run a qubit chain, its last bond left open, on all basis inputs or on
+    one input ``state``, the first input its most significant bit.
+
+    ``tensors`` are in the :mod:`~seqdecomp.mps` layout, with a first left
+    bond of 1 and an input leg (fused index 2 * output + input) at each
+    site of physical dimension 4.  Each site is arranged once, as (input,
+    left, output x right), for one product; its output becomes the least
+    significant bit of each row.  From ``norm``, each input site opens a
+    batch axis as the most significant: all rows, indexed (input, row,
+    right bond), the last input site's input first.  From ``state``, each
+    input site consumes its leading bit, and the rows are indexed (1, row,
+    right bond).
+    """
+    if state is None:
+        x = np.full((1, 1, 1), norm, dtype=np.complex128)  # (input, row prefix, bond)
+    else:
+        x = state.reshape(-1, 1, 1)  # (inputs not yet read, row prefix, bond)
+    for t in tensors:
+        d, rgt, lft = t.shape
+        legs = t.reshape(2, d // 2, rgt, lft).transpose(1, 3, 0, 2)  # (input, left, output, right)
+        legs = legs.reshape(d // 2, lft, 2 * rgt)
+        prefix = x.shape[1]
+        if state is None or d == 2:
+            out = np.matmul(x.reshape(1, -1, lft), legs)
+        else:  # consume the leading bit of the inputs not yet read
+            x = x.reshape(2, -1, lft)
+            out = x[0] @ legs[0]
+            out += x[1] @ legs[1]
+        x = out.reshape(-1, 2 * prefix, rgt)
+    return x
+
+
+def contract_operator(op: Mps) -> np.ndarray:
+    """Dense ``(2**n_sites, 2**m_in)`` matrix represented by an operator
+    chain: its rows (:func:`_rows`), with the inputs put in site order."""
+    rows = _rows(op.tensors, op.norm)
+    return rows.reshape([2] * op.m_in + [-1]).T.reshape(2**op.n_sites, -1)
+
+
+def _chain_spare(plan: SequentialPlan) -> int:
+    """Bytes that :func:`_rows` holds beside the states of a plan's chain:
+    the largest block twice, as :func:`_plan_chain` copies it and as
+    :func:`_rows` arranges it, and 4096 bytes of array headers and buffers,
+    which ``tracemalloc`` measured at up to 2.5 kB."""
+    return 2 * 16 * max(q.size for q in plan.blocks) + 2**12
 
 
 def _difference_chain(plan: SequentialPlan, target: Mps) -> list[np.ndarray]:
@@ -373,23 +404,14 @@ def _sweep_errors(plan: SequentialPlan, target: Mps) -> float:
 #: so no state, ``2**min(k, m_in) * 2**k * b[k]`` entries, outgrows the target.
 _VERIFY_COPIES = 3
 
-#: Bytes that :func:`verify_plan` holds beside its matrices and blocks, for
-#: a dense target: array headers and buffers, which ``tracemalloc``
-#: measured at up to 1.8 kB on targets of 64 bytes to 16 MiB.
-_VERIFY_SPARE = 2**12
-
 
 def _dense_errors(plan: SequentialPlan, u: Isometry) -> float:
     """Worst error over the basis inputs, from all the plan's rows
-    (:func:`~seqdecomp.mps._rows`) less the dense target's."""
-    from . import mps
-
+    (:func:`_rows`) less the dense target's."""
     m, n = u.m_in, u.n_out
-    # beside the states, a site as _plan_chain copies it and as _rows arranges it
-    blocks = 2 * 16 * max(q.size for q in plan.blocks)
-    _require_dense_fits("plan verification", m, n, _VERIFY_COPIES, blocks + _VERIFY_SPARE)
+    _require_dense_fits("plan verification", m, n, _VERIFY_COPIES, _chain_spare(plan))
     inputs = [2] * m
-    error = mps._rows(_plan_chain(plan)).reshape(*inputs, -1)
+    error = _rows(_plan_chain(plan)).reshape(*inputs, -1)
     error -= u.matrix.reshape(-1, *inputs).T  # (last input .. first input, row)
     error = error.reshape(2**m, -1)
     # per basis input, the squared error of the chain state
@@ -407,7 +429,7 @@ def verify_plan(plan: SequentialPlan, u: Isometry) -> PlanVerification:
     (:func:`_sweep_errors`), so no row of either operator is formed.  A
     dense target is compared with all the plan's rows at once: the plan,
     read as a chain by :func:`_plan_chain`, is contracted by
-    :func:`~seqdecomp.mps._rows` and ``u.matrix`` is subtracted from the
+    :func:`_rows` and ``u.matrix`` is subtracted from the
     rows (:func:`_dense_errors`).  Linearity makes basis coverage sufficient:
     the reported ``operator_norm_bound`` scales the worst basis error by
     ``sqrt(2**m_in)`` to bound the error over all inputs.  A verification

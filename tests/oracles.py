@@ -363,6 +363,22 @@ def product_kron_dense(factors) -> tuple[np.ndarray, float]:
     return total, float(np.abs(np.linalg.eigvalsh(gram)).max())
 
 
+def isometry_defect_less_eye(q) -> float:
+    """``linalg.isometry_defect`` with the identity subtracted from the Gram
+    matrix as a fresh ``np.eye``."""
+    rows, cols = q.shape
+    g = dagger(q) @ q if rows >= cols else q @ dagger(q)
+    defect = float(np.max(np.abs(np.linalg.eigvalsh(g - np.eye(g.shape[0])))))
+    return defect if rows >= cols else max(defect, 1.0)
+
+
+def isometry_residual_less_eye(q) -> float:
+    """``linalg.isometry_residual`` with the identity subtracted from the Gram
+    matrix as a fresh ``np.eye``."""
+    frobenius = float(np.linalg.norm(dagger(q) @ q - np.eye(q.shape[1])))
+    return frobenius if frobenius < ISOMETRY_TOL else isometry_defect_less_eye(q)
+
+
 def complete_to_unitary_loops(cols) -> np.ndarray:
     """Unitary completion by Gram–Schmidt over the standard basis.
 
@@ -459,7 +475,7 @@ def run_chain_full_state(plan, inputs: np.ndarray) -> np.ndarray:
     Each column starts as (input) x |0...0> with the ancilla in basis state
     0; the result holds the final joint states as ``(ancilla, chain, batch)``.
     Every step acts on the full-size state, with the qubits not yet reached
-    carried as |0>; the reference runner for ``sequencer._run_chain``.
+    carried as |0>; the reference runner for ``sequencer._rows``.
     """
     d_anc, n, m = plan.ancilla_dim, plan.n_out, plan.m_in
     batch = inputs.shape[1]
@@ -499,7 +515,7 @@ def open_chain_rows_loops(tensors, norm=1.0) -> np.ndarray:
     ``tensors`` are in the library's ``(phys, right, left)`` layout; a
     site of physical dimension 4 carries an input (fused index
     2 * output + input), and inputs are numbered in site order, the first
-    most significant.  The reference for ``mps._rows``.
+    most significant.  The reference for ``sequencer._rows``.
     """
     fused = [t.shape[0] == 4 for t in tensors]
     out = np.zeros((2 ** len(tensors), 2 ** sum(fused), tensors[-1].shape[1]), dtype=complex)

@@ -253,15 +253,15 @@ def test_canonicalization_larger_than_memory_exits_2_before_the_peel(
 
 def test_simulate_refuses_a_state_larger_than_memory(tmp_path, capsys, monkeypatch):
     # a 2 x 2 step and fifteen 2 x 1 blocks, a plan of a few kB, run a 1 MiB
-    # state at ancilla 1; the guard counts the input and three states of
-    # 2**16 amplitudes
+    # state at ancilla 1; the guard counts the input, three states of 2**16
+    # amplitudes, the 2 x 2 block twice and 4096 bytes of array headers
     identity = encode_block_entries([[1, 0], [0, 1]])
     keep = encode_block_entries([[1], [0]])
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(
         {"ancilla_dim": 1, "m_in": 1, "steps": [identity] + [keep] * 15, "bond_dims": [1] * 17}
     ))
-    need = 16 * (2 + 3 * 2**16)
+    need = 16 * (2 + 3 * 2**16) + 2 * 16 * 4 + 4096
     runs = []
     chain = sequencer._plan_chain
     monkeypatch.setattr(sequencer, "_plan_chain", lambda plan: runs.append(plan) or chain(plan))

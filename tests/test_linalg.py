@@ -18,7 +18,12 @@ from seqdecomp import (
 )
 from seqdecomp.linalg import _QR_ROWS, ISOMETRY_TOL, isometry_defect, isometry_residual, r_factor
 
-from oracles import reduced_rho_loops, svd_loops
+from oracles import (
+    isometry_defect_less_eye,
+    isometry_residual_less_eye,
+    reduced_rho_loops,
+    svd_loops,
+)
 
 
 def test_svd_identity():
@@ -238,11 +243,16 @@ def test_complete_to_unitary_keeps_the_prefix_and_is_unitary(d, data, kind, seed
     seed=st.integers(0, 2**32 - 1),
     log_scale=st.floats(-2.0, 2.0),
     wide=st.booleans(),
+    zeros=st.sampled_from(["none", "zero", "-0.0"]),
 )
-def test_isometry_residual_matches_spectral_verdicts(qubits, input_qubits, seed, log_scale, wide):
+def test_isometry_residual_matches_spectral_verdicts(
+    qubits, input_qubits, seed, log_scale, wide, zeros
+):
     # an isometry plus a perturbation whose spectral residual is about
     # tol * 10**log_scale, i.e. anywhere in [tol / 100, 100 * tol]; a wide
-    # draw is its adjoint, whose residual is at least 1 unless it is square
+    # draw is its adjoint, whose residual is at least 1 unless it is square;
+    # a "zero" draw is the zero matrix of its shape, and a "-0.0" draw has
+    # about half its real and imaginary parts set to -0.0
     tol = ISOMETRY_TOL
     dim = 2**qubits
     k = 2 ** min(input_qubits, qubits)
@@ -253,6 +263,18 @@ def test_isometry_residual_matches_spectral_verdicts(qubits, input_qubits, seed,
     a = q + (tol * 10.0**log_scale / first_order) * z
     if wide:
         a = dagger(a)
+    if zeros == "zero":
+        a = np.zeros_like(a)
+    elif zeros == "-0.0":
+        a = np.ascontiguousarray(a)
+        parts = a.view(np.float64)
+        parts[rng.random(parts.shape) < 0.5] = -0.0
+    # 1 taken off the Gram's diagonal in place gives the bits of g - I
+    for residual, less_eye in [
+        (isometry_residual, isometry_residual_less_eye),
+        (isometry_defect, isometry_defect_less_eye),
+    ]:
+        assert np.float64(residual(a)).tobytes() == np.float64(less_eye(a)).tobytes()
     gram = dagger(a) @ a - np.eye(a.shape[1])
     exact = float(np.linalg.norm(gram, 2))
     value = isometry_residual(a)

@@ -13,8 +13,10 @@ first.  A product held as its chain is planned and verified within
 holds each step's block as base64 of its bytes, and is read within 3.1
 times its blocks' bytes: the document's strings, about 4/3 of the blocks,
 and the decoded blocks themselves, against 5.5 when each block was read
-from JSON lists one at a time.  ``simulate`` holds 1.7 to 2.0 states of
-the largest size its chain passes through, which its guard counts.
+from JSON lists one at a time.  ``simulate`` holds 2.0 to 4.1 states of
+the largest size its chain passes through, which its guard counts: its
+input's complex copy, up to three states at an input site, and a copy of
+a middle block, which in a Haar 1 -> 12 plan is as large as two states.
 """
 
 import tracemalloc

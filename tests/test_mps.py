@@ -475,7 +475,7 @@ def test_direct_sum_contracts_to_the_sum_of_its_chains(n, m_in, interior, open_b
 
     def contraction(sites):
         # every row, the open bond padded to the sum's
-        rows = mps_module._rows(sites)
+        rows = sequencer._rows(sites)
         return np.pad(rows, [(0, 0), (0, 0), (0, max(open_bonds) - rows.shape[2])])
 
     assert np.max(np.abs(contraction(total) - contraction(a) - contraction(b))) <= 1e-13

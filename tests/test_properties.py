@@ -14,6 +14,7 @@ from seqdecomp import (
     ContractViolationError,
     Isometry,
     Mps,
+    SequentialPlan,
     build_plan,
     canonicalize,
     check_canonical,
@@ -29,7 +30,7 @@ from seqdecomp import (
     state_to_mps,
     verify_plan,
 )
-from seqdecomp import cli, formats, mps
+from seqdecomp import cli, formats, mps, sequencer
 from seqdecomp.linalg import ISOMETRY_TOL
 
 from oracles import (
@@ -37,6 +38,7 @@ from oracles import (
     corrupted,
     gauge_inflate,
     gauge_residual,
+    haar_columns_full,
     open_chain_rows_loops,
     operator_cut_ranks,
     schmidt_cut_ranks,
@@ -146,6 +148,45 @@ def test_the_growing_chain_agrees_with_the_full_state_reference(kind, data, seed
     z = rng.standard_normal(2**u.m_in) + 1j * rng.standard_normal(2**u.m_in)
     psi = z / np.linalg.norm(z)
     assert np.max(np.abs(simulate(plan, psi) - simulate_full_state(plan, psi)[0])) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 3), data=st.data(), seed=SEEDS)
+def test_plans_that_read_several_inputs_at_bonds_above_1_match_the_references(m, data, seed):
+    # the input sites consume 2 or 3 qubits from a state held at bonds
+    # above 1, which no product plan does: bonds drawn from the last cut
+    # back, at least 2 where orthonormal columns allow it (non-decreasing
+    # over the input sites, b[k] <= 2 * b[k + 1] after them) and at most 8,
+    # each block Haar columns on some of its rows and zero on the others
+    n = data.draw(st.integers(m + 1, 6), label="n")
+    bonds = [1]
+    for k in reversed(range(1, n)):
+        most = min(8, bonds[0] if k < m else 2 * bonds[0])
+        bonds.insert(0, data.draw(st.integers(min(2, most), most), label=f"b[{k}]"))
+    bonds.insert(0, 1)
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for k in range(n):
+        rows, cols = 2 * bonds[k + 1], (2 if k < m else 1) * bonds[k]
+        kept = np.sort(rng.choice(rows, size=rng.integers(cols, rows + 1), replace=False))
+        q = np.zeros((rows, cols), dtype=np.complex128)
+        q[kept] = haar_columns_full(kept.size, cols, rng)
+        blocks.append(q)
+    plan = SequentialPlan(max(bonds), m, blocks, bonds)
+    z = rng.standard_normal(2**m) + 1j * rng.standard_normal(2**m)
+    psi = z / np.linalg.norm(z)
+    assert np.max(np.abs(simulate(plan, psi) - simulate_full_state(plan, psi)[0])) <= 1e-14
+    # the runner's rows, the inputs put in site order, and the plan's operator
+    tensors = list(sequencer._plan_chain(plan))
+    rows = sequencer._rows(tensors).reshape([2] * m + [2**n])
+    rows = rows.transpose([*range(m - 1, -1, -1), m]).reshape(2**m, 2**n)
+    matrix = open_chain_rows_loops(tensors)[..., 0]
+    assert np.max(np.abs(rows.T - matrix)) <= 1e-14
+    u = Isometry(m, n, matrix)
+    k = data.draw(st.integers(0, n - 1), label="replaced block")
+    for checked in (plan, corrupted(plan, k, rng)):
+        error = verify_plan(checked, u).max_error
+        assert abs(error - verify_plan_loops(checked, u)[0]) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -287,7 +328,7 @@ def test_the_chain_rows_match_the_dense_oracle(n, m, seed):
     shapes = [(4 if k < m else 2, bonds[k + 1], bonds[k]) for k in range(n)]
     tensors = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
     norm = float(rng.uniform(0.5, 2.0))
-    rows = mps._rows(tensors, norm)
+    rows = sequencer._rows(tensors, norm)
     assert rows.shape == (2**m, 2**n, bonds[-1])
     # the rows match the dense contraction once the inputs are put in site order
     rows = rows.reshape([2] * m + [2**n, bonds[-1]])

@@ -33,7 +33,7 @@ from seqdecomp import (
     state_to_mps,
     verify_plan,
 )
-from seqdecomp import formats, mps
+from seqdecomp import formats, mps, sequencer
 from seqdecomp.mps import canonical_chain
 from seqdecomp.sequencer import _criterion
 
@@ -279,7 +279,7 @@ def test_verify_of_a_chain_target_walks_no_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError("a row of the operator was contracted")
 
-    monkeypatch.setattr(mps, "_rows", refuse)
+    monkeypatch.setattr(sequencer, "_rows", refuse)
     sizes = {"SC_PHYS_PAGES": 2**20, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
     assert verify_plan(plan, u).max_error <= 1e-14
@@ -313,8 +313,8 @@ def test_verify_refuses_a_working_set_larger_than_memory(memory, refused, monkey
     u = Isometry(3, 3, product_unitary([haar_unitary(2, rng) for _ in range(3)]).matrix)
     plan = build_plan(u)
     calls = []
-    rows = mps._rows
-    monkeypatch.setattr(mps, "_rows", lambda *a: calls.append(a) or rows(*a))
+    rows = sequencer._rows
+    monkeypatch.setattr(sequencer, "_rows", lambda *a: calls.append(a) or rows(*a))
     sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
     if refused:
