@@ -162,9 +162,9 @@ def _cmd_decompose(args) -> int:
             "ancilla_dim": plan.ancilla_dim,
             "m_in": plan.m_in,
             "n_out": plan.n_out,
-            "bond_dims": [int(d) for d in plan.bond_dims],
-            "verification_error": float(verification.max_error),
-            "verification_error_bound": float(verification.operator_norm_bound),
+            "bond_dims": plan.bond_dims,
+            "verification_error": verification.max_error,
+            "verification_error_bound": verification.operator_norm_bound,
             "decoupling_residual": 0.0,  # a plan's chain closes at bond 1
             "criterion_tol": ISOMETRY_TOL,
             "rank_tol": RANK_TOL,
@@ -178,13 +178,18 @@ def _cmd_simulate(args) -> int:
     plan = formats.doc_to_plan(doc, where=args.plan)
     # argparse (3.10 and 3.11 among others) drops the value of --input-state=--, leaving []
     text = "--" if args.input_state == [] else args.input_state
-    amps = _parse_input_state(text, plan.m_in)
-    nrm = float(np.linalg.norm(amps))
-    if nrm == 0.0:
+    amps = _parse_input_state(text, plan.m_in).view(np.float64)
+    top = float(np.abs(amps).max())
+    if top == 0.0:
         raise ContractViolationError("--input-state: state has zero norm")
+    # scaled by a power of two to a largest |re| or |im| in [2**299, 2**300),
+    # so that the norm neither overflows nor underflows.  Scaling up is
+    # exact; scaling down rounds only entries below 2**-1321 times the
+    # largest, which normalize to 0 either way
+    amps = np.ldexp(amps, 300 - math.frexp(top)[1]).view(np.complex128)
     if args.reduce is not None and not 1 <= args.reduce <= plan.n_out:
         raise ContractViolationError(f"--reduce: site {args.reduce} out of range 1..{plan.n_out}")
-    state = simulate(plan, amps / nrm)
+    state = simulate(plan, amps / np.linalg.norm(amps))
     out: dict = {"decoupling_residual": 0.0}  # a plan's chain closes at bond 1
     if args.reduce is not None:
         rho = reduced_density_matrix(state, [2] * plan.n_out, args.reduce - 1)
@@ -205,16 +210,14 @@ def _cmd_info(args) -> int:
     doc = {
         "m_qubits": u.m_in,
         "n_qubits": u.n_out,
-        "bond_dims": [int(d) for d in op_mps.bond_dims],
+        "bond_dims": op_mps.bond_dims,
         "max_bond_dim": op_mps.max_bond_dim,
         # for a square operator the fused cuts are the operator cuts
-        "schmidt_ranks": (
-            [int(d) for d in op_mps.bond_dims[1:-1]] if u.is_unitary and u.n_out > 1 else None
-        ),
+        "schmidt_ranks": op_mps.bond_dims[1:-1] if u.is_unitary and u.n_out > 1 else None,
         "canonical_residuals": {
-            "left_normalization": float(canonical.left_normalization),
-            "weight_transport": float(canonical.weight_transport),
-            "weight_validity": float(canonical.weight_validity),
+            "left_normalization": canonical.left_normalization,
+            "weight_transport": canonical.weight_transport,
+            "weight_validity": canonical.weight_validity,
         },
         "rank_tol": RANK_TOL,
     }

@@ -2,11 +2,13 @@
 
 Complex entries are written as ``[re, im]`` pairs, matrices row-major with
 rows indexed by the output basis state (big-endian, site 1 most
-significant).  Documents may carry ``complex128`` vectors and matrices
-themselves; they are written as those ``[re, im]`` pairs, one row per
-``%`` format.  Serialization is deterministic: keys appear sorted and every
-float is printed with 17 significant digits, which round-trips a double
-exactly, except that -0.0 is written as ``-0`` and reads back as 0.
+significant).  One recursive writer decides, deterministically, how every
+value is written: dicts with their keys sorted, lists and tuples alike,
+Python and numpy scalars, and ``complex128`` vectors and matrices as those
+``[re, im]`` pairs, one ``%`` format per row.  Document builders pass the
+library's values as they are.  Every float is printed with 17 significant
+digits, which round-trips a double exactly, except that -0.0 is written as
+``-0`` and reads back as 0.
 
 A plan file's ``steps[k]`` is the plan's block ``k``
 (:class:`~seqdecomp.sequencer.SequentialPlan`): the defined columns of
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -43,43 +45,27 @@ _quote = json.encoder.encode_basestring_ascii
 
 def dumps(obj: Any) -> str:
     """Deterministic JSON text for a document of dicts, lists and scalars."""
-    return "".join(_pieces(obj))
+    return _text(obj)
 
 
-def _pieces(obj: Any) -> Iterator[str]:
-    """The text of ``obj`` in consecutive pieces, a matrix one row each.  A
-    scalar is joined to the piece before it, so a small document costs few
-    pieces."""
-    # Recurse here, not through ``dumps``: wrapping the public name must see
-    # one call per document.
+def _text(obj: Any) -> str:
+    """The JSON text of ``obj``.  It recurses into itself, not through
+    ``dumps``: wrapping the public name must see one call per document."""
+    if isinstance(obj, dict):
+        return "{%s}" % ",".join([_quote(str(k)) + ":" + _text(obj[k]) for k in sorted(obj)])
+    if isinstance(obj, (list, tuple)):
+        return "[%s]" % ",".join(map(_text, obj))
     if isinstance(obj, np.ndarray):
-        yield from _array_pieces(obj)
-        return
-    if not isinstance(obj, _NESTED):
-        yield _scalar(obj)
-        return
-    keyed = isinstance(obj, dict)
-    close = "}" if keyed else "]"
-    if not obj:
-        yield ("{" if keyed else "[") + close
-        return
-    sep = "{" if keyed else "["
-    for key in sorted(obj) if keyed else obj:
-        head, value = (sep + _quote(str(key)) + ":", obj[key]) if keyed else (sep, key)
-        sep = ","
-        if isinstance(value, _NESTED):
-            yield head
-            yield from _pieces(value)
-        else:
-            yield head + _scalar(value)
-    yield close
-
-
-#: What :func:`_pieces` walks into; anything else is one scalar.
-_NESTED = (dict, list, tuple, np.ndarray)
-
-
-def _scalar(obj: Any) -> str:
+        if obj.dtype != np.complex128 or obj.ndim not in (1, 2):
+            raise ContractViolationError(f"cannot serialize a {obj.ndim}-D {obj.dtype} array")
+        pairs = np.ascontiguousarray(obj).view(np.float64)
+        if not np.isfinite(pairs).all():
+            raise ContractViolationError("refusing to serialize a non-finite number")
+        # one % format per row; '%.17g' % x prints a double as format(x, '.17g') does
+        row = "[" + ",".join(["[%.17g,%.17g]"] * obj.shape[-1]) + "]"
+        if obj.ndim == 1:
+            return row % tuple(pairs.tolist())
+        return "[%s]" % ",".join([row % tuple(r.tolist()) for r in pairs])
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ContractViolationError("refusing to serialize a non-finite number")
@@ -93,25 +79,8 @@ def _scalar(obj: Any) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, np.floating):
-        return _scalar(float(obj))
+        return _text(float(obj))
     raise ContractViolationError(f"cannot serialize {type(obj).__name__}")
-
-
-def _array_pieces(a: np.ndarray) -> Iterator[str]:
-    # '%.17g' % x and format(x, '.17g') print a double the same way
-    if a.dtype != np.complex128 or a.ndim not in (1, 2):
-        raise ContractViolationError(f"cannot serialize a {a.ndim}-D {a.dtype} array")
-    pairs = np.ascontiguousarray(a).view(np.float64)
-    if not np.isfinite(pairs).all():
-        raise ContractViolationError("refusing to serialize a non-finite number")
-    row = "[" + ",".join(["[%.17g,%.17g]"] * a.shape[-1]) + "]"
-    if a.ndim == 1:
-        yield row % tuple(pairs.tolist())
-        return
-    yield "["
-    for k, r in enumerate(pairs):
-        yield ("," if k else "") + row % tuple(r.tolist())
-    yield "]"
 
 
 def decode_matrix(data: Any, rows: int, cols: int, where: str) -> np.ndarray:
@@ -194,8 +163,8 @@ def doc_to_isometry(doc: Any, where: str = "operator") -> Isometry:
 def report_to_doc(report: SequentialityReport) -> dict:
     return {
         "implementable": report.implementable,
-        "per_site_residuals": [float(r) for r in report.per_site_residuals],
-        "bond_dims": [int(d) for d in report.bond_dims],
+        "per_site_residuals": report.per_site_residuals,
+        "bond_dims": report.bond_dims,
         "ancilla_dim_if_yes": report.ancilla_dim_if_yes,
         "criterion_tol": ISOMETRY_TOL,
         "rank_tol": RANK_TOL,
@@ -210,12 +179,12 @@ def plan_to_doc(plan: SequentialPlan, verification: PlanVerification) -> dict:
         "ancilla_dim": plan.ancilla_dim,
         "m_in": plan.m_in,
         "steps": [encode_block(q) for q in plan.blocks],
-        "bond_dims": [int(d) for d in plan.bond_dims],
+        "bond_dims": plan.bond_dims,
         "report": {
             "implementable": report.implementable,
-            "residuals": [float(r) for r in report.per_site_residuals],
-            "verification_error": float(verification.max_error),
-            "verification_error_bound": float(verification.operator_norm_bound),
+            "residuals": report.per_site_residuals,
+            "verification_error": verification.max_error,
+            "verification_error_bound": verification.operator_norm_bound,
             # a plan's chain closes at bond 1, so its ancilla always decouples
             "decoupling_residual": 0.0,
         },
@@ -234,7 +203,10 @@ def doc_to_plan(doc: Any, where: str = "plan") -> SequentialPlan:
     bond_dims = _require(doc, "bond_dims", list, where)
     if ancilla_dim < 1:
         raise ContractViolationError(f"{where}.ancilla_dim: must be positive")
-    shapes = _block_shapes(ancilla_dim, m_in, len(steps_doc), bond_dims)
+    try:
+        shapes = _block_shapes(ancilla_dim, m_in, len(steps_doc), bond_dims)
+    except ContractViolationError as exc:  # m_in or bond_dims, named as the file names it
+        raise ContractViolationError(f"{where}.{exc}") from None
     blocks = [
         decode_block(step, rows, cols, f"{where}.steps[{k}]")
         for k, (step, (rows, cols)) in enumerate(zip(steps_doc, shapes))

@@ -26,23 +26,46 @@ RANK_TOL = 1e-10
 ISOMETRY_TOL = 1e-10
 
 
+#: How many bits a refused size may have beyond physical memory's and still
+#: be written in full; a larger one is written as a power of two.
+_FULL_SIZE_BITS = 64
+
+
 def _require_fits(name: str, what: str, need: int) -> None:
     """Refuse work whose ``what`` needs ``need`` bytes when that exceeds
     the machine's physical memory, before allocating it."""
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    have = _physical_memory()
     if need > have:
-        raise ContractViolationError(
-            f"{name}: {what} needs {need} bytes, more than the {have} bytes of physical memory"
-        )
+        _refuse(name, what, need.bit_length() - 1, have, need)
 
 
 def _require_dense_fits(name: str, m_in: int, n_out: int, copies: int = 1, spare: int = 0) -> None:
     """:func:`_require_fits` for ``copies`` dense ``m_in -> n_out`` matrices
-    of ``16 * 2**(n_out + m_in)`` bytes each, and ``spare`` bytes more."""
+    of ``16 * 2**(n_out + m_in)`` bytes each, and ``spare`` bytes more.  A
+    matrix far beyond physical memory is refused by its exponent, without
+    forming its size."""
     times = f" x {copies}" if copies > 1 else ""
     more = f" and {spare} bytes" if spare else ""
     what = f"the dense {m_in} -> {n_out} matrix{times}{more}"
-    _require_fits(name, what, copies * 16 * 2 ** (n_out + m_in) + spare)
+    bits = n_out + m_in + 4  # one matrix takes 2**bits bytes
+    have = _physical_memory()
+    if bits > have.bit_length() + _FULL_SIZE_BITS:
+        _refuse(name, what, bits, have)
+    _require_fits(name, what, copies * 2**bits + spare)
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _refuse(name: str, what: str, bits: int, have: int, need: int | None = None) -> None:
+    """Raise the guard's error for ``what``, which needs ``need`` bytes, at
+    least ``2**bits``, more than the ``have`` bytes of physical memory."""
+    full = need is not None and bits <= have.bit_length() + _FULL_SIZE_BITS
+    size = need if full else f"at least 2**{bits}"
+    raise ContractViolationError(
+        f"{name}: {what} needs {size} bytes, more than the {have} bytes of physical memory"
+    )
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:

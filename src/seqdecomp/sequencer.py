@@ -146,13 +146,13 @@ def _block_shapes(ancilla_dim: int, m_in: int, n_steps: int, bonds) -> list[tupl
     :class:`SequentialPlan`), once its ``m_in`` and ``bond_dims`` are
     checked: the bonds are validated before they are used as shapes."""
     if not 1 <= m_in <= n_steps:
-        raise ContractViolationError(f"m_in={m_in} out of range for {n_steps} steps")
+        raise ContractViolationError(f"m_in: {m_in} out of range for {n_steps} steps")
     if len(bonds) != n_steps + 1 or bonds[0] != 1 or bonds[-1] != 1 or not all(
         isinstance(d, (int, np.integer)) and not isinstance(d, bool) and 1 <= d <= ancilla_dim
         for d in bonds
     ):
         raise ContractViolationError(
-            f"bond_dims must be {n_steps + 1} integers from 1 to the ancilla "
+            f"bond_dims: must be {n_steps + 1} integers from 1 to the ancilla "
             f"dimension {ancilla_dim}, with both boundaries 1; got {list(bonds)}"
         )
     return [

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -387,6 +388,38 @@ def test_simulate_amplitude_list_input(tmp_path, capsys):
     assert np.isclose(amps[0][0], 1 / math.sqrt(2))
 
 
+@pytest.mark.parametrize(
+    "state", ["[[1e200,0],[1e200,0]]", "[[5e-324,0],[5e-324,0]]", "[1e-170,1e-170]"],
+    ids=["huge", "subnormal", "tiny"],
+)
+def test_simulate_normalizes_any_nonzero_finite_list(state, tmp_path, capsys):
+    # the norm is taken after an exact scaling by a power of two, so it
+    # neither overflows nor underflows; a warning would fail the request
+    path = tmp_path / "plan.json"
+    assert run_cli(["decompose", "shor", "-o", str(path)], capsys)[0] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = run_cli(["simulate", str(path), "--input-state", "[[1,0],[1,0]]"], capsys)
+        assert run_cli(["simulate", str(path), f"--input-state={state}"], capsys) == expected
+    assert expected[0] == 0 and expected[2] == ""
+
+
+def test_simulate_refuses_a_state_too_large_to_print_its_size(tmp_path, capsys):
+    # 20000 sites at bond 1 run a state of 2**20000 amplitudes, whose size
+    # has more digits than Python prints of an integer
+    identity = encode_block_entries([[1, 0], [0, 1]])
+    keep = encode_block_entries([[1], [0]])
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(
+        {"ancilla_dim": 1, "m_in": 1, "steps": [identity] + [keep] * 19999, "bond_dims": [1] * 20001}
+    ))
+    code, out, err = run_cli(["simulate", str(path), "--input-state", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "error: simulate: the state of 20000 sites at ancilla 1 needs at least 2**20005 bytes, "
+    )
+
+
 def test_info_cnot(capsys):
     code, out, _ = run_cli(["info", "cnot"], capsys)
     assert code == 0
@@ -501,6 +534,35 @@ def test_oversized_builtin_exits_2_before_allocating(token, n_out, capsys):
     assert err.startswith(f"error: {token}: ")
     assert f"needs {16 * 2 ** (n_out + 1)} bytes" in err
     assert "MemoryError" not in err
+
+
+#: The address-space limit of the child below: ``check shor`` runs within half of it.
+_CHILD_MEMORY = 2**30
+
+
+@pytest.mark.parametrize(
+    "token", ["ghz:100000", "ghz:1000000000", "cloner:99999999999999999999"]
+)
+def test_huge_builtin_exits_2_without_forming_its_size(token):
+    # in a child under a 1 GiB address-space limit: a size of 2**(n + 5)
+    # bytes takes n / 8 bytes to form, and more than 4300 digits to print
+    code = (
+        "import resource, sys, time\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({_CHILD_MEMORY}, {_CHILD_MEMORY}))\n"
+        "from seqdecomp.cli import main\n"
+        "start = time.perf_counter()\n"
+        f"code = main(['check', {token!r}])\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=child_env()
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert float(proc.stdout) < 1.0
+    assert proc.stderr.startswith(f"error: {token}: the dense 1 -> ")
+    assert " bytes, more than the " in proc.stderr and proc.stderr.count("\n") == 1
+    assert "MemoryError" not in proc.stderr and "ValueError" not in proc.stderr
 
 
 def test_wrong_field_exits_2_with_diagnostic(tmp_path, capsys):
@@ -691,7 +753,7 @@ def test_plan_file_round_trip_is_bitwise(tmp_path):
     from seqdecomp import sequentiality_test
 
     doc = formats.plan_to_doc(plan, verify_plan(plan, u))
-    assert doc["report"]["residuals"] == list(sequentiality_test(u).per_site_residuals)
+    assert doc["report"]["residuals"] == sequentiality_test(u).per_site_residuals
     text = formats.dumps(doc)
     back = formats.doc_to_plan(json.loads(text))
     assert back.ancilla_dim == plan.ancilla_dim
@@ -734,7 +796,19 @@ def test_simulate_rejects_invalid_plan_bond_dims(bond_dims, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(["simulate", str(path), "--input-state", "0"], capsys)
     assert (code, out) == (2, "")
-    assert "bond_dims" in err
+    assert err.startswith(f"error: {path}.bond_dims")
+
+
+@pytest.mark.parametrize("m_in", [0, 4])
+def test_simulate_rejects_a_plan_m_in_out_of_range(m_in, tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    assert run_cli(["decompose", "ghz:3", "-o", str(path)], capsys)[0] == 0
+    doc = json.loads(path.read_text())
+    doc["m_in"] = m_in
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["simulate", str(path), "--input-state", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}.m_in: {m_in} out of range for 3 steps\n"
 
 
 def _step_bytes(step):
@@ -853,12 +927,17 @@ def run_command(argv, stdout=subprocess.PIPE, cwd=None, launcher=()):
     """``python -m seqdecomp argv`` on the package under test, started through
     ``launcher`` if one is given, with standard output block-buffered as when
     the command runs normally."""
+    command = [*launcher, sys.executable, "-m", "seqdecomp", *argv]
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, cwd=cwd, env=child_env())
+
+
+def child_env():
+    """The environment of a child Python that imports the package under test."""
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    command = [*launcher, sys.executable, "-m", "seqdecomp", *argv]
-    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, cwd=cwd, env=env)
+    return env
 
 
 ENTRY_POINT_ROWS = {
