@@ -25,7 +25,7 @@ import numpy as np
 from . import formats
 from .errors import ContractViolationError, NotImplementableError, NumericFailureError
 from .linalg import ISOMETRY_TOL, RANK_TOL, reduced_density_matrix
-from .sequencer import build_plan, sequentiality_test, simulate, verify_plan
+from .sequencer import _require_simulate_fits, build_plan, sequentiality_test, simulate, verify_plan
 
 # oplib and mps are imported by the commands that use them: simulate runs a
 # plan and needs neither
@@ -54,9 +54,12 @@ def _load_factors(path: str | None) -> list[np.ndarray]:
     doc = formats.parse_document(_read_text(path, "factor file"), path)
     if not isinstance(doc, list) or not doc:
         raise ContractViolationError(f"{path}: expected a nonempty JSON list of 2x2 matrices")
-    return [
-        formats.decode_matrix(entry, 2, 2, f"{path}[{k}]") for k, entry in enumerate(doc)
-    ]
+    try:  # the whole list in one conversion
+        return list(formats.decode_matrix(doc, 2, 2, path, count=len(doc)))
+    except ContractViolationError:  # named by its first bad entry
+        for k, entry in enumerate(doc):
+            formats.decode_matrix(entry, 2, 2, f"{path}[{k}]")
+        raise
 
 
 #: builtin name -> (its ``oplib`` builder, number of integer arguments)
@@ -93,10 +96,12 @@ def load_operator(token: str, factors_path: str | None = None) -> Isometry:
     return formats.doc_to_isometry(doc, where=token)
 
 
-def _parse_input_state(text: str, m_in: int) -> np.ndarray:
-    text = text.strip()
+def _parse_input_state(text: str, plan) -> np.ndarray:
+    text, m_in = text.strip(), plan.m_in
     if text.startswith("["):
         doc = formats.parse_document(text, "--input-state")
+        if len(doc).bit_length() != m_in + 1:  # checked without forming 2**m_in
+            raise ContractViolationError(f"--input-state: {len(doc)} amplitudes, not 2**{m_in}")
         # a plain number x stands for the pair [x, 0]; bools stay rejected
         pairs = [
             [x, 0] if isinstance(x, (int, float)) and not isinstance(x, bool) else x
@@ -107,10 +112,10 @@ def _parse_input_state(text: str, m_in: int) -> np.ndarray:
         raise ContractViolationError(
             f"--input-state: expected {m_in} characters from 01+- or an amplitude list"
         )
-    amps = np.ones(1, dtype=np.complex128)
-    for c in text:
-        amps = np.kron(amps, np.array(_SINGLE_QUBIT_LABELS[c], dtype=np.complex128))
-    return amps
+    _require_simulate_fits(plan)  # before the state is built
+    # the bytes of the np.kron chain, one outer product per qubit
+    qubits = [np.array(_SINGLE_QUBIT_LABELS[c], dtype=np.complex128) for c in text]
+    return functools.reduce(np.multiply.outer, qubits).ravel()
 
 
 def _print_doc(doc) -> None:
@@ -178,7 +183,7 @@ def _cmd_simulate(args) -> int:
     plan = formats.doc_to_plan(doc, where=args.plan)
     # argparse (3.10 and 3.11 among others) drops the value of --input-state=--, leaving []
     text = "--" if args.input_state == [] else args.input_state
-    amps = _parse_input_state(text, plan.m_in).view(np.float64)
+    amps = _parse_input_state(text, plan).view(np.float64)
     top = float(np.abs(amps).max())
     if top == 0.0:
         raise ContractViolationError("--input-state: state has zero norm")

@@ -150,17 +150,18 @@ def r_factor(chunks: Iterable[np.ndarray]) -> np.ndarray:
     return np.linalg.qr(parts[0] if len(parts) == 1 else np.concatenate(parts), mode="r")
 
 
-def isometry_defect(q: np.ndarray) -> float:
+def isometry_defect(q: np.ndarray) -> float | np.ndarray:
     """``||q† q - I||_2``, exactly, from the spectrum of the smaller Gram matrix.
 
     ``q† q`` and ``q q†`` share their nonzero eigenvalues; a wide ``q`` adds
-    zero eigenvalues to ``q† q``, each a defect of exactly 1.
+    zero eigenvalues to ``q† q``, each a defect of exactly 1.  A stack of
+    matrices of one shape gets one defect each, from one product and one ``eigvalsh``.
     """
-    rows, cols = q.shape
+    rows, cols = q.shape[-2:]
     g = dagger(q) @ q if rows >= cols else q @ dagger(q)
-    g.flat[:: len(g) + 1] -= 1  # g - I bit for bit, without forming I
-    defect = float(np.max(np.abs(np.linalg.eigvalsh(g))))
-    return defect if rows >= cols else max(defect, 1.0)
+    g.reshape(*g.shape[:-2], -1)[..., :: g.shape[-1] + 1] -= 1  # g - I bit for bit
+    defect = np.abs(np.linalg.eigvalsh(g)).max(axis=-1)
+    return defect if rows >= cols else np.maximum(defect, 1.0)
 
 
 def isometry_residual(q: np.ndarray) -> float:
@@ -171,9 +172,10 @@ def isometry_residual(q: np.ndarray) -> float:
     changes.  Otherwise the exact spectral norm is returned, as
     :func:`isometry_defect` computes it for the sequentiality criterion.
     """
-    g = dagger(q) @ q
+    g = q.conj().T @ q
     g.flat[:: len(g) + 1] -= 1  # g - I bit for bit, without forming I
-    frobenius = float(np.linalg.norm(g))
+    x = g.ravel()  # the Frobenius norm as np.linalg.norm sums it, without its checks
+    frobenius = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
     if frobenius < ISOMETRY_TOL:
         return frobenius
     return isometry_defect(q)

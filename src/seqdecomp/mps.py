@@ -320,14 +320,12 @@ def _peel_cut(block: np.ndarray, cols: int):
     """
     rows = block.size // cols
     if rows < max(_QR_GATE, 2 * cols):
-        chunks = [(0, block.reshape(rows, cols))]
-        s, vd = svd(chunks[0][1])
-    else:
-        # a block of one chunk is copied once for both passes
-        chunks = list(_chunks(block, cols)) if rows <= _CHUNK_ROWS else None
-        s, vd = svd(r_factor(a for _, a in chunks or _chunks(block, cols)))
-    if s.size == 0:
-        raise ContractViolationError("chain contracts to the zero vector")
+        a = block.reshape(rows, cols)
+        s, vd = svd(a)
+        return s, vd, a @ dagger(vd)
+    # a block of one chunk is copied once for both passes
+    chunks = list(_chunks(block, cols)) if rows <= _CHUNK_ROWS else None
+    s, vd = svd(r_factor(a for _, a in chunks or _chunks(block, cols)))
     vd_dagger = dagger(vd)
     carry = np.empty((rows, s.size), dtype=np.complex128)
     for start, a in chunks or _chunks(block, cols):
@@ -349,6 +347,8 @@ def _right_sweep(dims: Sequence[int], block, carry: np.ndarray):
     for m in reversed(range(1, n)):
         b = block(m, carry)
         s, vd, carry = _peel_cut(b, dims[m] * b.shape[-1])
+        if s.size == 0:
+            raise ContractViolationError("chain contracts to the zero vector")
         out[m] = vd.reshape(s.size, dims[m], b.shape[-1])
         schmidt[m - 1] = s
     row = block(0, carry)
@@ -379,7 +379,8 @@ def _mirrored_sweep(tensors: Sequence[np.ndarray]):
     mirror = [t.transpose(1, 0, 2) for t in reversed(tensors)]
 
     def peel(m, carry):
-        return np.tensordot(mirror[m], carry, axes=([2], [0]))
+        # np.dot, as np.tensordot takes it; matmul rounds an outer product differently
+        return np.dot(mirror[m].reshape(-1, len(carry)), carry).reshape(*mirror[m].shape[:2], -1)
 
     dims = [t.shape[1] for t in mirror]
     return _right_sweep(dims, peel, np.eye(1, dtype=np.complex128))
@@ -466,7 +467,10 @@ def check_canonical(mps: Mps, weights: CanonicalWeights) -> CanonicalReport:
     Reports the worst spectral-norm deviation of left-normalization, of the
     weight-transport recursion, and of the weight vectors' positivity and
     unit trace.  Passes when all three stay below
-    :data:`~seqdecomp.linalg.ISOMETRY_TOL`.
+    :data:`~seqdecomp.linalg.ISOMETRY_TOL`.  The sites of one tensor shape
+    take one stacked Gram product and one transport product over all their
+    values, and each Hermitian residual's spectral norm is the largest
+    modulus of its eigenvalues, from one stacked ``eigvalsh``.
     """
     n = mps.n_sites
     if len(weights.lambdas) != n - 1:
@@ -475,26 +479,25 @@ def check_canonical(mps: Mps, weights: CanonicalWeights) -> CanonicalReport:
         )
     chain = [np.ones(1)] + list(weights.lambdas) + [np.ones(1)]
     for c in range(1, n):
-        if chain[c].size != mps.bond_dims[c]:
+        if chain[c].size != mps.tensors[c].shape[2]:
             raise ContractViolationError(
-                f"cut {c}: weight length {chain[c].size} != bond {mps.bond_dims[c]}"
+                f"cut {c}: weight length {chain[c].size} != bond {mps.tensors[c].shape[2]}"
             )
-    res_norm = 0.0
-    res_transport = 0.0
-    res_weights = 0.0
-    for m, t in enumerate(mps.tensors):
-        d, rgt, lft = t.shape
-        gram = np.zeros((lft, lft), dtype=np.complex128)
-        push = np.zeros((rgt, rgt), dtype=np.complex128)
-        for i in range(d):
-            gram += dagger(t[i]) @ t[i]
-            push += t[i] @ (chain[m][:, None] * dagger(t[i]))
-        res_norm = max(res_norm, float(np.linalg.norm(gram - np.eye(lft), 2)))
-        res_transport = max(
-            res_transport, float(np.linalg.norm(push - np.diag(chain[m + 1]), 2))
-        )
+    res_norm = res_transport = res_weights = 0.0
+    for d, rgt, lft in {t.shape for t in mps.tensors}:
+        sites = [m for m, t in enumerate(mps.tensors) if t.shape == (d, rgt, lft)]
+        t = np.stack([mps.tensors[m] for m in sites])
+        flat = t.reshape(-1, d * rgt, lft)
+        gram = dagger(flat) @ flat  # sum_i t[i]† t[i]
+        gram.reshape(len(sites), -1)[:, :: lft + 1] -= 1
+        side = t.transpose(0, 2, 1, 3)  # (site, right, value, left)
+        w = np.stack([chain[m] for m in sites])[:, None, None]  # each site's left weights
+        weighted = (side * w).reshape(-1, rgt, d * lft)
+        push = weighted @ dagger(side.reshape(-1, rgt, d * lft))  # sum_i t[i] diag(w) t[i]†
+        push.reshape(len(sites), -1)[:, :: rgt + 1] -= np.stack([chain[m + 1] for m in sites])
+        res_norm = max(res_norm, float(np.abs(np.linalg.eigvalsh(gram)).max()))
+        res_transport = max(res_transport, float(np.abs(np.linalg.eigvalsh(push)).max()))
     for lam in weights.lambdas:
         res_weights = max(res_weights, abs(float(np.sum(lam)) - 1.0))
         res_weights = max(res_weights, max(0.0, -float(np.min(lam))))
     return CanonicalReport(res_norm, res_transport, res_weights)
-

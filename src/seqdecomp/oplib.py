@@ -215,21 +215,22 @@ def product_unitary(factors: Sequence[np.ndarray]) -> Isometry:
         raise ContractViolationError("need at least one factor")
     if len(factors) > _MAX_QUBITS:
         raise ContractViolationError(f"at most {_MAX_QUBITS} factors supported")
-    owned = []
-    low = high = 1.0
+    arrays = []
     for k, f in enumerate(factors):
         a = as_matrix(f, f"factor {k}")
         if a.shape != (2, 2):
             raise ContractViolationError(f"factor {k} is not 2x2: shape {a.shape}")
-        lo, hi = np.linalg.eigvalsh(dagger(a) @ a)
-        if max(hi - 1.0, 1.0 - lo) > ISOMETRY_TOL:
-            raise ContractViolationError(f"factor {k} is not unitary")
-        low, high = low * lo, high * hi
-        owned.append(a.copy())
+        arrays.append(a)
+    owned = np.array(arrays)
+    lo, hi = np.linalg.eigvalsh(dagger(owned) @ owned).T
+    bad = np.flatnonzero(np.maximum(hi - 1.0, 1.0 - lo) > ISOMETRY_TOL)
+    if bad.size:
+        raise ContractViolationError(f"factor {bad[0]} is not unitary")
     n = len(owned)
-    chain = Mps(tuple(a.reshape(4, 1, 1) / math.sqrt(2.0) for a in owned),
+    chain = Mps(tuple((owned / math.sqrt(2.0)).reshape(n, 4, 1, 1)),
                 norm=math.sqrt(2.0**n), m_in=n)
-    kron_chain = functools.partial(functools.reduce, np.kron, owned)
+    kron_chain = functools.partial(functools.reduce, np.kron, list(owned))
+    low, high = math.prod(lo.tolist()), math.prod(hi.tolist())  # in site order, as the loop did
     return Isometry._from_chain(chain, max(high - 1.0, 1.0 - low), kron_chain)
 
 

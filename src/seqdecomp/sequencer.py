@@ -12,13 +12,14 @@ tensors are isometric separately for each input value:
 for every input site ``k`` (the factor 1/2 reflects the unit-norm gauge of
 the stored tensors).  Equivalently, the defined columns ``Q`` of step ``k``,
 read directly off the site tensor, are orthonormal; the residual reported
-for input site ``k`` is ``||Q† Q - I||_2``.  The criterion is exact, so its
-tolerance is rounding slack only: it holds when every residual is below
-:data:`~seqdecomp.linalg.ISOMETRY_TOL`, the tolerance of every orthonormality
-check in the package, the check of each block of a plan included.  When the
-criterion holds, a plan holds each step as its defined columns, its block,
-the only columns the chain reaches; the remaining columns, the orthogonal
-complement of ``Q`` from one complete QR
+for input site ``k`` is ``||Q† Q - I||_2``, taken in one stacked call per
+block shape for all the input blocks of that shape.  The criterion is
+exact, so its tolerance is rounding slack only: it holds when every
+residual is below :data:`~seqdecomp.linalg.ISOMETRY_TOL`, the tolerance of
+every orthonormality check in the package, the check of each block of a
+plan included.  When the criterion holds, a plan holds each step as its
+defined columns, its block, the only columns the chain reaches; the
+remaining columns, the orthogonal complement of ``Q`` from one complete QR
 (:func:`~seqdecomp.linalg.complete_to_unitary`), are formed only when the
 plan's ``steps`` are read.  The ancilla dimension equals the maximal
 canonical bond dimension, the smallest for this visiting order, inputs
@@ -213,12 +214,17 @@ def _defined_columns(t: np.ndarray, fused: bool) -> np.ndarray:
 
 
 def _criterion(op: Mps) -> tuple[tuple[np.ndarray, ...], SequentialityReport]:
-    """Defined columns of every step of a canonical chain, and the verdict on them."""
+    """Defined columns of every step of a canonical chain, and the verdict on
+    them, from one stacked ``isometry_defect`` call per block shape."""
     blocks = tuple(_defined_columns(t, k < op.m_in) for k, t in enumerate(op.tensors))
-    residuals = tuple(isometry_defect(q) for q in blocks[: op.m_in])
+    residuals = [0.0] * op.m_in
+    for shape in {q.shape for q in blocks[: op.m_in]}:
+        sites = [k for k in range(op.m_in) if blocks[k].shape == shape]
+        for k, defect in zip(sites, isometry_defect(np.stack([blocks[k] for k in sites]))):
+            residuals[k] = float(defect)
     report = SequentialityReport(
         implementable=max(residuals) < ISOMETRY_TOL,
-        per_site_residuals=residuals,
+        per_site_residuals=tuple(residuals),
         bond_dims=op.bond_dims,
         ancilla_dim_if_yes=op.max_bond_dim,
     )
@@ -280,19 +286,25 @@ def simulate(plan: SequentialPlan, input_state) -> np.ndarray:
     amps = np.asarray(input_state, dtype=np.complex128).reshape(-1)
     if amps.size != 2**plan.m_in:
         raise ContractViolationError(
-            f"input has {amps.size} amplitudes, expected {2**plan.m_in}"
+            f"input has {amps.size} amplitudes, expected 2**{plan.m_in}"
         )
     if not np.isfinite(amps).all():
         raise ContractViolationError("input contains non-finite amplitudes")
     if abs(np.linalg.norm(amps) - 1.0) > ISOMETRY_TOL:
         raise ContractViolationError("input state is not normalized")
-    # the state at bond k holds 2**max(k, m_in) amplitudes per bond state
-    largest = max(2 ** max(k, plan.m_in) * b for k, b in enumerate(plan.bond_dims))
-    need = 16 * (amps.size + _SIMULATE_COPIES * largest) + _chain_spare(plan)
-    what = f"the state of {plan.n_out} sites at ancilla {plan.ancilla_dim}"
-    _require_fits("simulate", what, need)
+    _require_simulate_fits(plan)
     state = _rows(_plan_chain(plan), state=amps).reshape(-1)
     return state / np.linalg.norm(state)
+
+
+def _require_simulate_fits(plan: SequentialPlan) -> None:
+    """:func:`simulate`'s memory guard: refuse a plan whose input state,
+    states and chain would not fit in physical memory together."""
+    # the state at bond k holds 2**max(k, m_in) amplitudes per bond state, a shift
+    largest = max(int(b) << max(k, plan.m_in) for k, b in enumerate(plan.bond_dims))
+    need = 16 * ((1 << plan.m_in) + _SIMULATE_COPIES * largest) + _chain_spare(plan)
+    what = f"the state of {plan.n_out} sites at ancilla {plan.ancilla_dim}"
+    _require_fits("simulate", what, need)
 
 
 def _plan_chain(plan: SequentialPlan):

@@ -17,6 +17,8 @@ import struct
 import numpy as np
 
 from seqdecomp import ContractViolationError, Isometry, Mps, NumericFailureError, SequentialPlan
+from seqdecomp.mps import CanonicalReport
+from seqdecomp.sequencer import SequentialityReport
 from seqdecomp.linalg import ISOMETRY_TOL, as_matrix, dagger, isometry_residual, svd
 
 
@@ -377,6 +379,41 @@ def isometry_residual_less_eye(q) -> float:
     matrix as a fresh ``np.eye``."""
     frobenius = float(np.linalg.norm(dagger(q) @ q - np.eye(q.shape[1])))
     return frobenius if frobenius < ISOMETRY_TOL else isometry_defect_less_eye(q)
+
+
+def check_canonical_loops(mps: Mps, weights) -> CanonicalReport:
+    """``mps.check_canonical`` site by site and value by value: one Gram and
+    one transport product per physical value, each residual's spectral norm
+    from ``np.linalg.norm(..., 2)``, an SVD."""
+    chain = [np.ones(1)] + list(weights.lambdas) + [np.ones(1)]
+    res_norm = res_transport = 0.0
+    for m, t in enumerate(mps.tensors):
+        d, rgt, lft = t.shape
+        gram = np.zeros((lft, lft), dtype=np.complex128)
+        push = np.zeros((rgt, rgt), dtype=np.complex128)
+        for i in range(d):
+            gram += dagger(t[i]) @ t[i]
+            push += t[i] @ (chain[m][:, None] * dagger(t[i]))
+        res_norm = max(res_norm, float(np.linalg.norm(gram - np.eye(lft), 2)))
+        res_transport = max(
+            res_transport, float(np.linalg.norm(push - np.diag(chain[m + 1]), 2))
+        )
+    res_weights = 0.0
+    for lam in weights.lambdas:
+        res_weights = max(res_weights, abs(float(np.sum(lam)) - 1.0), -float(np.min(lam)))
+    return CanonicalReport(res_norm, res_transport, res_weights)
+
+
+def criterion_loops(op: Mps) -> SequentialityReport:
+    """``sequencer._criterion``'s report site by site: each input site's
+    defined columns from ``step_columns_loops`` and one
+    ``isometry_defect_less_eye`` call for each."""
+    residuals = tuple(
+        isometry_defect_less_eye(step_columns_loops(t, True)) for t in op.tensors[: op.m_in]
+    )
+    return SequentialityReport(
+        max(residuals) < ISOMETRY_TOL, residuals, op.bond_dims, op.max_bond_dim
+    )
 
 
 def complete_to_unitary_loops(cols) -> np.ndarray:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from seqdecomp import (
     ContractViolationError,
     Isometry,
+    SequentialPlan,
     build_plan,
     ghz_isometry,
     ghz_state,
@@ -563,6 +564,111 @@ def test_huge_builtin_exits_2_without_forming_its_size(token):
     assert proc.stderr.startswith(f"error: {token}: the dense 1 -> ")
     assert " bytes, more than the " in proc.stderr and proc.stderr.count("\n") == 1
     assert "MemoryError" not in proc.stderr and "ValueError" not in proc.stderr
+
+
+#: Malformed entries of a ``--factors`` list, each where a 2x2 matrix belongs.
+_BAD_FACTORS = {
+    "three rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]],
+    "ragged": [[[1, 0], [0, 0]], [[0, 0]]],
+    "string": "eye",
+    "non-finite": [[[1, 0], [0, 0]], [[0, 0], [float("inf"), 0]]],
+}
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("kind", list(_BAD_FACTORS))
+def test_a_malformed_factor_entry_is_named_by_its_index(kind, position, tmp_path, capsys):
+    # the list is decoded whole, and entry by entry only to name the bad one
+    entries = [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]] * 5
+    entries[position] = _BAD_FACTORS[kind]
+    path = tmp_path / "factors.json"
+    path.write_text(json.dumps(entries))
+    code, out, err = run_cli(["check", "product", "--factors", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}[{position}]: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", [[0], [3], [1, 4]])
+def test_a_non_unitary_factor_is_named_by_its_index(bad, tmp_path, capsys):
+    rng = np.random.default_rng(13)
+    factors = [(1.0 + 1e-6 * (k in bad)) * haar_unitary(2, rng) for k in range(5)]
+    path = tmp_path / "factors.json"
+    path.write_text(formats.dumps(factors))
+    code, out, err = run_cli(["check", "product", "--factors", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: factor {bad[0]} is not unitary\n"
+
+
+#: Input sites of the plan below: 2**20000 has more than 4300 digits.
+_WIDE_INPUTS = 20000
+
+
+@pytest.fixture(scope="module")
+def wide_plan(tmp_path_factory):
+    """A plan file of 20000 input sites, each a 2x2 identity block at bonds 1."""
+    eye = formats.encode_block(np.eye(2))
+    doc = {
+        "ancilla_dim": 1,
+        "m_in": _WIDE_INPUTS,
+        "steps": [eye] * _WIDE_INPUTS,
+        "bond_dims": [1] * (_WIDE_INPUTS + 1),
+    }
+    path = tmp_path_factory.mktemp("wide") / "plan.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_an_amplitude_list_of_the_wrong_length_forms_no_power_of_its_inputs(wide_plan, capsys):
+    code, out, err = run_cli(["simulate", str(wide_plan), "--input-state", "[1]"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: --input-state: 1 amplitudes, not 2**{_WIDE_INPUTS}\n"
+    # the library's own check words the size as a power too
+    plan = formats.doc_to_plan(json.loads(wide_plan.read_text()))
+    message = rf"^input has 1 amplitudes, expected 2\*\*{_WIDE_INPUTS}$"
+    with pytest.raises(ContractViolationError, match=message):
+        sequencer.simulate(plan, np.ones(1))
+
+
+@pytest.mark.parametrize("state", ["[1, 0, 0]", "[1, 0, 0, 0]", "[]"])
+def test_an_amplitude_list_of_the_wrong_length_is_refused(state, tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    assert run_cli(["decompose", "shor", "-o", str(path)], capsys)[0] == 0
+    code, out, err = run_cli(["simulate", str(path), "--input-state", state], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --input-state: ") and err.count("\n") == 1
+
+
+def test_a_long_label_meets_the_memory_guard_before_its_state_is_built(wide_plan):
+    # in a child under a 1 GiB address-space limit: the label's state alone
+    # would take 2**20004 bytes, so it must not be built before the guard
+    code = (
+        "import resource, sys, time\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({_CHILD_MEMORY}, {_CHILD_MEMORY}))\n"
+        "from seqdecomp.cli import main\n"
+        "start = time.perf_counter()\n"
+        f"code = main(['simulate', {str(wide_plan)!r}, '--input-state=' + '0' * {_WIDE_INPUTS}])\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=child_env()
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert float(proc.stdout) < 1.0
+    guard = f"error: simulate: the state of {_WIDE_INPUTS} sites at ancilla 1 needs at least 2**"
+    assert proc.stderr.startswith(guard) and proc.stderr.count("\n") == 1
+    assert "MemoryError" not in proc.stderr
+
+
+@settings(max_examples=40, deadline=None)
+@given(label=st.text(alphabet="01+-", min_size=1, max_size=8))
+def test_a_label_state_has_the_bytes_of_the_kron_chain(label):
+    plan = SequentialPlan(1, len(label), [np.eye(2)] * len(label), [1] * (len(label) + 1))
+    want = np.ones(1, dtype=np.complex128)
+    for c in label:
+        want = np.kron(want, np.array(cli._SINGLE_QUBIT_LABELS[c], dtype=np.complex128))
+    got = cli._parse_input_state(label, plan)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_wrong_field_exits_2_with_diagnostic(tmp_path, capsys):
@@ -1126,6 +1232,6 @@ def test_chain_never_reaches_the_completed_columns(operator, tmp_path, capsys, m
     for p in (plan, corrupted(plan, plan.n_out - 1, rng)):
         assert abs(verify_plan(p, u).max_error - verify_plan_loops(p, u)[0]) <= 1e-14
         for label in ["0" * m, "+" * m, ("-1" * m)[:m]]:
-            psi = cli._parse_input_state(label, m)
+            psi = cli._parse_input_state(label, p)
             psi = psi / np.linalg.norm(psi)
             assert np.max(np.abs(sequencer.simulate(p, psi) - simulate_full_state(p, psi)[0])) <= 1e-14

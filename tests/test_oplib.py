@@ -267,6 +267,23 @@ def test_product_matrix_is_the_kron_chain_bit_for_bit():
     assert all(f.flags.writeable for f in factors)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 10),
+    data=st.data(),
+)
+def test_the_stacked_factor_check_names_the_first_non_unitary_factor(seed, n, data):
+    # factors scaled by 1 + 1e-6 are far beyond the tolerance; the stacked
+    # check must name the first of them, as the factor-by-factor loop did
+    bad = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    rng = np.random.default_rng(seed)
+    factors = [(1.0 + 1e-6 * (k in bad)) * haar_unitary(2, rng) for k in range(n)]
+    with pytest.raises(ContractViolationError) as exc:
+        product_unitary(factors)
+    assert str(exc.value) == f"factor {min(bad)} is not unitary"
+
+
 def test_product_takes_no_gram_larger_than_its_factors(monkeypatch):
     # the 1024 x 1024 product is validated through its ten 2 x 2 factors
     shapes = []
@@ -275,7 +292,8 @@ def test_product_takes_no_gram_larger_than_its_factors(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: shapes.append(g.shape) or eigvalsh(g))
     rng = np.random.default_rng(43)
     product_unitary([haar_unitary(2, rng) for _ in range(10)])
-    assert shapes == [(2, 2)] * 10
+    # at most one call, a stack of the factor Grams
+    assert len(shapes) <= 1 and all(shape[-2:] == (2, 2) for shape in shapes)
     shapes.clear()
     cnot()  # the dense constructors still take the full Gram
     assert shapes == [(4, 4)]

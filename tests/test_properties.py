@@ -30,15 +30,18 @@ from seqdecomp import (
     state_to_mps,
     verify_plan,
 )
-from seqdecomp import cli, formats, mps, sequencer
+from seqdecomp import cli, formats, linalg, mps, sequencer
 from seqdecomp.linalg import ISOMETRY_TOL
 
 from oracles import (
+    check_canonical_loops,
     contract_state,
     corrupted,
+    criterion_loops,
     gauge_inflate,
     gauge_residual,
     haar_columns_full,
+    isometry_defect_less_eye,
     open_chain_rows_loops,
     operator_cut_ranks,
     schmidt_cut_ranks,
@@ -408,3 +411,62 @@ def test_a_product_chain_agrees_with_its_dense_matrix(seed, deltas):
     residuals = [doc.pop("canonical_residuals") for doc in (info, info_dense)]
     assert all(r <= 1e-12 for doc in residuals for r in doc.values())
     assert info == info_dense
+
+
+def _canonical_operator(kind, data, seed):
+    """The canonical chain and weights of a dense Haar isometry, of a
+    product of Haar factors, or of a random operator chain with bonds up
+    to 3 in any gauge."""
+    rng = np.random.default_rng(seed)
+    if kind == "product":
+        n = data.draw(st.integers(1, 8))
+        return mps.canonical_chain(product_unitary([haar_unitary(2, rng) for _ in range(n)]))
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, n))
+    if kind == "dense":
+        return mps.canonical_chain(random_isometry(m, n, seed))
+    bonds = [1] + [int(rng.integers(1, 4)) for _ in range(n - 1)] + [1]
+    shapes = [(4 if k < m else 2, bonds[k + 1], bonds[k]) for k in range(n)]
+    tensors = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+    return canonicalize(Mps(tuple(tensors), m_in=m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["dense", "product", "chain"]), data=st.data(), seed=SEEDS)
+def test_the_stacked_checks_match_their_site_by_site_loops(kind, data, seed):
+    # check_canonical and the criterion take one stacked call per shape; the
+    # loops they replaced take one per site and per physical value
+    op, weights = _canonical_operator(kind, data, seed)
+    report, want = check_canonical(op, weights), check_canonical_loops(op, weights)
+    for field in ("left_normalization", "weight_transport", "weight_validity"):
+        assert abs(getattr(report, field) - getattr(want, field)) <= 1e-14
+    assert report.passed == want.passed
+    blocks, verdict = sequencer._criterion(op)
+    want = criterion_loops(op)
+    assert len(blocks) == op.n_sites
+    assert len(verdict.per_site_residuals) == len(want.per_site_residuals) == op.m_in
+    for got, expected in zip(verdict.per_site_residuals, want.per_site_residuals):
+        assert type(got) is float and abs(got - expected) <= 1e-14
+    assert verdict.implementable == want.implementable
+    assert verdict.bond_dims == want.bond_dims == op.bond_dims
+    assert verdict.ancilla_dim_if_yes == want.ancilla_dim_if_yes
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(1, 6),
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    scale=st.floats(0.5, 2.0),
+    seed=SEEDS,
+)
+def test_a_stack_of_defects_is_the_bits_of_one_call_each(count, rows, cols, scale, seed):
+    # one stacked product and eigvalsh: LAPACK still runs matrix by matrix
+    rng = np.random.default_rng(seed)
+    stack = scale * haar_unitary(max(rows, cols), rng)[:rows, :cols]
+    stack = stack + 1e-9 * rng.standard_normal((count, rows, cols))
+    defects = linalg.isometry_defect(stack)
+    assert defects.shape == (count,)
+    for q, defect in zip(stack, defects):
+        assert np.float64(defect).tobytes() == np.float64(linalg.isometry_defect(q)).tobytes()
+        assert np.float64(defect).tobytes() == np.float64(isometry_defect_less_eye(q)).tobytes()
