@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the frozen base of the
+types that hold arrays."""
 
 
 class ContractViolationError(ValueError):
@@ -23,3 +24,18 @@ class NotImplementableError(RuntimeError):
             f"(worst criterion residual {worst:.3e})"
         )
         self.report = report
+
+
+class Frozen:
+    """Base of the types that hold arrays: an instance refuses every
+    assignment and deletion of an attribute, and compares and hashes by
+    identity.  A subclass's ``__init__`` sets its attributes through
+    ``self.__dict__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -70,12 +70,11 @@ built by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, Frozen
 from .linalg import ISOMETRY_TOL, _QR_ROWS, _require_dense_fits, dagger, r_factor, svd
 
 if TYPE_CHECKING:
@@ -128,8 +127,7 @@ def _validate_chain(tensors) -> tuple[np.ndarray, ...]:
     return tuple(arrays)
 
 
-@dataclass(frozen=True, eq=False)
-class Mps:
+class Mps(Frozen):
     """Matrix-product state or operator; see the module docstring for the layout.
 
     A state chain has ``m_in == 0`` and any physical dimensions.  An
@@ -140,24 +138,23 @@ class Mps:
     """
 
     tensors: tuple[np.ndarray, ...]
-    norm: float = 1.0
-    m_in: int = 0
+    norm: float
+    m_in: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "tensors", _validate_chain(self.tensors))
-        if not (np.isfinite(self.norm) and self.norm > 0):
-            raise ContractViolationError(f"norm must be finite positive, got {self.norm}")
-        if not 0 <= self.m_in <= len(self.tensors):
-            raise ContractViolationError(
-                f"m_in={self.m_in} out of range for {len(self.tensors)} sites"
-            )
-        if self.m_in:
-            for m, t in enumerate(self.tensors):
-                want = 4 if m < self.m_in else 2
+    def __init__(self, tensors, norm: float = 1.0, m_in: int = 0):
+        tensors = _validate_chain(tensors)
+        if not (np.isfinite(norm) and norm > 0):
+            raise ContractViolationError(f"norm must be finite positive, got {norm}")
+        if not 0 <= m_in <= len(tensors):
+            raise ContractViolationError(f"m_in={m_in} out of range for {len(tensors)} sites")
+        if m_in:
+            for m, t in enumerate(tensors):
+                want = 4 if m < m_in else 2
                 if t.shape[0] != want:
                     raise ContractViolationError(
                         f"site {m + 1}: physical dimension {t.shape[0]}, expected {want}"
                     )
+        self.__dict__.update(tensors=tensors, norm=norm, m_in=m_in)
 
     @property
     def n_sites(self) -> int:
@@ -177,8 +174,7 @@ class Mps:
         return max(self.bond_dims)
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalWeights:
+class CanonicalWeights(Frozen):
     """Squared Schmidt coefficients for every interior cut of a chain.
 
     ``lambdas[m]`` belongs to the cut between sites ``m + 1`` and ``m + 2``
@@ -189,19 +185,18 @@ class CanonicalWeights:
 
     lambdas: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
+    def __init__(self, lambdas):
         arrays = []
-        for c, lam in enumerate(self.lambdas):
+        for c, lam in enumerate(lambdas):
             a = np.array(lam, dtype=np.float64)
             if a.ndim != 1 or a.size == 0 or not np.isfinite(a).all():
                 raise ContractViolationError(f"cut {c + 1}: malformed weight vector")
             a.setflags(write=False)
             arrays.append(a)
-        object.__setattr__(self, "lambdas", tuple(arrays))
+        self.__dict__["lambdas"] = tuple(arrays)
 
 
-@dataclass(frozen=True)
-class CanonicalReport:
+class CanonicalReport(NamedTuple):
     """Maximum residuals of the three canonical-form conditions."""
 
     left_normalization: float
@@ -339,7 +334,9 @@ def _right_sweep(dims: Sequence[int], block, carry: np.ndarray):
     ``block(m, carry)`` views site ``m`` (0-based) in the carry of site
     ``m + 1``, the first in ``carry``, as an array whose trailing axes, the
     site's ``dims[m]`` values and then its right bond, make the columns.
-    Returns the site tensors, the canonical weights and the norm scale.
+    Returns the site tensors, the squared Schmidt vectors of the interior
+    cuts (the :class:`CanonicalWeights` of a canonical result) and the norm
+    scale.
     """
     n = len(dims)
     out = [None] * n
@@ -357,7 +354,7 @@ def _right_sweep(dims: Sequence[int], block, carry: np.ndarray):
         raise ContractViolationError("chain contracts to the zero vector")
     out[0] = row.reshape(1, dims[0], row.shape[-1]) / scale
     tensors = tuple(np.transpose(r, (1, 2, 0)) for r in out)
-    return tensors, CanonicalWeights(tuple((s / scale) ** 2 for s in schmidt)), scale
+    return tensors, tuple((s / scale) ** 2 for s in schmidt), scale
 
 
 def _dense_sweep(legs: np.ndarray, dims: Sequence[int]):
@@ -413,8 +410,8 @@ def state_to_mps(psi, dims: Sequence[int] | None = None) -> tuple[Mps, Canonical
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > ISOMETRY_TOL:
         raise ContractViolationError(f"state is not normalized: |psi| = {nrm!r}")
-    tensors, weights, scale = _dense_sweep(v.reshape(-1, dims[-1], 1), dims)
-    return Mps(tensors, norm=scale), weights
+    tensors, lambdas, scale = _dense_sweep(v.reshape(-1, dims[-1], 1), dims)
+    return Mps(tensors, norm=scale), CanonicalWeights(lambdas)
 
 
 def operator_to_mps(u: Isometry) -> tuple[Mps, CanonicalWeights]:
@@ -437,8 +434,8 @@ def operator_to_mps(u: Isometry) -> tuple[Mps, CanonicalWeights]:
         perm += [k, n + k]
     perm += list(range(m, n))
     legs = u.matrix.reshape([2] * (n + m)).transpose(perm)[..., None]
-    tensors, weights, scale = _dense_sweep(legs, [4] * m + [2] * (n - m))
-    return Mps(tensors, norm=scale, m_in=m), weights
+    tensors, lambdas, scale = _dense_sweep(legs, [4] * m + [2] * (n - m))
+    return Mps(tensors, norm=scale, m_in=m), CanonicalWeights(lambdas)
 
 
 def canonicalize(mps: Mps) -> tuple[Mps, CanonicalWeights]:
@@ -453,8 +450,9 @@ def canonicalize(mps: Mps) -> tuple[Mps, CanonicalWeights]:
     second, of that result read back, is the canonical one.
     """
     once, _, first_scale = _mirrored_sweep(mps.tensors)
-    tensors, weights, scale = _mirrored_sweep(once)
-    return Mps(tensors, norm=mps.norm * first_scale * scale, m_in=mps.m_in), weights
+    tensors, lambdas, scale = _mirrored_sweep(once)
+    canonical = Mps(tensors, norm=mps.norm * first_scale * scale, m_in=mps.m_in)
+    return canonical, CanonicalWeights(lambdas)
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, Frozen
 from .linalg import ISOMETRY_TOL, _require_dense_fits, as_matrix, dagger, isometry_residual
 from .mps import Mps
 
 _MAX_QUBITS = 10
 
 
-@dataclass(frozen=True, eq=False)
-class Isometry:
+class Isometry(Frozen):
     """An inner-product preserving map from ``m_in`` qubits to ``n_out`` qubits.
 
     ``matrix`` has shape ``(2**n_out, 2**m_in)`` and satisfies
@@ -43,21 +41,20 @@ class Isometry:
     m_in: int
     n_out: int
     matrix: np.ndarray
-    chain: Mps | None = field(default=None, init=False, repr=False)
+    chain: Mps | None = None
 
-    def __post_init__(self):
-        if self.m_in < 1 or self.n_out < self.m_in:
-            raise ContractViolationError(
-                f"need 1 <= m_in <= n_out, got {self.m_in} -> {self.n_out}"
-            )
-        a = as_matrix(self.matrix, "isometry matrix")
-        expected = (2**self.n_out, 2**self.m_in)
+    def __init__(self, m_in: int, n_out: int, matrix):
+        if m_in < 1 or n_out < m_in:
+            raise ContractViolationError(f"need 1 <= m_in <= n_out, got {m_in} -> {n_out}")
+        a = as_matrix(matrix, "isometry matrix")
+        expected = (2**n_out, 2**m_in)
         if a.shape != expected:
             raise ContractViolationError(
                 f"matrix shape {a.shape} does not match {expected} for "
-                f"{self.m_in} -> {self.n_out} qubits"
+                f"{m_in} -> {n_out} qubits"
             )
         residual = isometry_residual(a)
+        self.__dict__.update(m_in=m_in, n_out=n_out)
         self._seal(a.copy(), residual)
 
     @classmethod
@@ -67,11 +64,9 @@ class Isometry:
         is already known; ``dense()`` forms its matrix, a fresh
         ``complex128`` array, when ``matrix`` is first read."""
         iso = object.__new__(cls)
-        object.__setattr__(iso, "m_in", chain.m_in)
-        object.__setattr__(iso, "n_out", chain.n_sites)
+        iso.__dict__.update(m_in=chain.m_in, n_out=chain.n_sites)
         iso._seal(None, residual)
-        object.__setattr__(iso, "chain", chain)
-        object.__setattr__(iso, "_dense", dense)
+        iso.__dict__.update(chain=chain, _dense=dense)
         return iso
 
     def _seal(self, matrix: np.ndarray | None, residual: float) -> None:
@@ -83,7 +78,7 @@ class Isometry:
             )
         if matrix is not None:
             matrix.setflags(write=False)
-            object.__setattr__(self, "matrix", matrix)
+            self.__dict__["matrix"] = matrix
 
     def __getattr__(self, name: str):
         # reached only for a missing attribute: a chain operator's matrix
@@ -92,7 +87,7 @@ class Isometry:
             raise AttributeError(name)
         matrix = self._dense()
         matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        self.__dict__["matrix"] = matrix
         return matrix
 
     @property

@@ -53,12 +53,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolationError, NotImplementableError
+from .errors import ContractViolationError, Frozen, NotImplementableError
 from .linalg import ISOMETRY_TOL, _require_dense_fits, _require_fits, complete_to_unitary
 from .linalg import isometry_defect, isometry_residual
 
@@ -69,8 +68,7 @@ if TYPE_CHECKING:
     from .oplib import Isometry
 
 
-@dataclass(frozen=True)
-class SequentialityReport:
+class SequentialityReport(NamedTuple):
     """Outcome of the sequential-implementability test.
 
     ``per_site_residuals`` holds, for each input site, ``||Q† Q - I||_2`` of
@@ -87,8 +85,7 @@ class SequentialityReport:
     ancilla_dim_if_yes: int
 
 
-@dataclass(frozen=True, eq=False)
-class SequentialPlan:
+class SequentialPlan(Frozen):
     """Synthesized sequential decomposition, held as its blocks.
 
     ``blocks[k]`` holds the columns of step ``k`` that the chain reaches,
@@ -113,13 +110,14 @@ class SequentialPlan:
 
     ancilla_dim: int
     m_in: int
-    blocks: tuple[np.ndarray, ...] = field(repr=False)
+    blocks: tuple[np.ndarray, ...]
     bond_dims: tuple[int, ...]
-    report: SequentialityReport | None = None
+    report: SequentialityReport | None
 
-    def __post_init__(self):
-        shapes = _block_shapes(self.ancilla_dim, self.m_in, len(self.blocks), self.bond_dims)
-        blocks = tuple(np.asarray(q, dtype=np.complex128) for q in self.blocks)
+    def __init__(self, ancilla_dim: int, m_in: int, blocks, bond_dims,
+                 report: SequentialityReport | None = None):
+        shapes = _block_shapes(ancilla_dim, m_in, len(blocks), bond_dims)
+        blocks = tuple(np.asarray(q, dtype=np.complex128) for q in blocks)
         for k, (q, shape) in enumerate(zip(blocks, shapes)):
             if q.shape != shape:
                 raise ContractViolationError(f"blocks[{k}]: shape {q.shape}, expected {shape}")
@@ -130,8 +128,10 @@ class SequentialPlan:
                     f"in the {shape[0]}x{shape[1]} block"
                 )
             q.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "bond_dims", tuple(self.bond_dims))
+        self.__dict__.update(
+            ancilla_dim=ancilla_dim, m_in=m_in, blocks=blocks, bond_dims=tuple(bond_dims),
+            report=report,
+        )
 
     @functools.cached_property
     def steps(self) -> tuple[np.ndarray, ...]:
@@ -182,8 +182,7 @@ def _completed_steps(blocks, ancilla_dim: int, m_in: int) -> tuple[np.ndarray, .
     return tuple(steps)
 
 
-@dataclass(frozen=True)
-class PlanVerification:
+class PlanVerification(NamedTuple):
     """Check of a plan, contracted as its chain, against its target isometry.
 
     ``max_error`` is the worst 2-norm distance, over all computational basis

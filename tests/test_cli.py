@@ -1197,6 +1197,31 @@ def test_simulate_imports_neither_mps_nor_oplib(tmp_path, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n[]\n", "")
 
 
+@pytest.mark.parametrize("command", ["check", "decompose", "info", "simulate"])
+def test_no_command_imports_dataclasses(command, tmp_path, capsys):
+    # building a dataclass execs its generated methods at import, several
+    # ms of each process's start-up
+    if command == "simulate":
+        plan = tmp_path / "plan.json"
+        assert run_cli(["decompose", "shor", "-o", str(plan)], capsys)[0] == 0
+        argv = ["simulate", str(plan), "--input-state=0"]
+    else:
+        argv = [command, "shor"]
+    code = (
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "unwanted = set()\n"
+        "if 'dataclasses' not in sys.modules:  # an older numpy may import it itself\n"
+        "    unwanted.add('dataclasses')\n"
+        "from seqdecomp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(sorted(unwanted & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 COMPLETION_OPERATORS = ["shor", "ghz:6", "cloner:3", "cloner:4", "product"] + [
     f"random:1,{n},{30 + n}" for n in range(2, 9)
 ]
