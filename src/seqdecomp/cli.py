@@ -71,7 +71,12 @@ _NUMERIC_BUILTINS = {
 
 
 def load_operator(token: str, factors_path: str | None = None) -> Isometry:
-    """Resolve a builtin operator name or an operator-file path."""
+    """Resolve a builtin operator name or an operator-file path; only the
+    bare ``product`` builtin takes ``factors_path``."""
+    if factors_path is not None and token != "product":
+        raise ContractViolationError(
+            f"--factors: only the 'product' builtin takes factors, not '{token}'"
+        )
     from . import oplib
 
     name, _, arg = token.partition(":")
@@ -210,7 +215,7 @@ def _cmd_info(args) -> int:
     from . import mps
 
     u = load_operator(args.operator, args.factors)
-    op_mps, weights = mps.canonical_chain(u)
+    op_mps, weights = mps.operator_to_mps(u)
     canonical = mps.check_canonical(op_mps, weights)
     doc = {
         "m_qubits": u.m_in,

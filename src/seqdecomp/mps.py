@@ -59,9 +59,9 @@ degenerate Schmidt spectrum.
 
 An operator held as a chain needs no matrix at all.  A ``product`` is
 held as its bond-1 chain, one fused 4-vector per factor, and
-:func:`canonical_chain`, the one canonicalization of each request, takes
-it through :func:`canonicalize`; a dense operator goes through
-:func:`operator_to_mps`.  The norms of an operator chain's columns come
+:func:`operator_to_mps`, the one canonicalization of each request, takes
+it through :func:`canonicalize`; any other operator goes through the
+dense peel of its matrix.  The norms of an operator chain's columns come
 from one sweep of R factors that forms no row (:func:`_column_norms`).
 The sum of two chains is one chain, their :func:`direct_sum`; the
 difference chain that compares a plan with a target held as a chain is
@@ -80,12 +80,13 @@ from .linalg import ISOMETRY_TOL, _QR_ROWS, _require_dense_fits, dagger, r_facto
 if TYPE_CHECKING:
     from .oplib import Isometry
 
-#: Dense matrices' worth of memory that :func:`operator_to_mps` holds at
-#: its peak: the operator itself plus the peel's working copies, which
-#: ``tracemalloc`` measured at up to 5.4 times the matrix on Haar isometries
-#: of 14 to 18 qubits in all, where a short cut's SVD copies the block and
-#: forms its left vectors (2.0 on ``cloner:7``, 1.5 on ``ghz:16``, 0.4 on the
-#: matrix of a 10-factor product, whose tall cuts are read in chunks).
+#: Dense matrices' worth of memory that the dense peel of
+#: :func:`operator_to_mps` holds at its peak: the operator itself plus the
+#: peel's working copies, which ``tracemalloc`` measured at up to 5.4 times
+#: the matrix on Haar isometries of 14 to 18 qubits in all, where a short
+#: cut's SVD copies the block and forms its left vectors (2.0 on
+#: ``cloner:7``, 1.5 on ``ghz:16``, 0.4 on the matrix of a 10-factor
+#: product, whose tall cuts are read in chunks).
 _PEEL_COPIES = 7
 
 #: Fewest rows for which a cut is factored through its R factor; below it
@@ -272,16 +273,6 @@ def _column_norms(tensors) -> np.ndarray:
     return np.linalg.norm(x[..., 0], axis=1)
 
 
-def canonical_chain(u: Isometry) -> tuple[Mps, CanonicalWeights]:
-    """Canonical matrix-product form of an operator, whatever it is held as.
-
-    This is the one canonicalization of each request: an operator held as
-    a chain (``u.chain``) goes through :func:`canonicalize`, any other is
-    peeled from its matrix by :func:`operator_to_mps`.
-    """
-    return operator_to_mps(u) if u.chain is None else canonicalize(u.chain)
-
-
 # ---------------------------------------------------------------------------
 # canonicalization sweeps
 
@@ -415,17 +406,19 @@ def state_to_mps(psi, dims: Sequence[int] | None = None) -> tuple[Mps, Canonical
 
 
 def operator_to_mps(u: Isometry) -> tuple[Mps, CanonicalWeights]:
-    """Canonical matrix-product form of an isometry.
+    """Canonical matrix-product form of an isometry, whatever it is held as.
 
     The input leg of site ``k <= m_in`` is fused with its output leg
     (fused index = 2 * output + input); the remaining sites carry output
     legs only.  The contraction of the result reproduces the operator
-    entrywise.  Like :func:`state_to_mps`, it makes one SVD per interior cut.
-    An operator whose peel would not fit in physical memory is refused
-    before anything is allocated.  This is the dense peel: it reads
-    ``u.matrix`` even for an operator held as a chain, which
-    :func:`canonical_chain` canonicalizes without it.
+    entrywise.  An operator held as a chain (``u.chain``) goes through
+    :func:`canonicalize` and its matrix is never read.  Any other is peeled
+    from ``u.matrix``: like :func:`state_to_mps`, one SVD per interior cut,
+    and a peel that would not fit in physical memory is refused before
+    anything is allocated.
     """
+    if u.chain is not None:
+        return canonicalize(u.chain)
     n, m = u.n_out, u.m_in
     _require_dense_fits("canonicalization", m, n, _PEEL_COPIES)
     # matrix legs (i_1 .. i_n, j_1 .. j_m) -> (i_1 j_1, .., i_m j_m, i_{m+1} ..)

@@ -21,6 +21,12 @@ from .mps import Mps
 _MAX_QUBITS = 10
 
 
+def _require_isometry(residual: float) -> None:
+    """Refuse a Gram residual above :data:`ISOMETRY_TOL`."""
+    if residual > ISOMETRY_TOL:
+        raise ContractViolationError(f"matrix is not an isometry: residual {residual:.3e}")
+
+
 class Isometry(Frozen):
     """An inner-product preserving map from ``m_in`` qubits to ``n_out`` qubits.
 
@@ -40,7 +46,6 @@ class Isometry(Frozen):
 
     m_in: int
     n_out: int
-    matrix: np.ndarray
     chain: Mps | None = None
 
     def __init__(self, m_in: int, n_out: int, matrix):
@@ -53,9 +58,10 @@ class Isometry(Frozen):
                 f"matrix shape {a.shape} does not match {expected} for "
                 f"{m_in} -> {n_out} qubits"
             )
-        residual = isometry_residual(a)
-        self.__dict__.update(m_in=m_in, n_out=n_out)
-        self._seal(a.copy(), residual)
+        _require_isometry(isometry_residual(a))
+        a = a.copy()
+        a.setflags(write=False)
+        self.__dict__.update(m_in=m_in, n_out=n_out, matrix=a)
 
     @classmethod
     def _from_chain(cls, chain: Mps, residual: float,
@@ -63,31 +69,15 @@ class Isometry(Frozen):
         """An isometry held as the operator ``chain``, whose Gram residual
         is already known; ``dense()`` forms its matrix, a fresh
         ``complex128`` array, when ``matrix`` is first read."""
+        _require_isometry(residual)
         iso = object.__new__(cls)
-        iso.__dict__.update(m_in=chain.m_in, n_out=chain.n_sites)
-        iso._seal(None, residual)
-        iso.__dict__.update(chain=chain, _dense=dense)
+        iso.__dict__.update(m_in=chain.m_in, n_out=chain.n_sites, chain=chain, _dense=dense)
         return iso
 
-    def _seal(self, matrix: np.ndarray | None, residual: float) -> None:
-        """Refuse a Gram residual above :data:`ISOMETRY_TOL`, else store
-        ``matrix`` (an owned ``complex128`` array), if any, read-only."""
-        if residual > ISOMETRY_TOL:
-            raise ContractViolationError(
-                f"matrix is not an isometry: residual {residual:.3e}"
-            )
-        if matrix is not None:
-            matrix.setflags(write=False)
-            self.__dict__["matrix"] = matrix
-
-    def __getattr__(self, name: str):
-        # reached only for a missing attribute: a chain operator's matrix
-        # before its first read
-        if name != "matrix" or "_dense" not in self.__dict__:
-            raise AttributeError(name)
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
         matrix = self._dense()
         matrix.setflags(write=False)
-        self.__dict__["matrix"] = matrix
         return matrix
 
     @property

@@ -27,7 +27,7 @@ first; an order that interleaves inputs and outputs can need less.
 
 :func:`sequentiality_test`, :func:`build_plan` and
 :func:`operator_schmidt_ranks` each read the one canonical chain that
-:func:`~seqdecomp.mps.canonical_chain` makes of their operator.
+:func:`~seqdecomp.mps.operator_to_mps` makes of their operator.
 
 For square (``M = N``) operators the criterion holds only for tensor
 products of single-qubit unitaries, equivalently for operators whose
@@ -239,7 +239,7 @@ def sequentiality_test(u: Isometry) -> SequentialityReport:
     """
     from . import mps
 
-    return _criterion(mps.canonical_chain(u)[0])[1]
+    return _criterion(mps.operator_to_mps(u)[0])[1]
 
 
 def build_plan(u: Isometry) -> SequentialPlan:
@@ -261,7 +261,7 @@ def build_plan(u: Isometry) -> SequentialPlan:
     """
     from . import mps
 
-    op, _ = mps.canonical_chain(u)
+    op, _ = mps.operator_to_mps(u)
     blocks, report = _criterion(op)
     if not report.implementable:
         raise NotImplementableError(report)
@@ -464,7 +464,7 @@ def operator_schmidt_ranks(u: Isometry) -> tuple[int, ...]:
     input legs of sites <= c on one side and the rest on the other.  On a
     square operator these cuts are those of the fused chain, so the ranks
     are the interior bond dimensions of the operator's canonical chain
-    (:func:`~seqdecomp.mps.canonical_chain`), the numbers ``info`` prints:
+    (:func:`~seqdecomp.mps.operator_to_mps`), the numbers ``info`` prints:
     singular values at or below
     :data:`~seqdecomp.linalg.RANK_TOL` times the largest at a cut do not
     count.  All ranks equal 1 exactly when the unitary is a tensor product
@@ -476,4 +476,4 @@ def operator_schmidt_ranks(u: Isometry) -> tuple[int, ...]:
         )
     from . import mps
 
-    return mps.canonical_chain(u)[0].bond_dims[1:-1]
+    return mps.operator_to_mps(u)[0].bond_dims[1:-1]

@@ -463,10 +463,10 @@ def eager_plan_steps(u: Isometry) -> tuple[np.ndarray, ...]:
     act, and the orthogonal complement fills the rest in index order.
     """
     from seqdecomp.linalg import complete_to_unitary
-    from seqdecomp.mps import canonical_chain
+    from seqdecomp.mps import operator_to_mps
     from seqdecomp.sequencer import _criterion
 
-    op, _ = canonical_chain(u)
+    op, _ = operator_to_mps(u)
     side = 2 * op.max_bond_dim
     steps = []
     for k, q in enumerate(_criterion(op)[0]):

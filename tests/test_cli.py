@@ -55,6 +55,12 @@ def run_cli(args, capsys):
     return code, out, err
 
 
+def factors_option(operator, path):
+    """``--factors`` and ``path`` for the ``product`` builtin, the only
+    operator that takes them, and nothing for any other."""
+    return ["--factors", str(path)] if operator == "product" else []
+
+
 def test_check_cnot_rejected(capsys):
     code, out, err = run_cli(["check", "cnot"], capsys)
     assert code == 1
@@ -242,7 +248,7 @@ def test_canonicalization_larger_than_memory_exits_2_before_the_peel(
     monkeypatch.setattr(mps_module, "_dense_sweep", lambda *args: peels.append(args))
     memory = {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
-    code, out, err = run_cli([command, operator, "--factors", str(factors)], capsys)
+    code, out, err = run_cli([command, operator, *factors_option(operator, factors)], capsys)
     if operator == "product":
         assert (code, err, peels) == (0, "", [])
         return
@@ -457,6 +463,22 @@ def test_info_product_with_factor_file(tmp_path, capsys):
     assert json.loads(out)["schmidt_ranks"] == [1, 1]
 
 
+@pytest.mark.parametrize("command", ["check", "decompose", "info"])
+@pytest.mark.parametrize("operator", ["cnot", "shor", "file"])
+def test_factors_with_any_operator_but_product_exits_2(command, operator, tmp_path, capsys):
+    # only the bare product builtin reads --factors: any other operator
+    # refuses the option before the factor file is opened or a plan written
+    if operator == "file":
+        operator = str(tmp_path / "shor.json")
+        (tmp_path / "shor.json").write_text(formats.dumps(operator_doc(shor_encoder())))
+    argv = [command, operator, "--factors", str(tmp_path / "missing.json")]
+    plan = tmp_path / "plan.json"
+    code, out, err = run_cli(argv + (["-o", str(plan)] if command == "decompose" else []), capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --factors: only the 'product' builtin takes factors, not '{operator}'\n"
+    assert not plan.exists()
+
+
 @pytest.mark.parametrize("operator", ["cnot", "product", "random:3,3,7"])
 def test_info_schmidt_ranks_match_the_operator_witness(operator, tmp_path, capsys):
     # info reads the ranks off the canonical bonds; the witness cuts the
@@ -464,15 +486,16 @@ def test_info_schmidt_ranks_match_the_operator_witness(operator, tmp_path, capsy
     rng = np.random.default_rng(4)
     path = tmp_path / "factors.json"
     path.write_text(formats.dumps([haar_unitary(2, rng) for _ in range(4)]))
-    code, out, _ = run_cli(["info", operator, "--factors", str(path)], capsys)
+    code, out, _ = run_cli(["info", operator, *factors_option(operator, path)], capsys)
     assert code == 0
-    u = cli.load_operator(operator, str(path))
+    u = cli.load_operator(operator, str(path) if operator == "product" else None)
     assert json.loads(out)["schmidt_ranks"] == list(operator_cut_ranks(u))
     assert json.loads(out)["schmidt_ranks"] == list(operator_schmidt_ranks(u))
 
 
 def test_decompose_canonicalizes_once(monkeypatch, capsys, tmp_path):
-    # a dense operator is peeled once; a product's chain is canonicalized once
+    # a dense operator is peeled once; a product's chain is canonicalized
+    # once, by operator_to_mps handing it to canonicalize
     calls = []
 
     def counted(name):
@@ -486,7 +509,7 @@ def test_decompose_canonicalizes_once(monkeypatch, capsys, tmp_path):
     factors.write_text(formats.dumps([haar_unitary(2, rng) for _ in range(10)]))
     for argv, calls_made in [
         (["decompose", "shor"], ["operator_to_mps"]),
-        (["decompose", "product", "--factors", str(factors)], ["canonicalize"]),
+        (["decompose", "product", "--factors", str(factors)], ["operator_to_mps", "canonicalize"]),
     ]:
         calls.clear()
         code, _, _ = run_cli(argv, capsys)
@@ -1239,7 +1262,7 @@ def test_chain_never_reaches_the_completed_columns(operator, tmp_path, capsys, m
     rng = np.random.default_rng(44)
     factors.write_text(formats.dumps([haar_unitary(2, rng) for _ in range(4)]))
     path = tmp_path / "plan.json"
-    decompose = ["decompose", operator, "--factors", str(factors), "-o", str(path)]
+    decompose = ["decompose", operator, *factors_option(operator, factors), "-o", str(path)]
     assert run_cli(decompose, capsys)[0] == 0
     plan = formats.doc_to_plan(formats.parse_document(path.read_text(), "plan"))
     b, m = plan.bond_dims, plan.m_in
@@ -1253,7 +1276,7 @@ def test_chain_never_reaches_the_completed_columns(operator, tmp_path, capsys, m
         reached = step[:, :cols] if k < m else step[:, : 2 * cols : 2]
         assert reached[:rows].tobytes() == q.tobytes()
         assert not reached[rows:].any()
-    u = cli.load_operator(operator, str(factors))
+    u = cli.load_operator(operator, str(factors) if operator == "product" else None)
     for p in (plan, corrupted(plan, plan.n_out - 1, rng)):
         assert abs(verify_plan(p, u).max_error - verify_plan_loops(p, u)[0]) <= 1e-14
         for label in ["0" * m, "+" * m, ("-1" * m)[:m]]:

@@ -45,7 +45,6 @@ from seqdecomp import (
 )
 from seqdecomp import sequencer
 from seqdecomp.cli import main
-from seqdecomp.mps import canonical_chain
 
 from oracles import haar_columns_full
 
@@ -100,7 +99,7 @@ def test_a_product_is_decided_planned_and_verified_without_its_matrix():
     warm = haar_product(2, seed=5)  # first calls import numpy modules lazily
     verify_plan(build_plan(warm), warm)
     assert peak_bytes(lambda: sequentiality_test(u)) < 2 * 2**20  # check
-    assert peak_bytes(lambda: check_canonical(*canonical_chain(u))) < 2 * 2**20  # info
+    assert peak_bytes(lambda: check_canonical(*operator_to_mps(u))) < 2 * 2**20  # info
     assert peak_bytes(lambda: verify_plan(build_plan(u), u)) < 2 * 2**20  # decompose
 
 
@@ -132,7 +131,7 @@ def test_verification_holds_a_few_blocks_whatever_the_ancilla(make, bound):
 
 
 def held_as_chain(u):
-    return Isometry._from_chain(canonical_chain(u)[0], 0.0, lambda: np.array(u.matrix))
+    return Isometry._from_chain(operator_to_mps(u)[0], 0.0, lambda: np.array(u.matrix))
 
 
 @pytest.mark.parametrize(

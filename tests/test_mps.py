@@ -160,6 +160,12 @@ def haar_product(n, seed):
     return product_unitary(factors), fused / np.linalg.norm(fused)
 
 
+def held_dense(u):
+    """``u`` held as its matrix, so that ``operator_to_mps`` peels it
+    densely where ``u`` itself would go through its chain."""
+    return Isometry(u.m_in, u.n_out, u.matrix)
+
+
 def assert_cuts_match_the_oracle(result, psi, dims):
     mps, weights = result
     assert mps.bond_dims[1:-1] == schmidt_cut_ranks(psi, dims)
@@ -185,7 +191,7 @@ def test_operator_to_mps_refuses_a_peel_larger_than_memory(memory, refused, monk
 @pytest.mark.parametrize("n", [8, 9])
 def test_tall_cuts_of_a_product_match_the_cut_oracle(n):
     u, fused = haar_product(n, seed=n)
-    assert_cuts_match_the_oracle(operator_to_mps(u), fused, [4] * n)
+    assert_cuts_match_the_oracle(operator_to_mps(held_dense(u)), fused, [4] * n)
 
 
 @pytest.mark.parametrize("entangled", [True, False], ids=["generic", "split at cut 4"])
@@ -212,7 +218,7 @@ def test_the_first_cut_of_a_product_is_factored_through_its_r(monkeypatch):
         return svd(m, *args, **kwargs)
 
     monkeypatch.setattr(mps_module, "svd", recorded)
-    operator_to_mps(haar_product(10, seed=1)[0])
+    operator_to_mps(held_dense(haar_product(10, seed=1)[0]))
     assert shapes[0] == (4, 4)
 
 
@@ -227,7 +233,7 @@ GAUGE_SET = pytest.mark.parametrize(
         shor_encoder,
         lambda: gisin_massar_cloner(6),
         # the fused row of a 2x2 factor has |u00| = |u11|: guards the tie band
-        lambda: haar_product(10, seed=1)[0],
+        lambda: held_dense(haar_product(10, seed=1)[0]),
     ],
     ids=["random:1,10,3", "random:3,8,2", "random:2,9,4", "random:5,10,1", "shor", "cloner:6",
          "product:10"],
@@ -278,7 +284,7 @@ def test_the_peel_reads_tall_blocks_in_chunks(chunk_rows, monkeypatch):
     monkeypatch.setattr(mps_module, "_QR_GATE", 2**4)
     monkeypatch.setattr(linalg, "_QR_ROWS", 2**2)
     assert_matches_the_fused_vector_peel(random_isometry(3, 8, 2))
-    assert_matches_the_fused_vector_peel(haar_product(8, seed=3)[0])
+    assert_matches_the_fused_vector_peel(held_dense(haar_product(8, seed=3)[0]))
     psi = random_state(10, 5)
     mps, _ = state_to_mps(psi)
     assert np.linalg.norm(contract_state(mps) - psi) <= 1e-12

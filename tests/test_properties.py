@@ -186,10 +186,33 @@ def test_plans_that_read_several_inputs_at_bonds_above_1_match_the_references(m,
     matrix = open_chain_rows_loops(tensors)[..., 0]
     assert np.max(np.abs(rows.T - matrix)) <= 1e-14
     u = Isometry(m, n, matrix)
+    # the criterion accepts the operator, at canonical bonds no larger than
+    # the drawn ones, and its own plan reproduces it
+    report = sequentiality_test(u)
+    assert report.implementable
+    assert all(got <= drawn for got, drawn in zip(report.bond_dims, bonds, strict=True))
+    assert verify_plan(build_plan(u), u).max_error <= 1e-12
     k = data.draw(st.integers(0, n - 1), label="replaced block")
     for checked in (plan, corrupted(plan, k, rng)):
         error = verify_plan(checked, u).max_error
         assert abs(error - verify_plan_loops(checked, u)[0]) <= 1e-14
+
+
+def test_the_4_2_2_encoder_reads_two_inputs_at_ancilla_4():
+    # the [[4,2,2]] code: |00> -> |0000> + |1111>, |01> -> |0011> + |1100>,
+    # |10> -> |0101> + |1010>, |11> -> |0110> + |1001>, each normalized
+    codewords = [(0b0000, 0b1111), (0b0011, 0b1100), (0b0101, 0b1010), (0b0110, 0b1001)]
+    matrix = np.zeros((16, 4), dtype=np.complex128)
+    for column, rows in enumerate(codewords):
+        matrix[list(rows), column] = 1 / math.sqrt(2)
+    u = Isometry(2, 4, matrix)
+    report = sequentiality_test(u)
+    assert report.implementable
+    assert report.bond_dims == (1, 4, 4, 2, 1) and report.ancilla_dim_if_yes == 4
+    assert max(report.per_site_residuals) <= 1e-13
+    plan = build_plan(u)
+    assert plan.ancilla_dim == 4
+    assert verify_plan(plan, u).max_error <= 1e-13
 
 
 @settings(max_examples=40, deadline=None)
@@ -420,11 +443,11 @@ def _canonical_operator(kind, data, seed):
     rng = np.random.default_rng(seed)
     if kind == "product":
         n = data.draw(st.integers(1, 8))
-        return mps.canonical_chain(product_unitary([haar_unitary(2, rng) for _ in range(n)]))
+        return mps.operator_to_mps(product_unitary([haar_unitary(2, rng) for _ in range(n)]))
     n = data.draw(st.integers(1, 5))
     m = data.draw(st.integers(1, n))
     if kind == "dense":
-        return mps.canonical_chain(random_isometry(m, n, seed))
+        return mps.operator_to_mps(random_isometry(m, n, seed))
     bonds = [1] + [int(rng.integers(1, 4)) for _ in range(n - 1)] + [1]
     shapes = [(4 if k < m else 2, bonds[k + 1], bonds[k]) for k in range(n)]
     tensors = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]

@@ -34,7 +34,6 @@ from seqdecomp import (
     verify_plan,
 )
 from seqdecomp import formats, mps, sequencer
-from seqdecomp.mps import canonical_chain
 from seqdecomp.sequencer import _criterion
 
 from oracles import (
@@ -193,7 +192,7 @@ PLAN_OPERATORS = st.one_of(
 def test_a_plan_is_held_as_its_blocks_and_completes_the_eager_steps(case):
     u = plan_operator(*case)
     plan = build_plan(u)
-    blocks = _criterion(canonical_chain(u)[0])[0]
+    blocks = _criterion(operator_to_mps(u)[0])[0]
     assert [q.tobytes() for q in plan.blocks] == [q.tobytes() for q in blocks]
     doc = formats.plan_to_doc(plan, verify_plan(plan, u))
     back = formats.doc_to_plan(formats.parse_document(formats.dumps(doc), "plan"))
@@ -266,7 +265,7 @@ def test_verify_identity_plan_is_exact():
 def held_as_chain(u):
     """``u`` held as its canonical chain, like a ``product``: verification
     then takes the sweep of the difference chain."""
-    chain = mps.canonical_chain(u)[0]
+    chain = mps.operator_to_mps(u)[0]
     return Isometry._from_chain(chain, 0.0, lambda: np.array(u.matrix))
 
 
@@ -284,6 +283,39 @@ def test_verify_of_a_chain_target_walks_no_rows(monkeypatch):
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
     assert verify_plan(plan, u).max_error <= 1e-14
     assert "matrix" not in vars(u)
+
+
+def never_formed():
+    raise AssertionError("the operator's matrix was formed")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gauge_inflate(operator_to_mps(shor_encoder())[0], pad_to=6, seed=31),
+        lambda: operator_to_mps(gisin_massar_cloner(3))[0],
+        lambda: haar_product(4, seed=32).chain,
+    ],
+    ids=["shor, inflated", "cloner:3", "product:4"],
+)
+def test_an_operator_held_as_a_chain_is_never_formed(make):
+    # every entry point reads the chain of an operator held as one, the
+    # redundant chain of a gauge-inflated shor encoder included
+    chain = make()
+    u = Isometry._from_chain(chain, 0.0, never_formed)
+    op, weights = operator_to_mps(u)
+    assert check_canonical(op, weights).passed
+    report = sequentiality_test(u)
+    assert report.implementable and report.bond_dims == op.bond_dims
+    plan = build_plan(u)
+    assert plan.bond_dims == op.bond_dims
+    assert verify_plan(plan, u).max_error <= 1e-12
+    if u.is_unitary:
+        assert operator_schmidt_ranks(u) == op.bond_dims[1:-1]
+    assert "matrix" not in vars(u)
+    # the plan also matches the operator's dense contraction
+    dense = Isometry(u.m_in, u.n_out, contract_operator(chain))
+    assert verify_plan(plan, dense).max_error <= 1e-12
 
 
 @pytest.mark.parametrize("memory, refused", [(3583, True), (3584, False)])
