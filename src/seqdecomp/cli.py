@@ -1,8 +1,10 @@
 """Command-line front end: check, decompose, simulate, info.
 
-Operators are given either as a builtin name (``cnot``, ``shor``,
-``cloner:<n>``, ``ghz:<n>``, ``random:<m>,<n>,<seed>``, ``product``) or as
-the path of an operator JSON file.  Exit codes: 0 on success (operator
+Operators are given either as a builtin name or as the path of an
+operator JSON file.  The builtins are ``cnot``, ``shor``, ``cloner:<n>``,
+``ghz:<n>`` and ``random:<m>,<n>,<seed>``, one table of them, and
+``product``, the only one that reads ``--factors``; each argument is an
+ASCII decimal integer, ``-?[0-9]+``.  Exit codes: 0 on success (operator
 implementable), 1 when the sequentiality criterion rejects the operator,
 2 on usage, format or resource errors and on any other failure.  Standard
 output carries exactly one JSON document per invocation; diagnostics go to
@@ -16,6 +18,7 @@ import functools
 import io
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -54,16 +57,13 @@ def _load_factors(path: str | None) -> list[np.ndarray]:
     doc = formats.parse_document(_read_text(path, "factor file"), path)
     if not isinstance(doc, list) or not doc:
         raise ContractViolationError(f"{path}: expected a nonempty JSON list of 2x2 matrices")
-    try:  # the whole list in one conversion
-        return list(formats.decode_matrix(doc, 2, 2, path, count=len(doc)))
-    except ContractViolationError:  # named by its first bad entry
-        for k, entry in enumerate(doc):
-            formats.decode_matrix(entry, 2, 2, f"{path}[{k}]")
-        raise
+    return [formats.decode_matrix(entry, 2, 2, f"{path}[{k}]") for k, entry in enumerate(doc)]
 
 
 #: builtin name -> (its ``oplib`` builder, number of integer arguments)
-_NUMERIC_BUILTINS = {
+_BUILTINS = {
+    "cnot": ("cnot", 0),
+    "shor": ("shor_encoder", 0),
     "cloner": ("gisin_massar_cloner", 1),
     "ghz": ("ghz_isometry", 1),
     "random": ("random_isometry", 3),
@@ -80,23 +80,22 @@ def load_operator(token: str, factors_path: str | None = None) -> Isometry:
     from . import oplib
 
     name, _, arg = token.partition(":")
-    if name == "cnot" and not arg:
-        return oplib.cnot()
-    if name == "shor" and not arg:
-        return oplib.shor_encoder()
     if name == "product" and not arg:
         return oplib.product_unitary(_load_factors(factors_path))
-    if name in _NUMERIC_BUILTINS:
-        builder, arity = _NUMERIC_BUILTINS[name]
-        if not arg:
+    builder, arity = _BUILTINS.get(name, (None, 0))
+    if builder is not None and (arity or not arg):  # `cnot:3` names a file
+        if arity and not arg:
             raise ContractViolationError(f"builtin '{name}' needs arguments, e.g. {name}:3")
+        values = arg.split(",") if arg else []
+        malformed = f"malformed builtin arguments in '{token}'"
+        # ASCII decimal integers only: int() alone also takes "1_0", " 3" and "+3"
+        if len(values) != arity or not all(re.fullmatch("-?[0-9]+", x) for x in values):
+            raise ContractViolationError(malformed)
         try:
-            values = [int(x) for x in arg.split(",")]
-        except ValueError:
-            values = []
-        if len(values) != arity:
-            raise ContractViolationError(f"malformed builtin arguments in '{token}'")
-        return getattr(oplib, builder)(*values)
+            integers = [int(x) for x in values]
+        except ValueError:  # past the digit limit of int()
+            raise ContractViolationError(malformed) from None
+        return getattr(oplib, builder)(*integers)
     doc = formats.parse_document(_read_text(token, "operator file"), token)
     return formats.doc_to_isometry(doc, where=token)
 

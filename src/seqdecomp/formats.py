@@ -83,23 +83,22 @@ def _text(obj: Any) -> str:
     raise ContractViolationError(f"cannot serialize {type(obj).__name__}")
 
 
-def decode_matrix(data: Any, rows: int, cols: int, where: str, count: int = 0) -> np.ndarray:
-    """Parse a nested [re, im] matrix, or a list of ``count``, naming the field on error.
+def decode_matrix(data: Any, rows: int, cols: int, where: str) -> np.ndarray:
+    """Parse a nested ``rows x cols`` [re, im] matrix, naming the field on error.
 
     Every entry must be a pair of JSON numbers (booleans count as 0 and 1).
     """
-    shape = (count, rows, cols) if count else (rows, cols)
-    expected = f"{where}: expected {'x'.join(map(str, shape))} [re, im] pairs"
+    expected = f"{where}: expected {rows}x{cols} [re, im] pairs"
     try:
         a = np.asarray(data)  # one conversion of the whole nested list
     except ValueError:  # ragged nesting
         raise ContractViolationError(expected) from None
-    if a.shape != (*shape, 2) or a.dtype.kind not in "biuf":
+    if a.shape != (rows, cols, 2) or a.dtype.kind not in "biuf":
         raise ContractViolationError(expected)
     a = a.astype(np.float64, copy=False)
     if not np.isfinite(a).all():
         raise ContractViolationError(f"{where}: non-finite entry")
-    return a.view(np.complex128).reshape(shape)
+    return a.view(np.complex128).reshape(rows, cols)
 
 
 def encode_block(q: np.ndarray) -> str:

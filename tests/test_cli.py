@@ -601,7 +601,7 @@ _BAD_FACTORS = {
 @pytest.mark.parametrize("position", [0, 2, 4])
 @pytest.mark.parametrize("kind", list(_BAD_FACTORS))
 def test_a_malformed_factor_entry_is_named_by_its_index(kind, position, tmp_path, capsys):
-    # the list is decoded whole, and entry by entry only to name the bad one
+    # each entry is decoded on its own, so the first bad one names the error
     entries = [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]] * 5
     entries[position] = _BAD_FACTORS[kind]
     path = tmp_path / "factors.json"
@@ -746,6 +746,92 @@ def test_builtin_with_wrong_argument_count_exits_2(token, capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("token", ["ghz:1_0", "ghz: 3", "ghz:+3", "ghz:\u0663", "random:1, 2,0"])
+def test_builtin_arguments_are_ascii_decimal_integers(token, capsys):
+    # int() reads each of these, the first as ghz:10
+    code, out, err = run_cli(["check", token], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: malformed builtin arguments in '{token}'\n"
+
+
+def _ghz2_plan():
+    """A plan file's document for ghz:2, which reads one input."""
+    u = ghz_isometry(2)
+    plan = build_plan(u)
+    return formats.plan_to_doc(plan, verify_plan(plan, u))
+
+
+_IDENTITY = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+#: Requests refused for their one input file or their label: (argv, the
+#: document of the file that "{}" names, or a function that makes it, and
+#: the message of the one error line, "{}" again naming the file).
+_CLI_REFUSALS = {
+    "operator without n_qubits": (
+        ["check", "{}"], {"m_qubits": 1}, "{}: missing field 'n_qubits'"
+    ),
+    "fractional m_qubits": (
+        ["check", "{}"],
+        {"m_qubits": 1.5, "n_qubits": 1, "matrix": []},
+        "{}.m_qubits: expected an integer",
+    ),
+    "matrix of another type": (
+        ["check", "{}"],
+        {"m_qubits": 1, "n_qubits": 1, "matrix": {}},
+        "{}.matrix: expected list",
+    ),
+    "operator list": (["check", "{}"], [], "{}: expected a JSON object"),
+    "more inputs than outputs": (
+        ["info", "{}"],
+        {"m_qubits": 2, "n_qubits": 1, "matrix": []},
+        "{}: need 1 <= m_qubits <= n_qubits",
+    ),
+    "plan list": (
+        ["simulate", "{}", "--input-state", "0"], [], "{}: expected a JSON object"
+    ),
+    "plan of ancilla 0": (
+        ["simulate", "{}", "--input-state", "0"],
+        {"ancilla_dim": 0, "m_in": 1, "steps": [], "bond_dims": []},
+        "{}.ancilla_dim: must be positive",
+    ),
+    "factor object": (
+        ["check", "product", "--factors", "{}"],
+        {},
+        "{}: expected a nonempty JSON list of 2x2 matrices",
+    ),
+    "no factor": (
+        ["decompose", "product", "--factors", "{}"],
+        [],
+        "{}: expected a nonempty JSON list of 2x2 matrices",
+    ),
+    "11 factors": (
+        ["check", "product", "--factors", "{}"], [_IDENTITY] * 11, "at most 10 factors supported"
+    ),
+    "label of two qubits": (
+        ["simulate", "{}", "--input-state", "01"],
+        _ghz2_plan,
+        "--input-state: expected 1 characters from 01+- or an amplitude list",
+    ),
+    "label outside 01+-": (
+        ["simulate", "{}", "--input-state", "x"],
+        _ghz2_plan,
+        "--input-state: expected 1 characters from 01+- or an amplitude list",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_CLI_REFUSALS))
+def test_malformed_files_and_labels_exit_2_with_one_error_line(case, tmp_path, capsys):
+    argv, doc, message = _CLI_REFUSALS[case]
+    path = tmp_path / "input.json"
+    path.write_text(formats.dumps(doc() if callable(doc) else doc))
+    code, out, err = run_cli([a.format(path) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message.format(path)}\n"
 
 
 # neither tolerance is an option: any value of either is refused

@@ -299,3 +299,31 @@ def test_reduced_density_matrix_matches_loops():
         rho = reduced_density_matrix(psi, [2] * 4, site)
         assert np.allclose(rho, reduced_rho_loops(psi, 4, site), atol=1e-13)
         assert np.isclose(np.trace(rho).real, 1.0)
+
+
+#: Refusals of the dense helpers, each with the message it raises.
+_LINALG_REFUSALS = {
+    "1-D matrix": (
+        lambda: complete_to_unitary(np.ones(2)),
+        "cols must be a nonempty 2-D array, got shape (2,)",
+    ),
+    "more columns than rows": (
+        lambda: complete_to_unitary(np.eye(1, 2)), "more columns (2) than rows (1)"
+    ),
+    "state of another length": (
+        lambda: reduced_density_matrix(np.ones(4) / 2, [2, 3], 0),
+        "state length 4 does not match dims (2, 3)",
+    ),
+    "subsystem past the last": (
+        lambda: reduced_density_matrix(np.ones(4) / 2, [2, 2], 2),
+        "subsystem index 2 out of range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_LINALG_REFUSALS))
+def test_malformed_dense_inputs_are_refused_by_name(case):
+    build, message = _LINALG_REFUSALS[case]
+    with pytest.raises(ContractViolationError) as exc:
+        build()
+    assert str(exc.value) == message

@@ -487,3 +487,64 @@ def test_direct_sum_contracts_to_the_sum_of_its_chains(n, m_in, interior, open_b
     assert np.max(np.abs(contraction(total) - contraction(a) - contraction(b))) <= 1e-13
     with pytest.raises(ValueError):
         mps_module.direct_sum(a, b[:-1])
+
+
+def _one_site(phys=2):
+    return np.ones((phys, 1, 1), dtype=np.complex128)
+
+
+#: Refusals of the chain types and of the canonical-form entries, each with
+#: the message it raises.
+_MPS_REFUSALS = {
+    "no site": (lambda: Mps(()), "chain must contain at least one site"),
+    "2-D tensor": (
+        lambda: Mps([np.ones((2, 1))]),
+        "site 1: tensor must have shape (phys, right, left), got (2, 1)",
+    ),
+    "non-finite tensor": (
+        lambda: Mps([np.full((2, 1, 1), np.nan)]), "site 1: non-finite entries"
+    ),
+    "open right boundary": (
+        lambda: Mps([np.ones((2, 2, 1))]), "right boundary bond dimension must be 1"
+    ),
+    "zero norm": (lambda: Mps([_one_site()], norm=0.0), "norm must be finite positive, got 0.0"),
+    "m_in past the sites": (
+        lambda: Mps([_one_site(4)], m_in=2), "m_in=2 out of range for 1 sites"
+    ),
+    "unfused input site": (
+        lambda: Mps([_one_site(2)], m_in=1), "site 1: physical dimension 2, expected 4"
+    ),
+    "empty weights": (
+        lambda: mps_module.CanonicalWeights([[]]), "cut 1: malformed weight vector"
+    ),
+    "non-finite state": (
+        lambda: state_to_mps([np.inf, 0.0]), "state contains non-finite entries"
+    ),
+    "no site dimensions": (
+        lambda: state_to_mps([1.0, 0.0], dims=[]), "invalid site dimensions ()"
+    ),
+    "dims of another length": (
+        lambda: state_to_mps([1.0, 0.0, 0.0, 0.0], dims=[3]),
+        "state length 4 does not match dims (3,)",
+    ),
+    "weights for other cuts": (
+        lambda: check_canonical(
+            Mps([_one_site(), _one_site()]), mps_module.CanonicalWeights([])
+        ),
+        "0 weight vectors for 1 interior cuts",
+    ),
+    "weights of another bond": (
+        lambda: check_canonical(
+            Mps([_one_site(), _one_site()]), mps_module.CanonicalWeights([[0.5, 0.5]])
+        ),
+        "cut 1: weight length 2 != bond 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MPS_REFUSALS))
+def test_malformed_chains_states_and_weights_are_refused_by_name(case):
+    build, message = _MPS_REFUSALS[case]
+    with pytest.raises(ContractViolationError) as exc:
+        build()
+    assert str(exc.value) == message

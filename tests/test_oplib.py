@@ -297,3 +297,28 @@ def test_product_takes_no_gram_larger_than_its_factors(monkeypatch):
     shapes.clear()
     cnot()  # the dense constructors still take the full Gram
     assert shapes == [(4, 4)]
+
+
+#: Refusals of the operator constructors, each with the message it raises.
+_OPLIB_REFUSALS = {
+    "no input qubit": (
+        lambda: Isometry(0, 1, np.eye(2)), "need 1 <= m_in <= n_out, got 0 -> 1"
+    ),
+    "matrix of another shape": (
+        lambda: Isometry(1, 1, np.eye(4)),
+        "matrix shape (4, 4) does not match (2, 2) for 1 -> 1 qubits",
+    ),
+    "GHZ state of no qubit": (lambda: ghz_state(0), "need at least one qubit"),
+    "product of no factor": (lambda: product_unitary([]), "need at least one factor"),
+    "4x4 factor": (
+        lambda: product_unitary([np.eye(2), np.eye(4)]), "factor 1 is not 2x2: shape (4, 4)"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_OPLIB_REFUSALS))
+def test_malformed_operators_are_refused_by_name(case):
+    build, message = _OPLIB_REFUSALS[case]
+    with pytest.raises(ContractViolationError) as exc:
+        build()
+    assert str(exc.value) == message

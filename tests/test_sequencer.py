@@ -675,3 +675,18 @@ def test_scalar_types_keep_value_equality():
     canonical = check_canonical(op, weights)
     assert canonical == check_canonical(op, weights)
     assert len({canonical, check_canonical(op, weights)}) == 1
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ([1.0, 0.0, 0.0], "input has 3 amplitudes, expected 2**1"),
+        ([np.nan, 0.0], "input contains non-finite amplitudes"),
+        ([1.0, 1.0], "input state is not normalized"),
+    ],
+)
+def test_simulate_refuses_a_malformed_input_by_name(state, message):
+    plan = build_plan(ghz_isometry(2))
+    with pytest.raises(ContractViolationError) as exc:
+        simulate(plan, state)
+    assert str(exc.value) == message
