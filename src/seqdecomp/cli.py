@@ -57,6 +57,10 @@ def _load_factors(path: str | None) -> list[np.ndarray]:
     doc = formats.parse_document(_read_text(path, "factor file"), path)
     if not isinstance(doc, list) or not doc:
         raise ContractViolationError(f"{path}: expected a nonempty JSON list of 2x2 matrices")
+    from .oplib import _MAX_QUBITS
+
+    if len(doc) > _MAX_QUBITS:  # before any entry is decoded
+        raise ContractViolationError(f"at most {_MAX_QUBITS} factors supported")
     return [formats.decode_matrix(entry, 2, 2, f"{path}[{k}]") for k, entry in enumerate(doc)]
 
 
@@ -223,11 +227,7 @@ def _cmd_info(args) -> int:
         "max_bond_dim": op_mps.max_bond_dim,
         # for a square operator the fused cuts are the operator cuts
         "schmidt_ranks": op_mps.bond_dims[1:-1] if u.is_unitary and u.n_out > 1 else None,
-        "canonical_residuals": {
-            "left_normalization": canonical.left_normalization,
-            "weight_transport": canonical.weight_transport,
-            "weight_validity": canonical.weight_validity,
-        },
+        "canonical_residuals": canonical._asdict(),
         "rank_tol": RANK_TOL,
     }
     _print_doc(doc)

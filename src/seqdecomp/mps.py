@@ -35,18 +35,18 @@ peeled.  A tall cut is factored through its R factor
 (:func:`~seqdecomp.linalg.r_factor`), which has the singular values and
 right singular vectors of the block; the carry to the next cut is the
 block times the kept right vectors, so the left singular vectors of a tall
-block are never formed.  A tall block is read in row chunks, once for its
-R factor and once for the carry, so at most one chunk of it is copied at a
-time; a short one is read whole, once.  Each row of a canonical tensor is
-rephased so that its lead entry, the first within a relative 1e-10 of the
-row's largest modulus, is real positive; the tensors therefore do not
-depend on how a cut is factored.  A degenerate Schmidt spectrum leaves a
-unitary gauge on the rows of a repeated coefficient that no phase rule
-fixes.  Site 1 is the normalized rest; its norm becomes ``norm``.  A chain is
-peeled once from its other end and then peeled the same way.  Singular
-values at or below :data:`~seqdecomp.linalg.RANK_TOL` times the largest
-are dropped at each cut of each peel; that fixed cutoff is the only
-truncation of a bond.
+block are never formed.  A block is one matrix unless above a chunk of
+rows; a taller one is read in row chunks, once for its R factor and once
+for the carry, so at most one chunk of it is copied at a time.  Each row
+of a canonical tensor is rephased so that its lead entry, the first within
+a relative 1e-10 of the row's largest modulus, is real positive; the
+tensors therefore do not depend on how a cut is factored.  A degenerate
+Schmidt spectrum leaves a unitary gauge on the rows of a repeated
+coefficient that no phase rule fixes.  Site 1 is the normalized rest; its
+norm becomes ``norm``.  A chain is peeled once from its other end and then
+peeled the same way.  Singular values at or below
+:data:`~seqdecomp.linalg.RANK_TOL` times the largest are dropped at each
+cut of each peel; that fixed cutoff is the only truncation of a bond.
 
 Operators are handled by fusing the input leg with the output leg at each
 of the first ``m_in`` sites (fused index = 2 * output + input) and
@@ -75,7 +75,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, Frozen
-from .linalg import ISOMETRY_TOL, _QR_ROWS, _require_dense_fits, dagger, r_factor, svd
+from .linalg import ISOMETRY_TOL, _QR_ROWS, _require_dense_fits, dagger, isometry_defect, r_factor, svd
 
 if TYPE_CHECKING:
     from .oplib import Isometry
@@ -300,21 +300,21 @@ def _peel_cut(block: np.ndarray, cols: int):
 
     The cut splits ``block.reshape(-1, cols)``, whose trailing axes make
     the columns in (site, bond) order; the carry is that matrix times the
-    kept right vectors.  A short block is read whole, once, for both the
-    SVD and the carry; a tall one in :func:`_chunks`, once for its R factor
-    and once for the carry, unless it is one chunk.
+    kept right vectors.  A block that is short or fits one chunk is one
+    matrix, read for the SVD, through its R factor when tall, and for the
+    carry; a taller one is read in :func:`_chunks`, once for its R factor
+    and once for the carry.
     """
     rows = block.size // cols
-    if rows < max(_QR_GATE, 2 * cols):
+    tall = rows >= max(_QR_GATE, 2 * cols)
+    if not tall or rows <= _CHUNK_ROWS:
         a = block.reshape(rows, cols)
-        s, vd = svd(a)
+        s, vd = svd(r_factor((a,)) if tall else a)
         return s, vd, a @ dagger(vd)
-    # a block of one chunk is copied once for both passes
-    chunks = list(_chunks(block, cols)) if rows <= _CHUNK_ROWS else None
-    s, vd = svd(r_factor(a for _, a in chunks or _chunks(block, cols)))
+    s, vd = svd(r_factor(a for _, a in _chunks(block, cols)))
     vd_dagger = dagger(vd)
     carry = np.empty((rows, s.size), dtype=np.complex128)
-    for start, a in chunks or _chunks(block, cols):
+    for start, a in _chunks(block, cols):
         np.matmul(a, vd_dagger, out=carry[start : start + len(a)])
     return s, vd, carry
 
@@ -459,9 +459,9 @@ def check_canonical(mps: Mps, weights: CanonicalWeights) -> CanonicalReport:
     weight-transport recursion, and of the weight vectors' positivity and
     unit trace.  Passes when all three stay below
     :data:`~seqdecomp.linalg.ISOMETRY_TOL`.  The sites of one tensor shape
-    take one stacked Gram product and one transport product over all their
-    values, and each Hermitian residual's spectral norm is the largest
-    modulus of its eigenvalues, from one stacked ``eigvalsh``.
+    take one stacked :func:`~seqdecomp.linalg.isometry_defect`, as the
+    criterion does, and one transport product over all their values, whose
+    spectral norm comes from one stacked ``eigvalsh``.
     """
     n = mps.n_sites
     if len(weights.lambdas) != n - 1:
@@ -478,15 +478,13 @@ def check_canonical(mps: Mps, weights: CanonicalWeights) -> CanonicalReport:
     for d, rgt, lft in {t.shape for t in mps.tensors}:
         sites = [m for m, t in enumerate(mps.tensors) if t.shape == (d, rgt, lft)]
         t = np.stack([mps.tensors[m] for m in sites])
-        flat = t.reshape(-1, d * rgt, lft)
-        gram = dagger(flat) @ flat  # sum_i t[i]† t[i]
-        gram.reshape(len(sites), -1)[:, :: lft + 1] -= 1
         side = t.transpose(0, 2, 1, 3)  # (site, right, value, left)
         w = np.stack([chain[m] for m in sites])[:, None, None]  # each site's left weights
         weighted = (side * w).reshape(-1, rgt, d * lft)
         push = weighted @ dagger(side.reshape(-1, rgt, d * lft))  # sum_i t[i] diag(w) t[i]†
         push.reshape(len(sites), -1)[:, :: rgt + 1] -= np.stack([chain[m + 1] for m in sites])
-        res_norm = max(res_norm, float(np.abs(np.linalg.eigvalsh(gram)).max()))
+        # ||sum_i t[i]† t[i] - I|| of each site
+        res_norm = max(res_norm, float(isometry_defect(t.reshape(-1, d * rgt, lft)).max()))
         res_transport = max(res_transport, float(np.abs(np.linalg.eigvalsh(push)).max()))
     for lam in weights.lambdas:
         res_weights = max(res_weights, abs(float(np.sum(lam)) - 1.0))

@@ -622,6 +622,16 @@ def test_a_non_unitary_factor_is_named_by_its_index(bad, tmp_path, capsys):
     assert err == f"error: factor {bad[0]} is not unitary\n"
 
 
+def test_an_svd_that_does_not_converge_exits_2_with_one_error_line(capsys, monkeypatch):
+    def diverge(*_, **__):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", diverge)
+    code, out, err = run_cli(["check", "shor"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: SVD failed to converge for shape ") and err.count("\n") == 1
+
+
 #: Input sites of the plan below: 2**20000 has more than 4300 digits.
 _WIDE_INPUTS = 20000
 
@@ -832,6 +842,23 @@ def test_malformed_files_and_labels_exit_2_with_one_error_line(case, tmp_path, c
     assert code == 2
     assert out == ""
     assert err == f"error: {message.format(path)}\n"
+
+
+@pytest.mark.parametrize("count, first", [(100000, _IDENTITY), (12, "eye")],
+                         ids=["100000 identities", "12 with a malformed first"])
+def test_a_factor_list_over_ten_is_refused_before_any_entry_is_decoded(
+    count, first, tmp_path, capsys, monkeypatch
+):
+    # the count alone decides, so an over-long file with a malformed entry
+    # reports the count too
+    def decode(*_):
+        raise AssertionError("no entry may be decoded")
+
+    monkeypatch.setattr(formats, "decode_matrix", decode)
+    path = tmp_path / "factors.json"
+    path.write_text(json.dumps([first] + [_IDENTITY] * (count - 1)))
+    code, out, err = run_cli(["check", "product", "--factors", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: at most 10 factors supported\n")
 
 
 # neither tolerance is an option: any value of either is refused
@@ -1304,6 +1331,28 @@ def test_simulate_imports_neither_mps_nor_oplib(tmp_path, capsys):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n[]\n", "")
+
+
+@pytest.mark.parametrize("command", ["check", "decompose", "info"])
+def test_no_command_on_a_fixed_operator_imports_numpy_random(command, tmp_path):
+    # numpy.random costs each process about 5.6 MB and 4.5 ms to import;
+    # only the random: builtin draws from it
+    operators = ["cnot", "shor", "ghz:4", "cloner:2", "product"]
+    output = ["-o", str(tmp_path / "plan.json")] if command == "decompose" else []
+    code = (
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "unwanted = set()\n"
+        "if 'numpy.random' not in sys.modules:  # numpy before 2.0 imports it itself\n"
+        "    unwanted.add('numpy.random')\n"
+        "from seqdecomp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main([{command!r}, op, *{output!r}]) for op in {operators!r}]\n"
+        "print(codes, sorted(unwanted & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    codes = [1 if op == "cnot" and command != "info" else 0 for op in operators]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{codes} []\n", "")
 
 
 @pytest.mark.parametrize("command", ["check", "decompose", "info", "simulate"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from seqdecomp import (
     ContractViolationError,
+    NumericFailureError,
     cnot,
     complete_to_unitary,
     dagger,
@@ -140,6 +141,15 @@ def test_svd_rejects_nonfinite():
     bad = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ContractViolationError):
         svd(bad)
+
+
+def test_svd_names_the_shape_when_lapack_does_not_converge(monkeypatch):
+    def diverge(*_, **__):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", diverge)
+    with pytest.raises(NumericFailureError, match=r"SVD failed to converge for shape \(3, 2\)"):
+        svd(np.ones((3, 2)))
 
 
 @settings(max_examples=60, deadline=None)

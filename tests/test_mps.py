@@ -323,6 +323,12 @@ def test_canonicalize_is_idempotent_up_to_gauge():
     assert gauge_residual(mps, weights, again, weights2) <= 1e-9
 
 
+def test_canonicalize_refuses_a_one_site_zero_chain():
+    # no cut to peel: the site itself is the rest, and its norm is 0
+    with pytest.raises(ContractViolationError, match="chain contracts to the zero vector"):
+        canonicalize(Mps((np.zeros((2, 1, 1)),)))
+
+
 def test_canonicalize_swap_network_ghz():
     # worst-case redundant form of the 1->3 GHZ isometry, padded to bond 8
     u = ghz_isometry(3)
