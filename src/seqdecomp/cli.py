@@ -45,6 +45,8 @@ _SINGLE_QUBIT_LABELS = {
 
 def _read_text(path: str, what: str) -> str:
     try:
+        if not path:  # Path("") would name the working directory
+            raise OSError("empty path")
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ContractViolationError(f"cannot read {what} '{path}': {exc}") from None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +33,9 @@ _FULL_SIZE_BITS = 64
 
 def _require_fits(name: str, what: str, need: int) -> None:
     """Refuse work whose ``what`` needs ``need`` bytes when that exceeds
-    the machine's physical memory, before allocating it."""
+    the machine's physical memory, before allocating it: work that can
+    never fit.  Free memory changes between the check and the allocation,
+    so a refusal read from it would depend on other processes."""
     have = _physical_memory()
     if need > have:
         _refuse(name, what, need.bit_length() - 1, have, need)
@@ -122,32 +124,26 @@ def svd(m) -> tuple[np.ndarray, np.ndarray]:
 _QR_ROWS = 2**10
 
 
-def r_factor(chunks: Iterable[np.ndarray]) -> np.ndarray:
-    """The Householder R factor of the rows of ``chunks`` stacked in order.
+def r_factor(a: np.ndarray) -> np.ndarray:
+    """The Householder R factor of the matrix ``a``, by a tall-skinny QR.
 
-    Each chunk is a matrix with the same columns.  Its full row blocks of
-    :data:`_QR_ROWS` rows are reduced by one stacked QR and its leftover rows
-    are kept; one more QR of all those R's and leftovers gives R (tall-skinny
-    QR), so the stacked matrix is read once and never held whole.  R is
-    square when there are at least as many rows as columns.
+    The full row blocks of :data:`_QR_ROWS` rows are reduced by one stacked
+    QR, and one more QR of their R's and the leftover rows gives R, square
+    when ``a`` has at least as many rows as columns.  The peel reduces a
+    block too tall to copy at once chunk by chunk, and then once more over
+    the chunks' R's.
 
-    R has the stacked matrix's Gram matrix ``a† a`` and :func:`svd` phases
-    each row of ``v†`` by that row alone, so its singular values and right
-    singular vectors are those of the stacked matrix, bar the unitary gauge
-    of a degenerate singular value.
+    R has ``a``'s Gram matrix ``a† a`` and :func:`svd` phases each row of
+    ``v†`` by that row alone, so its singular values and right singular
+    vectors are those of ``a``, bar the unitary gauge of a degenerate
+    singular value.
     """
-    parts = []
-    for a in chunks:
-        rows, cols = a.shape
-        full = rows - rows % _QR_ROWS
-        if not full:
-            parts.append(a)
-            continue
-        blocks = np.linalg.qr(a[:full].reshape(-1, _QR_ROWS, cols), mode="r")
-        parts.append(blocks.reshape(-1, cols))
-        if full < rows:  # a copy, so that the chunk itself can go
-            parts.append(a[full:].copy())
-    return np.linalg.qr(parts[0] if len(parts) == 1 else np.concatenate(parts), mode="r")
+    rows, cols = a.shape
+    full = rows - rows % _QR_ROWS
+    if not full:
+        return np.linalg.qr(a, mode="r")
+    r = np.linalg.qr(a[:full].reshape(-1, _QR_ROWS, cols), mode="r").reshape(-1, cols)
+    return np.linalg.qr(np.concatenate([r, a[full:]]) if full < rows else r, mode="r")
 
 
 def isometry_defect(q: np.ndarray) -> float | np.ndarray:

@@ -36,10 +36,11 @@ peeled.  A tall cut is factored through its R factor
 right singular vectors of the block; the carry to the next cut is the
 block times the kept right vectors, so the left singular vectors of a tall
 block are never formed.  A block is one matrix unless above a chunk of
-rows; a taller one is read in row chunks, once for its R factor and once
-for the carry, so at most one chunk of it is copied at a time.  Each row
-of a canonical tensor is rephased so that its lead entry, the first within
-a relative 1e-10 of the row's largest modulus, is real positive; the
+rows; a taller one is read in row chunks, once for its R factor, reduced
+chunk by chunk and then once more over the chunks' R's, and once for the
+carry, so at most one chunk of it is copied at a time.  Each row of a
+canonical tensor is rephased so that its lead entry, the first within a
+relative 1e-10 of the row's largest modulus, is real positive; the
 tensors therefore do not depend on how a cut is factored.  A degenerate
 Schmidt spectrum leaves a unitary gauge on the rows of a repeated
 coefficient that no phase rule fixes.  Site 1 is the normalized rest; its
@@ -70,12 +71,13 @@ built by it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from collections import namedtuple
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ContractViolationError, Frozen
-from .linalg import ISOMETRY_TOL, _QR_ROWS, _require_dense_fits, dagger, isometry_defect, r_factor, svd
+from .linalg import ISOMETRY_TOL, _require_dense_fits, dagger, isometry_defect, r_factor, svd
 
 if TYPE_CHECKING:
     from .oplib import Isometry
@@ -95,9 +97,8 @@ _PEEL_COPIES = 7
 #: off only on a tall block: 1024x512 gains, 1024x1024 loses.
 _QR_GATE = 2**8
 
-#: Most rows of a tall block that the peel copies at once, a multiple of
-#: :data:`~seqdecomp.linalg._QR_ROWS`.
-_CHUNK_ROWS = 2**4 * _QR_ROWS
+#: Most rows of a tall block that the peel copies at once.
+_CHUNK_ROWS = 2**14
 
 
 def _validate_chain(tensors) -> tuple[np.ndarray, ...]:
@@ -197,12 +198,12 @@ class CanonicalWeights(Frozen):
         self.__dict__["lambdas"] = tuple(arrays)
 
 
-class CanonicalReport(NamedTuple):
+class CanonicalReport(namedtuple(
+    "CanonicalReport", "left_normalization weight_transport weight_validity"
+)):
     """Maximum residuals of the three canonical-form conditions."""
 
-    left_normalization: float
-    weight_transport: float
-    weight_validity: float
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -302,16 +303,17 @@ def _peel_cut(block: np.ndarray, cols: int):
     the columns in (site, bond) order; the carry is that matrix times the
     kept right vectors.  A block that is short or fits one chunk is one
     matrix, read for the SVD, through its R factor when tall, and for the
-    carry; a taller one is read in :func:`_chunks`, once for its R factor
-    and once for the carry.
+    carry; a taller one is read in :func:`_chunks`, once for its R factor,
+    each chunk reduced to its own before the next is read and then once
+    more over the chunks' R's, and once for the carry.
     """
     rows = block.size // cols
     tall = rows >= max(_QR_GATE, 2 * cols)
     if not tall or rows <= _CHUNK_ROWS:
         a = block.reshape(rows, cols)
-        s, vd = svd(r_factor((a,)) if tall else a)
+        s, vd = svd(r_factor(a) if tall else a)
         return s, vd, a @ dagger(vd)
-    s, vd = svd(r_factor(a for _, a in _chunks(block, cols)))
+    s, vd = svd(r_factor(np.concatenate([r_factor(a) for _, a in _chunks(block, cols)])))
     vd_dagger = dagger(vd)
     carry = np.empty((rows, s.size), dtype=np.complex128)
     for start, a in _chunks(block, cols):

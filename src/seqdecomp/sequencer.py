@@ -53,7 +53,8 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -68,7 +69,9 @@ if TYPE_CHECKING:
     from .oplib import Isometry
 
 
-class SequentialityReport(NamedTuple):
+class SequentialityReport(namedtuple(
+    "SequentialityReport", "implementable per_site_residuals bond_dims ancilla_dim_if_yes"
+)):
     """Outcome of the sequential-implementability test.
 
     ``per_site_residuals`` holds, for each input site, ``||Q† Q - I||_2`` of
@@ -79,10 +82,7 @@ class SequentialityReport(NamedTuple):
     use, namely the maximal canonical bond dimension.
     """
 
-    implementable: bool
-    per_site_residuals: tuple[float, ...]
-    bond_dims: tuple[int, ...]
-    ancilla_dim_if_yes: int
+    __slots__ = ()
 
 
 class SequentialPlan(Frozen):
@@ -182,7 +182,7 @@ def _completed_steps(blocks, ancilla_dim: int, m_in: int) -> tuple[np.ndarray, .
     return tuple(steps)
 
 
-class PlanVerification(NamedTuple):
+class PlanVerification(namedtuple("PlanVerification", "max_error operator_norm_bound")):
     """Check of a plan, contracted as its chain, against its target isometry.
 
     ``max_error`` is the worst 2-norm distance, over all computational basis
@@ -193,8 +193,7 @@ class PlanVerification(NamedTuple):
     the error for every input state.
     """
 
-    max_error: float
-    operator_norm_bound: float
+    __slots__ = ()
 
 
 def _defined_columns(t: np.ndarray, fused: bool) -> np.ndarray:

@@ -343,6 +343,14 @@ def haar_columns_full(dim, cols, rng) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
+def haar_isometry(m, n, seed) -> Isometry:
+    """A Haar-distributed ``m -> n`` isometry, without drawing a whole
+    ``2**n`` unitary."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2**n, 2**m)) + 1j * rng.standard_normal((2**n, 2**m))
+    return Isometry(m, n, np.linalg.qr(z)[0])
+
+
 def product_kron_dense(factors) -> tuple[np.ndarray, float]:
     """The Kronecker product of 2x2 unitaries and its dense Gram residual.
 

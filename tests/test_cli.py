@@ -830,6 +830,14 @@ _CLI_REFUSALS = {
         _ghz2_plan,
         "--input-state: expected 1 characters from 01+- or an amplitude list",
     ),
+    # an empty path names no file, though Path("") is the working directory
+    "empty operator path": (["check", ""], {}, "cannot read operator file '': empty path"),
+    "empty factor path": (
+        ["check", "product", "--factors", ""], {}, "cannot read factor file '': empty path"
+    ),
+    "empty plan path": (
+        ["simulate", "", "--input-state", "0"], {}, "cannot read plan file '': empty path"
+    ),
 }
 
 

@@ -46,15 +46,7 @@ from seqdecomp import (
 from seqdecomp import sequencer
 from seqdecomp.cli import main
 
-from oracles import haar_columns_full
-
-
-def haar_isometry(m, n, seed):
-    """A Haar-distributed ``m -> n`` isometry, without drawing a whole
-    ``2**n`` unitary."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((2**n, 2**m)) + 1j * rng.standard_normal((2**n, 2**m))
-    return Isometry(m, n, np.linalg.qr(z)[0])
+from oracles import haar_columns_full, haar_isometry
 
 
 def haar_product(n, seed):

@@ -38,6 +38,7 @@ from oracles import (
     fused_vector_loops,
     gauge_inflate,
     gauge_residual,
+    haar_isometry,
     operator_cut_ranks,
     operator_to_mps_regroup,
     schmidt_cut_ranks,
@@ -276,10 +277,10 @@ def test_the_peel_matches_the_fused_vector_peel_on_haar_isometries(m, n, seed):
     assert_matches_the_fused_vector_peel(random_isometry(min(m, n, 14 - n), n, seed))
 
 
-@pytest.mark.parametrize("chunk_rows", [mps_module._CHUNK_ROWS, 2**3])
+@pytest.mark.parametrize("chunk_rows", [mps_module._CHUNK_ROWS, 2**3, 6])
 def test_the_peel_reads_tall_blocks_in_chunks(chunk_rows, monkeypatch):
     # tall cuts from 16 rows on and QR blocks of 4 rows, read in chunks of
-    # two QR blocks as well as in the default chunks
+    # two QR blocks, of a QR block and a half, and in the default chunks
     monkeypatch.setattr(mps_module, "_CHUNK_ROWS", chunk_rows)
     monkeypatch.setattr(mps_module, "_QR_GATE", 2**4)
     monkeypatch.setattr(linalg, "_QR_ROWS", 2**2)
@@ -288,6 +289,33 @@ def test_the_peel_reads_tall_blocks_in_chunks(chunk_rows, monkeypatch):
     psi = random_state(10, 5)
     mps, _ = state_to_mps(psi)
     assert np.linalg.norm(contract_state(mps) - psi) <= 1e-12
+
+
+@pytest.mark.parametrize("build", [lambda: ghz_isometry(16), lambda: haar_isometry(1, 15, 4)],
+                         ids=["ghz:16", "haar 1->15"])
+def test_the_peel_reads_blocks_above_the_default_chunk_in_chunks(build, monkeypatch):
+    # their first cuts are taller than _CHUNK_ROWS; the reference is the
+    # same peel with every block read as one matrix
+    u = build()
+    chunks, walked = mps_module._chunks, []
+
+    def spy(block, cols):
+        walked.append(block.size // cols)
+        return chunks(block, cols)
+
+    monkeypatch.setattr(mps_module, "_chunks", spy)
+    chunked, chunked_weights = operator_to_mps(u)
+    assert walked and min(walked) > mps_module._CHUNK_ROWS
+    monkeypatch.setattr(mps_module, "_CHUNK_ROWS", math.inf)
+    walked.clear()
+    whole, whole_weights = operator_to_mps(u)
+    assert not walked
+    assert chunked.bond_dims == whole.bond_dims
+    for a, b in zip(chunked.tensors, whole.tensors):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    for a, b in zip(chunked_weights.lambdas, whole_weights.lambdas):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    assert abs(chunked.norm - whole.norm) <= 1e-12
 
 
 def test_svd_is_public_and_called_once_per_cut(monkeypatch):

@@ -80,11 +80,18 @@ REPORTS = {
 }
 
 
+def field_names(value):
+    """A report's named-tuple fields, or a holder's annotated attributes."""
+    if isinstance(value, tuple):
+        return type(value)._fields
+    return [*vars(type(value))["__annotations__"]]
+
+
 @pytest.mark.parametrize("build", [*HOLDERS.values(), *REPORTS.values()],
                          ids=[*HOLDERS, *REPORTS])
 def test_every_returned_value_refuses_assignment_and_deletion(build):
     value = build()
-    for name in [*vars(type(value))["__annotations__"], "extra"]:
+    for name in [*field_names(value), "extra"]:
         with pytest.raises(AttributeError):
             setattr(value, name, 0)
         with pytest.raises(AttributeError):
@@ -104,7 +111,7 @@ def test_the_reports_compare_and_hash_by_value(build):
     a, b = build(), build()
     assert a is not b and a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
-    values = [getattr(a, name) for name in vars(type(a))["__annotations__"]]
+    values = [getattr(a, name) for name in field_names(a)]
     assert a != type(a)(None, *values[1:])
 
 
@@ -134,3 +141,7 @@ def test_a_report_equals_the_tuple_of_its_fields():
     # the reports are named tuples: value equality reaches plain tuples too
     assert PlanVerification(0.5, 1.0) == (0.5, 1.0)
     assert hash(CanonicalReport(0.0, 0.0, 0.0)) == hash((0.0, 0.0, 0.0))
+    # `info` prints the canonical residuals by their field names
+    assert CanonicalReport(1.0, 2.0, 3.0)._asdict() == {
+        "left_normalization": 1.0, "weight_transport": 2.0, "weight_validity": 3.0
+    }
