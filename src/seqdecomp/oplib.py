@@ -94,6 +94,20 @@ def cnot() -> Isometry:
     return Isometry(2, 2, m)
 
 
+#: Dense matrices that building a ``ghz`` or ``cloner`` operator holds, which
+#: their memory guard counts: ``ghz``'s two columns and the matrix stacked
+#: from them, or a cloner's matrix and the half-matrix term it adds in place;
+#: then the matrix and :class:`Isometry`'s conjugate or validated copy of it.
+_BUILD_COPIES = 2
+
+#: Bytes of fixed costs beside :data:`_BUILD_COPIES` matrices that the guard
+#: counts too.  ``tracemalloc`` measured up to 1.7 kB beyond two matrices on
+#: ``ghz:<n>`` from ``ghz:10`` and ``cloner:<n>`` from ``cloner:8``.  Smaller
+#: operators exceed it by a few kB, and a cloner under 1 MiB by the up to
+#: 256 KiB of buffers of numpy's broadcast product (0.13 MB on ``cloner:7``).
+_BUILD_SPARE = 2**11
+
+
 def ghz_state(n: int, sign: int = +1) -> np.ndarray:
     """The n-qubit state (|0..0> + sign |1..1>) / sqrt(2)."""
     if n < 1:
@@ -108,7 +122,7 @@ def ghz_isometry(n: int) -> Isometry:
     """1 -> n map sending |0>, |1> to the +/- n-qubit GHZ states."""
     if n < 1:
         raise ContractViolationError("need at least one output qubit")
-    _require_dense_fits(f"ghz:{n}", 1, n)
+    _require_dense_fits(f"ghz:{n}", 1, n, _BUILD_COPIES, _BUILD_SPARE)
     m = np.stack([ghz_state(n, +1), ghz_state(n, -1)], axis=1)
     return Isometry(1, n, m)
 
@@ -161,23 +175,20 @@ def gisin_massar_cloner(n_clones: int) -> Isometry:
     if n < 1:
         raise ContractViolationError("need at least one clone")
     n_out = 2 * n - 1
-    _require_dense_fits(f"cloner:{n}", 1, n_out)
+    _require_dense_fits(f"cloner:{n}", 1, n_out, _BUILD_COPIES, _BUILD_SPARE)
     alphas = [math.sqrt(2.0 * (n - j) / (n * (n + 1))) for j in range(n)]
 
-    def image(flip: bool) -> np.ndarray:
-        # flip=False encodes input |0> (psi=|0>, psi_perp=|1>); True swaps them.
-        total = np.zeros(2**n_out, dtype=np.complex128)
+    matrix = np.zeros((2**n_out, 2), dtype=np.complex128)
+    # column 0 encodes input |0> (psi=|0>, psi_perp=|1>); column 1 swaps them
+    for flip in (0, 1):
         for j, alpha in enumerate(alphas):
-            clone_ones = n - j if flip else j
-            clones = dicke_state(n, clone_ones)
-            if n == 1:
-                total += alpha * clones
-                continue
-            anti_ones = j if flip else n - 1 - j
-            total += alpha * np.kron(clones, dicke_state(n - 1, anti_ones))
-        return total
-
-    matrix = np.stack([image(False), image(True)], axis=1)
+            term = dicke_state(n, n - j if flip else j)
+            if n > 1:  # np.kron of the two Dicke states, with fewer views
+                term = np.multiply.outer(term, dicke_state(n - 1, j if flip else n - 1 - j))
+                term = term.ravel()
+            term *= alpha
+            matrix[:, flip] += term
+            del term  # so that the last term is not held through validation
     return Isometry(1, n_out, matrix)
 
 
@@ -219,32 +230,46 @@ def product_unitary(factors: Sequence[np.ndarray]) -> Isometry:
     return Isometry._from_chain(chain, max(high - 1.0, 1.0 - low), kron_chain)
 
 
-#: Gaussian draws per block in :func:`_gaussian_columns`.
-_DRAW_BLOCK = 2**16
+#: Gaussian values in the row buffer of :func:`_gaussian_columns`: 64 KiB,
+#: which draws no slower than 512 KiB.  ``tracemalloc`` measured a whole
+#: draw at 3.1 matrices of the operator on ``random:1,10`` (the
+#: matrix, the buffer of two matrices, then the QR) and at 3.1 to 4.1 on
+#: Haar 5 -> 9 to 10 -> 10, where the QR of the kept columns sets the peak.
+#: Beside these arrays a process holds about 34 MB once it has imported
+#: ``numpy.random``, of which 3.3 MB is OpenSSL's libcrypto, loaded through
+#: ``secrets``.
+_DRAW_BLOCK = 2**13
 
 
 def _gaussian_columns(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """The first ``cols`` columns of ``rng.standard_normal((dim, dim))``,
-    drawn in row blocks of about :data:`_DRAW_BLOCK` values, so that the
-    stream is the same but only one block of dropped columns is held."""
-    out = np.empty((dim, cols))
-    rows = max(1, _DRAW_BLOCK // dim)
-    for start in range(0, dim, rows):
-        stop = min(start + rows, dim)
-        out[start:stop] = rng.standard_normal((stop - start, dim))[:, :cols]
-    return out
+    """The first ``cols`` columns of a complex Gaussian whose real and then
+    imaginary part are drawn each as ``rng.standard_normal((dim, dim))``.
+    The stream is that of the whole matrix, but only the kept columns are
+    stored, straight into the real and imaginary views of one complex
+    array, through one row buffer of :data:`_DRAW_BLOCK` values, or of one
+    row, or of the whole part when it is smaller."""
+    z = np.empty((dim, cols), dtype=np.complex128)
+    buffer = np.empty((min(dim, max(1, _DRAW_BLOCK // dim)), dim))
+    for part in (z.real, z.imag):
+        for start in range(0, dim, len(buffer)):
+            block = buffer[: dim - start]
+            rng.standard_normal(out=block)
+            part[start : start + len(block)] = block[:, :cols]
+    return z
 
 
 def _haar_columns(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """First ``cols`` columns of a Haar ``dim`` x ``dim`` unitary drawn from
     ``rng``.  The whole Gaussian matrix is drawn, so the stream does not
-    depend on ``cols``, but only the kept columns are stored and QR-factored;
-    the diagonal of R is made real positive."""
-    re = _gaussian_columns(dim, cols, rng)
-    im = _gaussian_columns(dim, cols, rng)
-    q, r = np.linalg.qr((re + 1j * im) / math.sqrt(2.0))
+    depend on ``cols``, but only the kept columns are stored and
+    QR-factored; the diagonal of R is made real positive.  The columns and
+    Q are scaled in place."""
+    z = _gaussian_columns(dim, cols, rng)
+    z /= math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    q *= diag / np.abs(diag)
+    return q
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -201,32 +201,44 @@ def _defined_columns(t: np.ndarray, fused: bool) -> np.ndarray:
 
     Row ``2 * a + i`` pairs right bond index ``a`` with output ``i``.  On an
     input site, column ``2 * r + j`` pairs left bond index ``r`` with input
-    ``j`` and the tensor is rescaled by sqrt(2) to undo the unit-norm gauge;
-    on the other sites, column ``r`` takes the chain qubit in state |0>.
+    ``j`` and the tensor is rescaled by sqrt(2) to undo the unit-norm gauge
+    (:func:`_input_blocks`); on the other sites, column ``r`` takes the
+    chain qubit in state |0>.
     """
-    _, rgt, lft = t.shape
     if fused:
-        q = (math.sqrt(2.0) * t).reshape(2, 2, rgt, lft).transpose(2, 0, 3, 1)
-        return q.reshape(2 * rgt, 2 * lft)
+        return _input_blocks([t])[0]
+    _, rgt, lft = t.shape
     return t.transpose(1, 0, 2).reshape(2 * rgt, lft)
 
 
-def _criterion(op: Mps) -> tuple[tuple[np.ndarray, ...], SequentialityReport]:
-    """Defined columns of every step of a canonical chain, and the verdict on
-    them, from one stacked ``isometry_defect`` call per block shape."""
-    blocks = tuple(_defined_columns(t, k < op.m_in) for k, t in enumerate(op.tensors))
+def _input_blocks(tensors) -> np.ndarray:
+    """The defined columns of input site tensors of one shape, as one stack:
+    each block is formed once, the sqrt(2) applied on its way into its
+    transposed place in the stack."""
+    _, rgt, lft = tensors[0].shape
+    stack = np.empty((len(tensors), rgt, 2, lft, 2), dtype=np.complex128)
+    for t, q in zip(tensors, stack):
+        np.multiply(t.reshape(2, 2, rgt, lft).transpose(2, 0, 3, 1), math.sqrt(2.0), out=q)
+    return stack.reshape(len(tensors), 2 * rgt, 2 * lft)
+
+
+def _criterion(op: Mps) -> SequentialityReport:
+    """The verdict on a canonical chain, from one ``isometry_defect`` call
+    per block shape on the stacked defined columns of the input sites of
+    that shape; one shape's blocks are held at a time."""
+    inputs = op.tensors[: op.m_in]
     residuals = [0.0] * op.m_in
-    for shape in {q.shape for q in blocks[: op.m_in]}:
-        sites = [k for k in range(op.m_in) if blocks[k].shape == shape]
-        for k, defect in zip(sites, isometry_defect(np.stack([blocks[k] for k in sites]))):
-            residuals[k] = float(defect)
-    report = SequentialityReport(
+    for shape in {t.shape for t in inputs}:
+        sites = [k for k, t in enumerate(inputs) if t.shape == shape]
+        defects = isometry_defect(_input_blocks([inputs[k] for k in sites]))
+        for k, defect in zip(sites, defects.tolist()):
+            residuals[k] = defect
+    return SequentialityReport(
         implementable=max(residuals) < ISOMETRY_TOL,
         per_site_residuals=tuple(residuals),
         bond_dims=op.bond_dims,
         ancilla_dim_if_yes=op.max_bond_dim,
     )
-    return blocks, report
 
 
 def sequentiality_test(u: Isometry) -> SequentialityReport:
@@ -238,7 +250,7 @@ def sequentiality_test(u: Isometry) -> SequentialityReport:
     """
     from . import mps
 
-    return _criterion(mps.operator_to_mps(u)[0])[1]
+    return _criterion(mps.operator_to_mps(u)[0])
 
 
 def build_plan(u: Isometry) -> SequentialPlan:
@@ -252,8 +264,9 @@ def build_plan(u: Isometry) -> SequentialPlan:
     reaches.  Its ``steps`` are formed only when read: bond spaces smaller
     than the ancilla are embedded by zero padding, and one
     :func:`~seqdecomp.linalg.complete_to_unitary` call per step fills the
-    other columns with the orthogonal complement.  The returned plan
-    carries the report the verdict was read from.
+    other columns with the orthogonal complement.  The blocks are formed
+    only once the verdict holds, so a rejection copies no site of the
+    chain.  The returned plan carries the report the verdict was read from.
 
     Raises :class:`NotImplementableError` (carrying the report) when the
     criterion fails.
@@ -261,9 +274,10 @@ def build_plan(u: Isometry) -> SequentialPlan:
     from . import mps
 
     op, _ = mps.operator_to_mps(u)
-    blocks, report = _criterion(op)
+    report = _criterion(op)
     if not report.implementable:
         raise NotImplementableError(report)
+    blocks = [_defined_columns(t, k < op.m_in) for k, t in enumerate(op.tensors)]
     return SequentialPlan(report.ancilla_dim_if_yes, u.m_in, blocks, op.bond_dims, report)
 
 

@@ -472,12 +472,13 @@ def eager_plan_steps(u: Isometry) -> tuple[np.ndarray, ...]:
     """
     from seqdecomp.linalg import complete_to_unitary
     from seqdecomp.mps import operator_to_mps
-    from seqdecomp.sequencer import _criterion
+    from seqdecomp.sequencer import _defined_columns
 
     op, _ = operator_to_mps(u)
     side = 2 * op.max_bond_dim
     steps = []
-    for k, q in enumerate(_criterion(op)[0]):
+    for k, t in enumerate(op.tensors):
+        q = _defined_columns(t, k < op.m_in)
         cols = np.zeros((side, q.shape[1]), dtype=np.complex128)
         cols[: q.shape[0]] = q
         completed = complete_to_unitary(cols)

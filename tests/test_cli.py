@@ -549,14 +549,15 @@ def test_oversized_operator_counts_exit_2_at_once(text, message, tmp_path, capsy
     "token, n_out", [("ghz:45", 45), ("cloner:40", 79)], ids=["ghz", "cloner"]
 )
 def test_oversized_builtin_exits_2_before_allocating(token, n_out, capsys):
-    # only sizes the guard refuses: one that passed it would be allocated
+    # only sizes the guard refuses: one that passed it would be allocated.
+    # Building holds two matrices and 2048 bytes of fixed costs
     start = time.perf_counter()
     code, out, err = run_cli(["check", token], capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {token}: ")
-    assert f"needs {16 * 2 ** (n_out + 1)} bytes" in err
+    assert f"needs {2 * 16 * 2 ** (n_out + 1) + 2048} bytes" in err
     assert "MemoryError" not in err
 
 
@@ -1234,6 +1235,15 @@ def test_console_entry_point_matches_main(argv, code, tmp_path, capsys, monkeypa
     assert runs["command"] == runs["main"]
     assert runs["main"][0] == code
     assert ("plan.json" in runs["main"][3]) == (argv[0] == "decompose")
+
+
+def test_the_command_writes_a_plan_file_of_base64_blocks(tmp_path):
+    # a plan file holds only each step's defined columns, as base64 of their
+    # bytes: 102122 bytes for random:1,10,0, whose blocks took 213 kB as
+    # [re, im] pairs and whose completed steps 669 kB
+    proc = run_command(["decompose", "random:1,10,0", "-o", "plan.json"], cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (tmp_path / "plan.json").stat().st_size < 110000
 
 
 def _full_device(argv):

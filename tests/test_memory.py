@@ -17,6 +17,17 @@ from JSON lists one at a time.  ``simulate`` holds 2.0 to 4.1 states of
 the largest size its chain passes through, which its guard counts: its
 input's complex copy, up to three states at an input site, and a copy of
 a middle block, which in a Haar 1 -> 12 plan is as large as two states.
+
+A whole request, through ``cli.main``: ``check`` and a rejected
+``decompose`` of a Haar 5 -> 9 or 7 -> 7 hold 5.6 matrices, of which the
+seeded draw takes 3.1 to 4.1 and the criterion one input-block shape at a
+time, against 7.1 when the draw built its real and imaginary parts apart
+and the criterion copied every site; ``check random:1,10`` holds 6.0,
+against 17.1 when its 32 KiB matrix was drawn through 512 KiB row blocks.
+Building a ``ghz`` or ``cloner`` operator holds 2.00 matrices and up to
+1.7 kB, the operator beside its validated copy, which its guard counts.
+Beyond numpy's arrays, a child process holds 34.1 MB once it has imported
+the package and ``numpy.random``, which ``tracemalloc`` does not see.
 """
 
 import tracemalloc
@@ -43,8 +54,8 @@ from seqdecomp import (
     simulate,
     verify_plan,
 )
-from seqdecomp import sequencer
-from seqdecomp.cli import main
+from seqdecomp import oplib, sequencer
+from seqdecomp.cli import load_operator, main
 
 from oracles import haar_columns_full, haar_isometry
 
@@ -203,6 +214,48 @@ def test_the_simulation_guard_covers_the_measured_peak(make, monkeypatch):
     monkeypatch.setattr(sequencer, "_require_fits", lambda name, what, need: counted.append(need))
     simulate(plan, psi)
     assert peak_bytes(lambda: simulate(plan, psi)) <= counted[-1]
+
+
+def warm_requests(capsys):
+    # first calls import numpy modules lazily
+    for argv in (["check", "random:2,3,0"], ["decompose", "random:2,3,0"], ["check", "random:1,3,0"]):
+        main(argv)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["check", "decompose"])
+@pytest.mark.parametrize("operator, m, n", [("random:5,9,1", 5, 9), ("random:7,7,1", 7, 7)])
+def test_a_rejected_dense_request_holds_under_six_matrices(command, operator, m, n, capsys):
+    # 5.6 measured: the draw's 3.1 to 4.1, the peel's, and the criterion's
+    # one shape of input blocks at a time, with no copy of the chain's other
+    # sites; 7.1 when each site was copied twice and the input blocks stacked
+    warm_requests(capsys)
+    codes = []
+    peak = peak_bytes(lambda: codes.append(main([command, operator])))
+    assert codes == [1]
+    assert peak <= 6 * 16 * 2 ** (m + n)
+
+
+def test_check_of_a_haar_encoder_holds_under_eight_matrices(capsys):
+    # random:1,10 is a 32 KiB matrix: 6.0 measured, where drawing it through
+    # 512 KiB row blocks took 17.1
+    warm_requests(capsys)
+    codes = []
+    peak = peak_bytes(lambda: codes.append(main(["check", "random:1,10,1"])))
+    assert codes == [0]
+    assert peak <= 8 * 16 * 2 ** (1 + 10)
+
+
+@pytest.mark.parametrize("token", ["ghz:10", "ghz:18", "cloner:8", "cloner:9"])
+def test_the_build_guard_covers_the_measured_peak(token, monkeypatch):
+    # the guard's count in bytes, with nothing held before the call: two
+    # matrices and 2048 bytes of fixed costs, 1.7 kB measured at most
+    counted = []
+    monkeypatch.setattr(oplib, "_require_dense_fits",
+                        lambda name, m, n, copies=1, spare=0: counted.append(
+                            copies * 16 * 2 ** (m + n) + spare))
+    load_operator(token)  # first calls fill numpy's caches
+    assert peak_bytes(lambda: load_operator(token)) <= counted[-1]
 
 
 def test_a_plan_file_is_read_one_step_at_a_time(tmp_path, capsys):

@@ -467,7 +467,8 @@ def test_the_stacked_checks_match_their_site_by_site_loops(kind, data, seed):
     for field in ("left_normalization", "weight_transport", "weight_validity"):
         assert abs(getattr(report, field) - getattr(want, field)) <= 1e-14
     assert report.passed == want.passed
-    blocks, verdict = sequencer._criterion(op)
+    verdict = sequencer._criterion(op)
+    blocks = [sequencer._defined_columns(t, k < op.m_in) for k, t in enumerate(op.tensors)]
     want = criterion_loops(op)
     assert len(blocks) == op.n_sites
     assert len(verdict.per_site_residuals) == len(want.per_site_residuals) == op.m_in

@@ -34,7 +34,7 @@ from seqdecomp import (
     verify_plan,
 )
 from seqdecomp import formats, mps, sequencer
-from seqdecomp.sequencer import _criterion
+from seqdecomp.sequencer import _criterion, _defined_columns
 
 from oracles import (
     corrupted,
@@ -93,8 +93,8 @@ def test_verdict_is_gauge_independent():
         direct, _ = operator_to_mps(u)
         hidden = gauge_inflate(direct, pad_to=direct.max_bond_dim + 2, seed=8)
         recovered, _ = canonicalize(hidden)
-        a = _criterion(direct)[1].implementable
-        b = _criterion(recovered)[1].implementable
+        a = _criterion(direct).implementable
+        b = _criterion(recovered).implementable
         assert a == b == sequentiality_test(u).implementable
 
 
@@ -103,7 +103,8 @@ def test_defined_columns_and_residuals_match_the_raw_definitions():
     cases = (shor_encoder(), cnot(), random_isometry(2, 4, seed=5), random_isometry(2, 2, seed=6))
     for u in cases:
         op, _ = operator_to_mps(u)
-        blocks, report = _criterion(op)
+        report = _criterion(op)
+        blocks = [_defined_columns(t, k < op.m_in) for k, t in enumerate(op.tensors)]
         for k, (t, q) in enumerate(zip(op.tensors, blocks)):
             assert np.array_equal(q, step_columns_loops(t, k < op.m_in))
         for q, residual in zip(blocks, report.per_site_residuals):
@@ -192,7 +193,8 @@ PLAN_OPERATORS = st.one_of(
 def test_a_plan_is_held_as_its_blocks_and_completes_the_eager_steps(case):
     u = plan_operator(*case)
     plan = build_plan(u)
-    blocks = _criterion(operator_to_mps(u)[0])[0]
+    op = operator_to_mps(u)[0]
+    blocks = [_defined_columns(t, k < op.m_in) for k, t in enumerate(op.tensors)]
     assert [q.tobytes() for q in plan.blocks] == [q.tobytes() for q in blocks]
     doc = formats.plan_to_doc(plan, verify_plan(plan, u))
     back = formats.doc_to_plan(formats.parse_document(formats.dumps(doc), "plan"))
