@@ -84,12 +84,16 @@ if TYPE_CHECKING:
 
 #: Dense matrices' worth of memory that the dense peel of
 #: :func:`operator_to_mps` holds at its peak: the operator itself plus the
-#: peel's working copies, which ``tracemalloc`` measured at up to 5.4 times
-#: the matrix on Haar isometries of 14 to 18 qubits in all, where a short
-#: cut's SVD copies the block and forms its left vectors (2.0 on
+#: peel's working copies.  The arrays it holds, which ``tracemalloc`` sees,
+#: reach 5.4 matrices on Haar isometries of 14 to 18 qubits in all (2.0 on
 #: ``cloner:7``, 1.5 on ``ghz:16``, 0.4 on the matrix of a 10-factor
-#: product, whose tall cuts are read in chunks).
-_PEEL_COPIES = 7
+#: product, whose tall cuts are read in chunks).  An SVD's working memory
+#: lies outside them: numpy's linalg copies the cut and forms both factors
+#: and zgesdd's workspace in buffers of its own, 6.8 matrices of resident
+#: memory on a square cut.  A child's peak RSS on ``check random:10,10,0``,
+#: a 16 MiB matrix, measured 9.8 matrices above ``check random:1,2,3`` with
+#: one BLAS thread and 10.7 with two.
+_PEEL_COPIES = 12
 
 #: Fewest rows for which a cut is factored through its R factor; below it
 #: the QR costs more than it saves (``timeit``: 128x2 +12 us, 256x4 even,

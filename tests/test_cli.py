@@ -5,8 +5,10 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import sysconfig
 import time
 import warnings
 
@@ -197,7 +199,7 @@ def test_decompose_product_refuses_factors_whose_slack_compounds(tmp_path, capsy
 def test_decompose_refuses_a_verification_larger_than_memory(tmp_path, capsys, monkeypatch):
     # cloner:3 is 1024 bytes; verifying holds the target and the two states
     # of one product (3 matrices), its largest block, 12 x 4 entries, twice,
-    # and 4096 bytes more: 8704 bytes.  That is below canonicalization's 7
+    # and 4096 bytes more: 8704 bytes.  That is below canonicalization's 12
     # matrices, whose count is cut to the operator alone so that the request
     # reaches verification
     monkeypatch.setattr(mps_module, "_PEEL_COPIES", 1)
@@ -214,10 +216,10 @@ def test_decompose_refuses_a_verification_larger_than_memory(tmp_path, capsys, m
 
 
 def test_decompose_verifies_a_large_plan_within_the_peel_memory(tmp_path, capsys, monkeypatch):
-    # cloner:8 is 2**20 bytes with ancilla 16: the peel counts 7 matrices and
-    # verification 3 and its largest block, where the whole padded operator
-    # made 25
-    memory = {"SC_PHYS_PAGES": 7 * 2**20, "SC_PAGE_SIZE": 1}
+    # cloner:8 is 2**20 bytes with ancilla 16: the peel counts 12 matrices
+    # and verification 3 and its largest block, where the whole padded
+    # operator made 25
+    memory = {"SC_PHYS_PAGES": 12 * 2**20, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     code, out, err = run_cli(["decompose", "cloner:8"], capsys)
     assert (code, err) == (0, "")
@@ -232,7 +234,7 @@ def test_canonicalization_larger_than_memory_exits_2_before_the_peel(
     command, operator, tmp_path, capsys, monkeypatch
 ):
     # each operator is 1 -> 4 (512 bytes) or 4 -> 4 (4096 bytes) and fits in
-    # memory itself; its peel, 7 matrices, does not.  A product is
+    # memory itself; its peel, 12 matrices, does not.  A product is
     # canonicalized as its bond-1 chain, so it needs no peel and is decided.
     rng = np.random.default_rng(17)
     factors = tmp_path / "factors.json"
@@ -243,7 +245,7 @@ def test_canonicalization_larger_than_memory_exits_2_before_the_peel(
             formats.dumps(operator_doc(ghz_isometry(4)))
         )
     (m, n) = (4, 4) if operator == "product" else (1, 4)
-    need = 7 * 16 * 2 ** (m + n)
+    need = 12 * 16 * 2 ** (m + n)
     peels = []
     monkeypatch.setattr(mps_module, "_dense_sweep", lambda *args: peels.append(args))
     memory = {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}
@@ -254,7 +256,7 @@ def test_canonicalization_larger_than_memory_exits_2_before_the_peel(
         return
     assert (code, out, peels) == (2, "", [])
     assert err == (
-        f"error: canonicalization: the dense {m} -> {n} matrix x 7 needs {need} bytes, "
+        f"error: canonicalization: the dense {m} -> {n} matrix x 12 needs {need} bytes, "
         f"more than the {need - 1} bytes of physical memory\n"
     )
 
@@ -393,6 +395,24 @@ def test_simulate_amplitude_list_input(tmp_path, capsys):
     assert code == 0
     amps = json.loads(out)["amplitudes"]
     assert np.isclose(amps[0][0], 1 / math.sqrt(2))
+
+
+@pytest.mark.parametrize(
+    "state, amplitudes",
+    [
+        ("+-", [[0.5, 0], [-0.5, 0], [0.5, 0], [-0.5, 0]]),
+        ("[[0.5, 0], [0, 0.5], [-0.5, 0], [0, -0.5]]", [[0.5, 0], [0, 0.5], [-0.5, 0], [0, -0.5]]),
+    ],
+    ids=["label", "amplitude list"],
+)
+def test_a_plan_of_the_bare_product_returns_its_input(state, amplitudes, tmp_path, capsys):
+    # two identity factors read two inputs (m_in = 2), each consumed by its
+    # own site, so the plan's output is its input as given
+    path = tmp_path / "plan.json"
+    assert run_cli(["decompose", "product", "-o", str(path)], capsys)[0] == 0
+    code, out, err = run_cli(["simulate", str(path), f"--input-state={state}"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"amplitudes": amplitudes, "decoupling_residual": 0}
 
 
 @pytest.mark.parametrize(
@@ -1174,11 +1194,18 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-def run_command(argv, stdout=subprocess.PIPE, cwd=None, launcher=()):
-    """``python -m seqdecomp argv`` on the package under test, started through
+#: The package under test as a module, the default ``command`` of :func:`run_command`.
+MODULE = (sys.executable, "-m", "seqdecomp")
+
+#: The ``seqdecomp`` console script of this interpreter, where the package is installed.
+CONSOLE_SCRIPT = shutil.which("seqdecomp", path=sysconfig.get_path("scripts"))
+
+
+def run_command(argv, stdout=subprocess.PIPE, cwd=None, launcher=(), command=MODULE):
+    """``command argv`` on the package under test, started through
     ``launcher`` if one is given, with standard output block-buffered as when
     the command runs normally."""
-    command = [*launcher, sys.executable, "-m", "seqdecomp", *argv]
+    command = [*launcher, *command, *argv]
     return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, cwd=cwd, env=child_env())
 
 
@@ -1210,9 +1237,13 @@ ENTRY_POINT_ROWS = {
 )
 def test_console_entry_point_matches_main(argv, code, tmp_path, capsys, monkeypatch):
     # the command ends with os._exit once its output is flushed; it must exit,
-    # print and write files exactly as main does in process
+    # print and write files exactly as main does in process, run as a module
+    # and, where the package is installed, as its console script
+    commands = {"module": MODULE}
+    if CONSOLE_SCRIPT:
+        commands["script"] = (CONSOLE_SCRIPT,)
     runs = {}
-    for where in ("main", "command"):
+    for where in ("main", *commands):
         folder = tmp_path / where
         folder.mkdir()
         monkeypatch.chdir(folder)
@@ -1229,10 +1260,11 @@ def test_console_entry_point_matches_main(argv, code, tmp_path, capsys, monkeypa
             out, err = capsys.readouterr()
             runs[where] = [status, out.encode(), err.encode()]
         else:
-            proc = run_command(argv, cwd=folder)
+            proc = run_command(argv, cwd=folder, command=commands[where])
             runs[where] = [proc.returncode, proc.stdout, proc.stderr]
         runs[where].append({p.name: p.read_bytes() for p in folder.iterdir()})
-    assert runs["command"] == runs["main"]
+    for where in commands:
+        assert runs[where] == runs["main"], where
     assert runs["main"][0] == code
     assert ("plan.json" in runs["main"][3]) == (argv[0] == "decompose")
 
@@ -1244,6 +1276,41 @@ def test_the_command_writes_a_plan_file_of_base64_blocks(tmp_path):
     proc = run_command(["decompose", "random:1,10,0", "-o", "plan.json"], cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert (tmp_path / "plan.json").stat().st_size < 110000
+
+
+#: A script that spawns ``python -m seqdecomp`` with its arguments, stdout
+#: discarded, and prints the command's exit code and peak RSS in bytes.  It
+#: imports no numpy: a child spawned by a process that holds numpy reports
+#: that process's RSS as its own peak.
+_PEAK_RSS = (
+    "import os, sys\n"
+    "argv = [sys.executable, '-m', 'seqdecomp', *sys.argv[1:]]\n"
+    "quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]\n"
+    "pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss * 1024)\n"
+)
+
+
+def peak_rss(argv):
+    """Exit code and peak RSS in bytes of the command ``argv``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    code, rss = map(int, proc.stdout.split())
+    return code, rss
+
+
+def test_the_peel_guard_counts_a_child_s_peak_rss():
+    # random:10,10,0 is a 16 MiB matrix, whose middle cut is a 1024 x 1024
+    # SVD; numpy's linalg copies the cut and works in buffers that are not
+    # arrays, which tracemalloc misses and only the resident peak shows
+    code, small = peak_rss(["check", "random:1,2,3"])
+    assert code == 0
+    code, large = peak_rss(["check", "random:10,10,0"])
+    assert code == 1
+    assert large - small <= mps_module._PEEL_COPIES * 16 * 2**20
 
 
 def _full_device(argv):

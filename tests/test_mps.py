@@ -174,15 +174,15 @@ def assert_cuts_match_the_oracle(result, psi, dims):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("memory, refused", [(14335, True), (14336, False)])
+@pytest.mark.parametrize("memory, refused", [(24575, True), (24576, False)])
 def test_operator_to_mps_refuses_a_peel_larger_than_memory(memory, refused, monkeypatch):
     # cloner:4 is 1 -> 7, 4096 bytes; the peel counts it and its working
-    # copies as 7 matrices, 28672 bytes at 2 bytes a page
+    # copies as 12 matrices, 49152 bytes at 2 bytes a page
     u = gisin_massar_cloner(4)
     sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 2}
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
     if refused:
-        with pytest.raises(ContractViolationError, match="canonicalization: .* x 7 needs 28672 bytes"):
+        with pytest.raises(ContractViolationError, match="canonicalization: .* x 12 needs 49152 bytes"):
             operator_to_mps(u)
     else:
         op, _ = operator_to_mps(u)
@@ -291,9 +291,19 @@ def test_the_peel_reads_tall_blocks_in_chunks(chunk_rows, monkeypatch):
     assert np.linalg.norm(contract_state(mps) - psi) <= 1e-12
 
 
-@pytest.mark.parametrize("build", [lambda: ghz_isometry(16), lambda: haar_isometry(1, 15, 4)],
-                         ids=["ghz:16", "haar 1->15"])
-def test_the_peel_reads_blocks_above_the_default_chunk_in_chunks(build, monkeypatch):
+@pytest.mark.parametrize(
+    "build, bonds",
+    [
+        (lambda: ghz_isometry(16), (1,) + (2,) * 15 + (1,)),
+        # generic: each cut's rank is the dimension of its smaller side
+        (
+            lambda: haar_isometry(1, 15, 4),
+            (1, *(min(2 ** (k + 1), 2 ** (15 - k)) for k in range(1, 15)), 1),
+        ),
+    ],
+    ids=["ghz:16", "haar 1->15"],
+)
+def test_the_peel_reads_blocks_above_the_default_chunk_in_chunks(build, bonds, monkeypatch):
     # their first cuts are taller than _CHUNK_ROWS; the reference is the
     # same peel with every block read as one matrix
     u = build()
@@ -310,7 +320,7 @@ def test_the_peel_reads_blocks_above_the_default_chunk_in_chunks(build, monkeypa
     walked.clear()
     whole, whole_weights = operator_to_mps(u)
     assert not walked
-    assert chunked.bond_dims == whole.bond_dims
+    assert chunked.bond_dims == whole.bond_dims == bonds
     for a, b in zip(chunked.tensors, whole.tensors):
         assert np.max(np.abs(a - b)) <= 1e-12
     for a, b in zip(chunked_weights.lambdas, whole_weights.lambdas):
