@@ -92,7 +92,9 @@ if TYPE_CHECKING:
 #: and zgesdd's workspace in buffers of its own, 6.8 matrices of resident
 #: memory on a square cut.  A child's peak RSS on ``check random:10,10,0``,
 #: a 16 MiB matrix, measured 9.8 matrices above ``check random:1,2,3`` with
-#: one BLAS thread and 10.7 with two.
+#: one OpenBLAS thread, 10.6 with two, 10.7 with four and 11.9 with 64, the
+#: most threads numpy 2.4's OpenBLAS starts: past two, each thread adds at
+#: most 0.5 MiB, a constant that weighs less on larger matrices.
 _PEEL_COPIES = 12
 
 #: Fewest rows for which a cut is factored through its R factor; below it
